@@ -21,7 +21,7 @@ from .linalg import (
     norms,
     positive_parts,
 )
-from .noise import ItoPath, WienerPath, convert_noise, sample_wiener, sample_wiener_batch
+from .noise import WienerPath, convert_noise, sample_wiener, sample_wiener_batch
 from .pure import (
     PureFilterParams,
     expectation,

@@ -1,7 +1,8 @@
 """Command-line entry point: scenario runs, config validation, check suites.
 
 Exit codes: 0 ok, 1 validation-suite failure, 2 config error, 3 runtime abort
-(trace collapse, Picard non-convergence), 4 I/O failure.
+(trace collapse, a nonpositive sme_linear trace at a checkpoint, Picard
+non-convergence), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -47,40 +47,80 @@ def _params(sc: Scenario) -> SMEParams:
 
 def _grid_stride(sc: Scenario) -> int:
     strides = [stride for _, _, stride in sc.outputs]
-    if not strides:
-        return sc.steps
-    return math.gcd(*strides) if len(strides) > 1 else strides[0]
+    return math.gcd(*strides) if strides else sc.steps
 
 
-def _run_block(sc: Scenario, params: SMEParams, stride: int, offset: int, count: int) -> np.ndarray:
-    """States of trajectories [offset, offset+count) on the common checkpoint grid."""
-    incr = sample_wiener_batch(params.n_channels, sc.steps, sc.dt, sc.seed, count, offset=offset)
-    if sc.engine == "pure_linear":
-        return run_linear(sc.chi0, params, incr, checkpoint_stride=stride)
-    if sc.engine == "pure_nonlinear":
-        return run_nonlinear(sc.chi0, params, incr, checkpoint_stride=stride)
-    if sc.engine == "sme_linear":
-        return run_linear_sme(sc.rho0, params, incr, checkpoint_stride=stride)
-    if sc.engine == "sme_nonlinear":
-        return run_nonlinear_sme(sc.rho0, params, incr, checkpoint_stride=stride)
-    if sc.engine == "ensemble":
-        return run_ensemble(decompose_state(sc.rho0), params, incr, checkpoint_stride=stride)
-    raise ValueError(f"engine {sc.engine} has no trajectory runner")
+def _ket_values(states: np.ndarray, op: np.ndarray, stride: int) -> np.ndarray:
+    num = np.einsum("kmi,ij,kmj->km", np.conj(states), op, states).real
+    return num / np.sum(np.abs(states) ** 2, axis=-1)
 
 
-def _observable_values(sc: Scenario, states: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """Normalized expectation of one observable per checkpoint/trajectory, shape (K+1, M)."""
-    if sc.engine in ("pure_linear", "pure_nonlinear"):
-        num = np.einsum("kmi,ij,kmj->km", np.conj(states), op, states).real
-        den = np.sum(np.abs(states) ** 2, axis=-1)
-        return num / den
-    vals = np.einsum("ij,kmji->km", op, states).real
-    if sc.engine == "sme_linear":
-        vals = vals / np.einsum("kmii->km", states).real
-    return vals
+def _ket_final(states: np.ndarray, stride: int) -> np.ndarray:
+    last = states[-1]
+    nrm = np.sum(np.abs(last) ** 2, axis=-1)
+    return (np.einsum("mi,mj->mij", last, np.conj(last)) / nrm[:, None, None]).mean(axis=0)
 
 
-def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both", threads: int = 1) -> RunArtifacts:
+def _density_values(states: np.ndarray, op: np.ndarray, stride: int) -> np.ndarray:
+    return np.einsum("ij,kmji->km", op, states).real
+
+
+def _traces(states: np.ndarray, stride: int) -> np.ndarray:
+    """Traces of unnormalized densities, shape (K+1, M); a nonpositive or NaN one aborts."""
+    traces = np.einsum("kmii->km", states).real
+    bad = np.argwhere(~(traces > 0.0))
+    if bad.size:
+        k, m = bad[0]
+        raise TrajectoryAbort("nonpositive trace in a linear-equation trajectory",
+                              step=int(k) * stride, trajectory=int(m))
+    return traces
+
+
+def _unnormalized_values(states: np.ndarray, op: np.ndarray, stride: int) -> np.ndarray:
+    return _density_values(states, op, stride) / _traces(states, stride)
+
+
+def _unnormalized_final(states: np.ndarray, stride: int) -> np.ndarray:
+    return (states[-1] / _traces(states, stride)[-1][:, None, None]).mean(axis=0)
+
+
+# State kind -> (expectation of one observable per checkpoint and trajectory,
+# shape (K+1, M); mean normalized final density), both over checkpoint states
+# (K+1, M, ...) taken every ``stride`` steps.
+REDUCERS = {
+    "ket": (_ket_values, _ket_final),
+    "density": (_density_values, lambda states, stride: states[-1].mean(axis=0)),
+    "unnormalized": (_unnormalized_values, _unnormalized_final),
+}
+
+# Trajectory engine -> (runner (scenario, params, increments, stride) ->
+# checkpoint states, state kind).  ``meanfield`` is not here: it yields a
+# mean path, not per-trajectory states.
+ENGINES = {
+    "pure_linear": (
+        lambda sc, p, incr, stride: run_linear(sc.chi0, p, incr, checkpoint_stride=stride), "ket"
+    ),
+    "pure_nonlinear": (
+        lambda sc, p, incr, stride: run_nonlinear(sc.chi0, p, incr, checkpoint_stride=stride), "ket"
+    ),
+    "sme_linear": (
+        lambda sc, p, incr, stride: run_linear_sme(sc.rho0, p, incr, checkpoint_stride=stride),
+        "unnormalized",
+    ),
+    "sme_nonlinear": (
+        lambda sc, p, incr, stride: run_nonlinear_sme(sc.rho0, p, incr, checkpoint_stride=stride),
+        "density",
+    ),
+    "ensemble": (
+        lambda sc, p, incr, stride: run_ensemble(
+            decompose_state(sc.rho0), p, incr, checkpoint_stride=stride
+        ),
+        "density",
+    ),
+}
+
+
+def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both") -> RunArtifacts:
     """Execute a validated scenario and write CSV/JSON artifacts."""
     os.makedirs(out_dir, exist_ok=True)
     cfg_hash = _config_hash(sc.raw)
@@ -121,36 +161,20 @@ def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both", threads: int = 1
             out_times[label] = sc.dt * ostride * np.arange(vals.size)
     else:
         params = _params(sc)
-        blocks = max(1, min(threads, sc.trajectories))
-        bounds = np.linspace(0, sc.trajectories, blocks + 1).astype(int)
-        if blocks == 1:
-            states = _run_block(sc, params, stride, 0, sc.trajectories)
-        else:
-            with ThreadPoolExecutor(max_workers=blocks) as pool:
-                futures = [
-                    pool.submit(_run_block, sc, params, stride, int(a), int(b - a))
-                    for a, b in zip(bounds[:-1], bounds[1:])
-                    if b > a
-                ]
-                states = np.concatenate([f.result() for f in futures], axis=1)
+        run, kind = ENGINES[sc.engine]
+        incr = sample_wiener_batch(params.n_channels, sc.steps, sc.dt, sc.seed, sc.trajectories)
+        states = run(sc, params, incr, stride)
+        del incr  # not needed past integration; the reduction and the CSV are the memory peak
+        values, final = REDUCERS[kind]
+        mean_final = final(states, stride)  # first, so a trace check covers every checkpoint
         for label, op, ostride in sc.outputs:
-            sel = states[:: ostride // stride]
-            vals = _observable_values(sc, sel, op)  # (K+1, M)
+            vals = values(states[:: ostride // stride], op, ostride)  # (K+1, M)
             per_traj[label] = vals
             means[label] = vals.mean(axis=1)
             stderrs[label] = (
                 vals.std(axis=1, ddof=1) / np.sqrt(vals.shape[1]) if vals.shape[1] > 1 else np.zeros(vals.shape[0])
             )
             out_times[label] = sc.dt * ostride * np.arange(vals.shape[0])
-        if sc.engine in ("pure_linear", "pure_nonlinear"):
-            nrm = np.sum(np.abs(states[-1]) ** 2, axis=-1)
-            rho_fin = np.einsum("mi,mj->mij", states[-1], np.conj(states[-1])) / nrm[:, None, None]
-            mean_final = rho_fin.mean(axis=0)
-        elif sc.engine == "sme_linear":
-            traces = np.einsum("mii->m", states[-1]).real
-            mean_final = (states[-1] / traces[:, None, None]).mean(axis=0)
-        else:
-            mean_final = states[-1].mean(axis=0)
 
     safe_name = "".join(c if c.isalnum() or c in "-_." else "_" for c in sc.name)
     csv_path = None
@@ -205,13 +229,14 @@ def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both", threads: int = 1
 
 
 def _cmd_simulate(args) -> int:
-    data = json.load(open(args.scenario))
+    with open(args.scenario) as f:
+        data = json.load(f)
     if args.set:
         data = apply_overrides(data, args.set)
     if args.seed is not None:
         data["seed"] = args.seed
     sc = validate_scenario(data)
-    artifacts = run_scenario(sc, args.out, fmt=args.format, threads=args.threads)
+    artifacts = run_scenario(sc, args.out, fmt=args.format)
     print(
         json.dumps(
             {
@@ -280,8 +305,6 @@ def _parser() -> argparse.ArgumentParser:
                      help="override a scenario field (dotted path, JSON value)")
     sim.add_argument("--out", default="out", help="output directory (default: out)")
     sim.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    sim.add_argument("--threads", type=int, default=1,
-                     help="trajectory worker threads (results are identical for any value)")
     sim.add_argument("--format", choices=("csv", "json", "both"), default="both",
                      help="artifact formats to write (default: both)")
     sim.set_defaults(func=_cmd_simulate)
@@ -316,7 +339,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: not valid JSON ({e})", file=sys.stderr)
         return 2
     except TrajectoryAbort as e:
-        print(json.dumps({"abort": True, "reason": e.reason, "step": e.step}), file=sys.stderr)
+        print(
+            json.dumps({"abort": True, "reason": e.reason, "step": e.step, "trajectory": e.trajectory}),
+            file=sys.stderr,
+        )
         return 3
     except OSError as e:
         print(f"I/O failure: {e}", file=sys.stderr)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TrajectoryAbort
+from .integrate import integrate, replicate
 from .linalg import hermitianize
 from .pure import PureFilterParams, linear_pure_step
 
@@ -138,41 +139,15 @@ def run_ensemble(
     kets at checkpoints, shape (K+1, ..., rank, d).
     """
     increments = np.asarray(increments, dtype=float)
-    steps = increments.shape[-2]
-    if steps % checkpoint_stride:
-        raise ValueError("step count must be a multiple of checkpoint_stride")
-    batch = increments.shape[:-2]
-    kets = np.broadcast_to(ens0.kets, batch + ens0.kets.shape).copy()
     weights = ens0.weights
-    n_check = steps // checkpoint_stride + 1
-    densities = np.empty((n_check,) + batch + (ens0.dim, ens0.dim), dtype=complex)
-    kets_out = np.empty((n_check,) + kets.shape, dtype=complex) if return_kets else None
-    densities[0] = _reconstruct(kets, weights)
-    if return_kets:
-        kets_out[0] = kets
-    for k in range(steps):
-        kets = _kick_kets(kets, weights, p, increments[..., k, :], k * p.dt)
-        if (k + 1) % checkpoint_stride == 0:
-            idx = (k + 1) // checkpoint_stride
-            frame = p.to_schroedinger_frame(kets, (k + 1) * p.dt)
-            densities[idx] = _reconstruct(frame, weights)
-            if return_kets:
-                kets_out[idx] = frame
-    return (densities, kets_out) if return_kets else densities
 
+    def step(kets, k):
+        return _kick_kets(kets, weights, p, increments[..., k, :], k * p.dt)
 
-def ensemble_checkpoint(ens: WeightedEnsemble) -> dict:
-    """JSON-able snapshot: weights plus ket entries as [re, im] pairs."""
-    return {
-        "weights": ens.weights.tolist(),
-        "cutoff": ens.cutoff,
-        "dropped_mass": ens.dropped_mass,
-        "kets": [[[z.real, z.imag] for z in ket] for ket in ens.kets],
-    }
+    def observe(kets, k):
+        frame = p.to_schroedinger_frame(kets, k * p.dt)
+        return frame if return_kets else _reconstruct(frame, weights)
 
-
-def ensemble_from_checkpoint(data: dict) -> WeightedEnsemble:
-    kets = np.array([[complex(re, im) for re, im in ket] for ket in data["kets"]])
-    return WeightedEnsemble(
-        np.array(data["weights"]), kets, int(data["cutoff"]), float(data["dropped_mass"])
-    )
+    kets0 = replicate(ens0.kets, increments.shape[:-2])
+    out = integrate(step, kets0, increments.shape[-2], checkpoint_stride, observe)
+    return (_reconstruct(out, weights), out) if return_kets else out

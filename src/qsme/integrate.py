@@ -1,0 +1,33 @@
+"""The one time-stepping loop behind every trajectory driver.
+
+A driver supplies a step closure ``step(x, k) -> x`` that advances the state
+over step ``k`` and a map ``observe(x, k)`` that turns the state after ``k``
+steps into what is stored (usually the Schroedinger-frame state at t = k dt).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def replicate(x0: np.ndarray, batch: tuple) -> np.ndarray:
+    """A writable copy of ``x0`` for every index of the leading ``batch`` shape."""
+    return np.broadcast_to(x0, batch + x0.shape).copy()
+
+
+def integrate(step, x0: np.ndarray, steps: int, stride: int, observe) -> np.ndarray:
+    """Run ``steps`` steps from ``x0``; ``observe`` at t = 0 and every ``stride`` steps.
+
+    Returns shape (steps // stride + 1, ...): entry i is ``observe(x, i * stride)``.
+    """
+    if steps % stride:
+        raise ValueError("step count must be a multiple of checkpoint_stride")
+    first = observe(x0, 0)
+    out = np.empty((steps // stride + 1,) + first.shape, dtype=first.dtype)
+    out[0] = first
+    x = x0
+    for k in range(steps):
+        x = step(x, k)
+        if (k + 1) % stride == 0:
+            out[(k + 1) // stride] = observe(x, k + 1)
+    return out

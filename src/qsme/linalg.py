@@ -72,15 +72,6 @@ def require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "
     return a
 
 
-def require_ket(x: np.ndarray, name: str = "ket") -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
-    if x.shape[-1] < 1:
-        raise ValueError(f"{name} must have dimension >= 1")
-    if not np.all(np.isfinite(x.view(float))):
-        raise ValueError(f"{name} has non-finite entries")
-    return x
-
-
 def require_density(
     rho: np.ndarray,
     pos_tol: float = DEFAULT_POS_TOL,

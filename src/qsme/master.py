@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TrajectoryAbort
+from .integrate import integrate, replicate
 from .linalg import dag, hermitianize, hs_norm
 from .pure import PureFilterParams
 
@@ -157,19 +158,6 @@ def trace_process_step(
     return float(out) if out.ndim == 0 else out
 
 
-def project_to_density(rho: np.ndarray) -> np.ndarray:
-    """Clip negative eigenvalues to zero and renormalize the trace.
-
-    Changes the law of the process; only used when positivity handling is
-    explicitly set to ``project``.
-    """
-    w, v = np.linalg.eigh(rho)
-    w = np.maximum(w, 0.0)
-    out = np.einsum("...ik,...k,...jk->...ij", v, w, np.conj(v))
-    tr = np.einsum("...ii->...", out).real
-    return hermitianize(out / tr[..., None, None])
-
-
 @dataclass
 class TrajectoryRecord:
     """One full trajectory of a mixed-state equation on a uniform grid.
@@ -178,8 +166,7 @@ class TrajectoryRecord:
     for ``normalized``); ``trace`` holds the likelihood process T(t), which
     for a linear record equals the actual state traces.  Positivity of the
     stored states is a monitored property (Euler paths dip below zero at
-    O(dt)), checked explicitly via :meth:`min_eigenvalues`, not at
-    construction.
+    O(dt)), not checked at construction.
     """
 
     times: np.ndarray
@@ -212,9 +199,6 @@ class TrajectoryRecord:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def min_eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.states)[:, 0]
-
 
 def simulate_linear_record(
     gamma0: np.ndarray, p: SMEParams, increments: np.ndarray
@@ -225,38 +209,10 @@ def simulate_linear_record(
     interaction picture.
     """
     increments = np.asarray(increments, dtype=float)
-    steps = increments.shape[0]
-    states = np.empty((steps + 1, p.dim, p.dim), dtype=complex)
-    states[0] = hermitianize(np.asarray(gamma0, dtype=complex))
-    x = states[0]
-    for k in range(steps):
-        x = linear_sme_step(x, p, increments[k], k * p.dt)
-        states[k + 1] = p.to_schroedinger_frame_matrix(x, (k + 1) * p.dt)
-    times = p.dt * np.arange(steps + 1)
+    states = run_linear_sme(gamma0, p, increments)
+    times = p.dt * np.arange(states.shape[0])
     trace = np.einsum("kii->k", states).real
     return TrajectoryRecord(times, states, increments, trace, "linear", p)
-
-
-def simulate_nonlinear_record(
-    rho0: np.ndarray, p: SMEParams, increments: np.ndarray
-) -> TrajectoryRecord:
-    """Integrate the normalized equation along one innovation path, storing every step."""
-    increments = np.asarray(increments, dtype=float)
-    steps = increments.shape[0]
-    states = np.empty((steps + 1, p.dim, p.dim), dtype=complex)
-    states[0] = hermitianize(np.asarray(rho0, dtype=complex))
-    x = states[0]
-    trace = np.empty(steps + 1)
-    trace[0] = 1.0
-    for k in range(steps):
-        rho_s = p.to_schroedinger_frame_matrix(x, k * p.dt)
-        trace[k + 1] = trace_process_step(
-            trace[k], rho_s, p.ls, increments[k], "inverse_trace"
-        )
-        x = nonlinear_sme_step(x, p, increments[k], k * p.dt)
-        states[k + 1] = p.to_schroedinger_frame_matrix(x, (k + 1) * p.dt)
-    times = p.dt * np.arange(steps + 1)
-    return TrajectoryRecord(times, states, increments, 1.0 / trace, "normalized", p)
 
 
 def normalize_path(rec: TrajectoryRecord) -> TrajectoryRecord:
@@ -316,68 +272,39 @@ def run_linear_sme(
     evolving state, shape (steps+1, ...), for positivity monitoring.
     """
     increments = np.asarray(increments, dtype=float)
-    steps = increments.shape[-2]
-    if steps % checkpoint_stride:
-        raise ValueError("step count must be a multiple of checkpoint_stride")
-    x = np.broadcast_to(
-        hermitianize(np.asarray(gamma0, dtype=complex)),
-        increments.shape[:-2] + (p.dim, p.dim),
-    ).copy()
-    out = np.empty((steps // checkpoint_stride + 1,) + x.shape, dtype=complex)
-    out[0] = x
-    mins = np.empty((steps + 1,) + x.shape[:-2]) if track_min_eig else None
+    x = replicate(hermitianize(np.asarray(gamma0, dtype=complex)), increments.shape[:-2])
+    mins = None
     if track_min_eig:
+        mins = np.empty((increments.shape[-2] + 1,) + x.shape[:-2])
         mins[0] = np.linalg.eigvalsh(x)[..., 0]
-    for k in range(steps):
+
+    def step(x, k):
         x = linear_sme_step(x, p, increments[..., k, :], k * p.dt)
         if track_min_eig:
             mins[k + 1] = np.linalg.eigvalsh(x)[..., 0]
-        if (k + 1) % checkpoint_stride == 0:
-            out[(k + 1) // checkpoint_stride] = p.to_schroedinger_frame_matrix(
-                x, (k + 1) * p.dt
-            )
+        return x
+
+    out = integrate(
+        step, x, increments.shape[-2], checkpoint_stride,
+        lambda x, k: p.to_schroedinger_frame_matrix(x, k * p.dt),
+    )
     return (out, mins) if track_min_eig else out
 
 
 def run_nonlinear_sme(
-    rho0: np.ndarray,
-    p: SMEParams,
-    increments: np.ndarray,
-    checkpoint_stride: int = 1,
-    positivity: str = "monitor",
-    track_min_eig: bool = False,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Batched normalized-equation driver; Schroedinger-frame states at checkpoints.
-
-    ``positivity='project'`` clips negative eigenvalues after every step;
-    this changes the law of the process and is opt-in.
-    """
-    if positivity not in ("monitor", "project"):
-        raise ValueError("positivity must be 'monitor' or 'project'")
+    rho0: np.ndarray, p: SMEParams, increments: np.ndarray, checkpoint_stride: int = 1
+) -> np.ndarray:
+    """Batched normalized-equation driver; Schroedinger-frame states at checkpoints."""
     increments = np.asarray(increments, dtype=float)
-    steps = increments.shape[-2]
-    if steps % checkpoint_stride:
-        raise ValueError("step count must be a multiple of checkpoint_stride")
-    x = np.broadcast_to(
-        hermitianize(np.asarray(rho0, dtype=complex)),
-        increments.shape[:-2] + (p.dim, p.dim),
-    ).copy()
-    out = np.empty((steps // checkpoint_stride + 1,) + x.shape, dtype=complex)
-    out[0] = x
-    mins = np.empty((steps + 1,) + x.shape[:-2]) if track_min_eig else None
-    if track_min_eig:
-        mins[0] = np.linalg.eigvalsh(x)[..., 0]
-    for k in range(steps):
-        x = nonlinear_sme_step(x, p, increments[..., k, :], k * p.dt)
-        if positivity == "project":
-            x = project_to_density(x)
-        if track_min_eig:
-            mins[k + 1] = np.linalg.eigvalsh(x)[..., 0]
-        if (k + 1) % checkpoint_stride == 0:
-            out[(k + 1) // checkpoint_stride] = p.to_schroedinger_frame_matrix(
-                x, (k + 1) * p.dt
-            )
-    return (out, mins) if track_min_eig else out
+
+    def step(x, k):
+        return nonlinear_sme_step(x, p, increments[..., k, :], k * p.dt)
+
+    x = replicate(hermitianize(np.asarray(rho0, dtype=complex)), increments.shape[:-2])
+    return integrate(
+        step, x, increments.shape[-2], checkpoint_stride,
+        lambda x, k: p.to_schroedinger_frame_matrix(x, k * p.dt),
+    )
 
 
 def _lindblad_ode_rhs(eta: np.ndarray, p: SMEParams) -> np.ndarray:
@@ -408,53 +335,14 @@ def deterministic_lindblad_path(
     if steps is None:
         steps = max(1, round(t / p.dt))
     h = t / steps
-    eta = hermitianize(np.asarray(rho0, dtype=complex))
-    stride = steps if checkpoint_stride is None else checkpoint_stride
-    if steps % stride:
-        raise ValueError("steps must be a multiple of checkpoint_stride")
-    out = np.empty((steps // stride + 1,) + eta.shape, dtype=complex)
-    out[0] = eta
-    for k in range(steps):
+
+    def rk4(eta, k):
         k1 = _lindblad_ode_rhs(eta, p)
         k2 = _lindblad_ode_rhs(eta + 0.5 * h * k1, p)
         k3 = _lindblad_ode_rhs(eta + 0.5 * h * k2, p)
         k4 = _lindblad_ode_rhs(eta + h * k3, p)
-        eta = hermitianize(eta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        if (k + 1) % stride == 0:
-            out[(k + 1) // stride] = eta
-    return out
+        return hermitianize(eta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
-
-def record_to_csv(rec: TrajectoryRecord, stream) -> None:
-    """Serialize a record: t, row-major Re/Im of the state, T, noise increments.
-
-    Row k carries the increment over [t_k, t_{k+1}); the final row leaves the
-    increment columns empty.
-    """
-    d = rec.states.shape[-1]
-    n = rec.noise.shape[-1]
-    entry_cols = ",".join(
-        f"re_{i}{j},im_{i}{j}" for i in range(d) for j in range(d)
-    )
-    incr_cols = ",".join(f"d{'Y' if rec.kind == 'linear' else 'B'}_{j + 1}" for j in range(n))
-    stream.write(f"t,{entry_cols},T,{incr_cols}\n")
-    for k, t in enumerate(rec.times):
-        flat = rec.states[k].reshape(-1)
-        entries = ",".join(f"{z.real:.17g},{z.imag:.17g}" for z in flat)
-        incr = (
-            ",".join(f"{v:.17g}" for v in rec.noise[k])
-            if k < rec.noise.shape[0]
-            else "," * (n - 1)
-        )
-        stream.write(f"{t:.17g},{entries},{rec.trace[k]:.17g},{incr}\n")
-
-
-def record_summary(rec: TrajectoryRecord, observables: dict[str, np.ndarray]) -> dict:
-    """JSON-able summary: normalized expectations of observables per checkpoint."""
-    traces = np.einsum("kii->k", rec.states).real
-    rhos = rec.states / traces[:, None, None]
-    out = {"kind": rec.kind, "times": rec.times.tolist(), "expectations": {}}
-    for label, op in observables.items():
-        vals = np.einsum("ij,kji->k", np.asarray(op, dtype=complex), rhos).real
-        out["expectations"][label] = vals.tolist()
-    return out
+    stride = steps if checkpoint_stride is None else checkpoint_stride
+    eta0 = hermitianize(np.asarray(rho0, dtype=complex))
+    return integrate(rk4, eta0, steps, stride, lambda eta, k: eta)

@@ -1,4 +1,4 @@
-"""Multichannel Wiener paths, simple Ito drivers, and output/innovation conversions.
+"""Multichannel Wiener paths, Brownian coarsening, and output/innovation conversions.
 
 Increments (not cumulative paths) are the canonical representation: the SDE
 steppers consume increments directly and cumulative sums lose precision.
@@ -49,33 +49,6 @@ class WienerPath:
     @property
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.step_count + 1)
-
-    def cumulative(self) -> np.ndarray:
-        """W(t) on the grid, starting from zero; for inspection only."""
-        out = np.zeros((self.step_count + 1, self.n_channels))
-        np.cumsum(self.increments, axis=0, out=out[1:])
-        return out
-
-
-@dataclass
-class ItoPath:
-    """Simple Ito driver dX = a dt + dW with bounded drift and unit diffusion."""
-
-    base: WienerPath
-    drift: np.ndarray  # (step_count, n_channels)
-    bound: float = 0.0
-
-    def __post_init__(self):
-        self.drift = np.asarray(self.drift, dtype=float)
-        if self.drift.shape != self.base.increments.shape:
-            raise ValueError("drift samples must match the Wiener increment grid")
-        actual = float(np.max(np.abs(self.drift), initial=0.0))
-        if actual > self.bound:
-            raise ValueError(f"sup|drift| = {actual} exceeds declared bound {self.bound}")
-
-    @property
-    def increments(self) -> np.ndarray:
-        return self.drift * self.base.dt + self.base.increments
 
 
 def sample_wiener(
@@ -146,11 +119,3 @@ def coarsen_increments(increments: np.ndarray, factor: int) -> np.ndarray:
     shape = increments.shape[:-2] + (steps // factor, factor) + increments.shape[-1:]
     return increments.reshape(shape).sum(axis=-2)
 
-
-def write_path_csv(path: WienerPath, stream) -> None:
-    """Debug dump: columns t, dW_1..dW_n (increment over [t, t+dt))."""
-    cols = ",".join(f"dW_{j + 1}" for j in range(path.n_channels))
-    stream.write(f"t,{cols}\n")
-    for k in range(path.step_count):
-        vals = ",".join(f"{v:.17g}" for v in path.increments[k])
-        stream.write(f"{k * path.dt:.17g},{vals}\n")

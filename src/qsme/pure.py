@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TrajectoryAbort
+from .integrate import integrate, replicate
 from .linalg import Propagator, dag, require_hermitian
 
 PICTURES = ("schroedinger", "interaction")
@@ -249,25 +250,21 @@ def run_linear(
     the Schroedinger frame, where K = steps // checkpoint_stride.
     """
     increments = np.asarray(increments, dtype=float)
-    steps = increments.shape[-2]
-    if steps % checkpoint_stride:
-        raise ValueError("step count must be a multiple of checkpoint_stride")
-    chi = np.broadcast_to(
-        np.asarray(chi0, dtype=complex), increments.shape[:-2] + (p.dim,)
-    ).copy()
-    out = np.empty((steps // checkpoint_stride + 1,) + chi.shape, dtype=complex)
-    out[0] = chi
-    for k in range(steps):
+
+    def step(chi, k):
         t = k * p.dt
         dy = increments[..., k, :]
         if innovation_driven:
             ls_t = p.channel_ops(t)
             comp = 2.0 * _symmetric_expectations(0.5 * (ls_t + dag(ls_t)), chi)
             dy = dy + comp * p.dt
-        chi = linear_pure_step(chi, p, dy, t)
-        if (k + 1) % checkpoint_stride == 0:
-            out[(k + 1) // checkpoint_stride] = p.to_schroedinger_frame(chi, (k + 1) * p.dt)
-    return out
+        return linear_pure_step(chi, p, dy, t)
+
+    chi = replicate(np.asarray(chi0, dtype=complex), increments.shape[:-2])
+    return integrate(
+        step, chi, increments.shape[-2], checkpoint_stride,
+        lambda chi, k: p.to_schroedinger_frame(chi, k * p.dt),
+    )
 
 
 def run_nonlinear(
@@ -275,20 +272,15 @@ def run_nonlinear(
     p: PureFilterParams,
     increments: np.ndarray,
     checkpoint_stride: int = 1,
-    renormalize: bool = True,
 ) -> np.ndarray:
     """Drive the nonlinear stepper along innovation increments dB; states at checkpoints."""
     increments = np.asarray(increments, dtype=float)
-    steps = increments.shape[-2]
-    if steps % checkpoint_stride:
-        raise ValueError("step count must be a multiple of checkpoint_stride")
-    phi = np.broadcast_to(
-        np.asarray(phi0, dtype=complex), increments.shape[:-2] + (p.dim,)
-    ).copy()
-    out = np.empty((steps // checkpoint_stride + 1,) + phi.shape, dtype=complex)
-    out[0] = phi
-    for k in range(steps):
-        phi = nonlinear_pure_step(phi, p, increments[..., k, :], k * p.dt, renormalize)
-        if (k + 1) % checkpoint_stride == 0:
-            out[(k + 1) // checkpoint_stride] = p.to_schroedinger_frame(phi, (k + 1) * p.dt)
-    return out
+
+    def step(phi, k):
+        return nonlinear_pure_step(phi, p, increments[..., k, :], k * p.dt)
+
+    phi = replicate(np.asarray(phi0, dtype=complex), increments.shape[:-2])
+    return integrate(
+        step, phi, increments.shape[-2], checkpoint_stride,
+        lambda phi, k: p.to_schroedinger_frame(phi, k * p.dt),
+    )

@@ -13,16 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import decompose_state, run_ensemble
 from .linalg import coupling_norm, dag, hs_norm, operator_norm, positive_parts
 from .master import (
     SMEParams,
-    deterministic_lindblad_path,
+    deterministic_lindblad_solve,
     run_linear_sme,
     run_nonlinear_sme,
 )
 from .noise import coarsen_increments, sample_wiener_batch
-from .pure import run_linear, run_nonlinear
+from .pure import run_linear
 
 
 @dataclass
@@ -314,14 +313,7 @@ def hamiltonian_continuity_experiment(
     )
 
 
-STEPPERS = (
-    "pure_linear",
-    "pure_nonlinear",
-    "sme_linear",
-    "sme_nonlinear",
-    "ensemble",
-    "lindblad_ode",
-)
+STEPPERS = ("sme_linear", "sme_nonlinear", "lindblad_ode")
 
 
 @dataclass
@@ -352,41 +344,21 @@ def convergence_order(
     def params_at(dt):
         return SMEParams(p.h, p.ls, dt, p.picture)
 
+    finals = {}
     if stepper == "lindblad_ode":
-        finals = {}
         for dt in dts:
-            steps = round(cfg.horizon / dt)
-            finals[dt] = deterministic_lindblad_path(
-                cfg.initial, params_at(dt), cfg.horizon, steps, checkpoint_stride=None
-            )[-1]
-        errors = np.array([float(hs_norm(finals[dt] - finals[fine])) for dt in dts[1:]])
+            finals[dt] = deterministic_lindblad_solve(cfg.initial, params_at(dt), cfg.horizon)
     else:
+        run = run_linear_sme if stepper == "sme_linear" else run_nonlinear_sme
         steps_fine = round(cfg.horizon / fine)
         incr_fine = sample_wiener_batch(p.n_channels, steps_fine, fine, cfg.seed, cfg.trajectories)
-        finals = {}
         for dt in dts:
             factor = round(dt / fine)
             if abs(factor * fine - dt) > 1e-12:
                 raise ValueError("each dt must be an integer multiple of the finest")
             incr = incr_fine if factor == 1 else coarsen_increments(incr_fine, factor)
-            pd = params_at(dt)
-            steps = incr.shape[-2]
-            if stepper == "pure_linear":
-                finals[dt] = run_linear(cfg.initial, pd, incr, checkpoint_stride=steps)[-1]
-            elif stepper == "pure_nonlinear":
-                finals[dt] = run_nonlinear(cfg.initial, pd, incr, checkpoint_stride=steps)[-1]
-            elif stepper == "sme_linear":
-                finals[dt] = run_linear_sme(cfg.initial, pd, incr, checkpoint_stride=steps)[-1]
-            elif stepper == "sme_nonlinear":
-                finals[dt] = run_nonlinear_sme(cfg.initial, pd, incr, checkpoint_stride=steps)[-1]
-            else:
-                ens = decompose_state(np.asarray(cfg.initial, dtype=complex))
-                finals[dt] = run_ensemble(ens, pd, incr, checkpoint_stride=steps)[-1]
-        diffs = [finals[dt] - finals[fine] for dt in dts[1:]]
-        if stepper.startswith("pure"):
-            errors = np.array([float(np.mean(np.linalg.norm(d, axis=-1))) for d in diffs])
-        else:
-            errors = np.array([float(np.mean(hs_norm(d))) for d in diffs])
+            finals[dt] = run(cfg.initial, params_at(dt), incr, checkpoint_stride=incr.shape[-2])[-1]
+    errors = np.array([float(np.mean(hs_norm(finals[dt] - finals[fine]))) for dt in dts[1:]])
 
     slope = float(np.polyfit(np.log(np.asarray(dts[1:])), np.log(errors), 1)[0])
     return ConvergenceReport(stepper, np.asarray(dts[1:]), errors, slope)

@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from qsme import cli, scenario
 from qsme.cli import main
 from qsme.scenario import ScenarioError, apply_overrides, validate_scenario
 
@@ -121,19 +123,12 @@ class TestSimulate:
         info_b = json.loads(capsys.readouterr().out)
         assert info_a["digest"] != info_b["digest"]
 
-    def test_threads_do_not_change_results(self, tmp_path, capsys):
-        path = write_scenario(tmp_path, minimal_scenario(trajectories=23))
-        assert main(["simulate", path, "--out", str(tmp_path / "a")]) == 0
-        info_a = json.loads(capsys.readouterr().out)
-        assert main(["simulate", path, "--threads", "4", "--out", str(tmp_path / "b")]) == 0
-        info_b = json.loads(capsys.readouterr().out)
-        assert info_a["digest"] == info_b["digest"]
-
     def test_all_engines_run(self, tmp_path, capsys):
         engines = {
             "pure_linear": {"rho0": {"pure": {"basis": 0}}},
             "pure_nonlinear": {"rho0": {"pure": [[0.6, 0.0], [0.8, 0.0]]}},
             "sme_linear": {},
+            "sme_nonlinear": {},
             "ensemble": {"rho0": {"diag": [0.7, 0.3]}},
         }
         for engine, extra in engines.items():
@@ -187,6 +182,37 @@ class TestSimulate:
         path = write_scenario(tmp_path, mf)
         assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 3
         assert "abort" in capsys.readouterr().err
+
+    def test_sme_linear_trace_collapse_exits_3(self, tmp_path, capsys):
+        # a strong channel drives the unnormalized trace through zero at the
+        # first step; dividing by it would write |<sigma_z>| up to ~200
+        data = minimal_scenario(
+            hamiltonian={"scaled": {"op": "pauli_x", "factor": 0.5}},
+            channels=[{"scaled": {"op": "pauli_z", "factor": 20.0}}],
+            rho0={"diag": [0.7, 0.3]},
+            dt=0.01,
+            horizon=0.1,
+            trajectories=50,
+            seed=1,
+            engine="sme_linear",
+            outputs=[{"observable": "pauli_z", "stride": 1, "label": "pauli_z"}],
+        )
+        path = write_scenario(tmp_path, data)
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 3
+        report = json.loads(capsys.readouterr().err)
+        assert report["abort"] is True
+        assert (report["step"], report["trajectory"]) == (1, 0)
+        assert not (tmp_path / "out" / "qubit-smoke.csv").exists()
+
+    def test_scenario_file_is_closed(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, minimal_scenario())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 0
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_engine_table_covers_schema(self):
+        assert set(cli.ENGINES) == set(scenario.ENGINES) - {"meanfield"}
 
     def test_json_only_format(self, tmp_path, capsys):
         path = write_scenario(tmp_path, minimal_scenario())

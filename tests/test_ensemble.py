@@ -4,8 +4,6 @@ import pytest
 from qsme.ensemble import (
     WeightedEnsemble,
     decompose_state,
-    ensemble_checkpoint,
-    ensemble_from_checkpoint,
     ensemble_step,
     reconstruct_density,
     run_ensemble,
@@ -167,17 +165,6 @@ class TestEquivalenceAndGrowth:
             oracle = output_compensators(reconstruct_density(ens), p.ls)
             assert np.allclose(pi, oracle, atol=1e-12)
             ens = ensemble_step(ens, p, rng.normal(0.0, 0.03, 1), k * p.dt)
-
-
-class TestCheckpointSerialization:
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(11)
-        ens = decompose_state(random_density(3, rng))
-        data = ensemble_checkpoint(ens)
-        back = ensemble_from_checkpoint(data)
-        assert np.array_equal(back.weights, ens.weights)
-        assert np.array_equal(back.kets, ens.kets)
-        assert back.cutoff == ens.cutoff
 
 
 class TestValidation:

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -24,14 +22,10 @@ from qsme.master import (
     nonlinear_sme_step,
     normalize_path,
     output_compensators,
-    project_to_density,
     reconstruct_path,
-    record_summary,
-    record_to_csv,
     run_linear_sme,
     run_nonlinear_sme,
     simulate_linear_record,
-    simulate_nonlinear_record,
     trace_process_step,
 )
 from qsme.noise import coarsen_increments, sample_wiener, sample_wiener_batch
@@ -239,15 +233,6 @@ class TestPathTransforms:
         assert np.max(hs_norm(again.states - norm.states)) <= 1e-9
         assert np.max(np.abs(again.noise - norm.noise)) <= 1e-9
 
-    def test_normalized_record_from_simulation(self):
-        rng = np.random.default_rng(15)
-        p = moderate_qubit(rng)
-        incr = sample_wiener(1, 100, 1e-3, 16).increments
-        rec = simulate_nonlinear_record(random_density(2, rng), p, incr)
-        assert rec.kind == "normalized"
-        assert np.max(np.abs(np.einsum("kii->k", rec.states).real - 1.0)) <= 1e-10
-        assert np.all(rec.trace > 0)
-
     def test_abort_on_nonpositive_trace(self):
         rec = self._record(seed=17, steps=10)
         doctored = TrajectoryRecord(
@@ -311,21 +296,6 @@ class TestPositivity:
             worsts.append(worst)
         assert worsts[1] <= worsts[0] / 1.5
 
-    def test_project_mode_restores_density(self):
-        rng = np.random.default_rng(22)
-        p = moderate_qubit(rng)
-        incr = sample_wiener_batch(1, 200, 1e-3, 23, 16)
-        states = run_nonlinear_sme(
-            np.diag([1.0, 0.0]).astype(complex), p, incr, checkpoint_stride=50, positivity="project"
-        )
-        assert np.min(np.linalg.eigvalsh(states)) >= -1e-12
-        assert np.allclose(np.einsum("kmii->km", states).real, 1.0, atol=1e-12)
-
-    def test_project_to_density_clips(self):
-        rho = np.diag([1.2, -0.2]).astype(complex)
-        out = project_to_density(rho)
-        assert np.allclose(out, np.diag([1.0, 0.0]))
-
 
 class TestContinuityInTime:
     def test_mean_square_increments_linear_in_lag(self):
@@ -372,27 +342,6 @@ class TestRecordSerialization:
         p = moderate_qubit(rng)
         incr = sample_wiener(1, 20, 1e-3, 28).increments
         return simulate_linear_record(random_density(2, rng), p, incr)
-
-    def test_csv_layout(self):
-        rec = self._record()
-        buf = io.StringIO()
-        record_to_csv(rec, buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "t,re_00,im_00,re_01,im_01,re_10,im_10,re_11,im_11,T,dY_1"
-        assert len(lines) == 22
-        first = [float(v) for v in lines[1].split(",")]
-        assert first[0] == 0.0
-        assert np.isclose(first[1], rec.states[0, 0, 0].real)
-        assert lines[-1].endswith(",")  # no increment on the final row
-
-    def test_summary_expectations(self):
-        rec = self._record()
-        summary = record_summary(rec, {"pauli_z": SIGMA_Z})
-        assert summary["kind"] == "linear"
-        vals = np.asarray(summary["expectations"]["pauli_z"])
-        traces = np.einsum("kii->k", rec.states).real
-        expected = np.einsum("ij,kji->k", SIGMA_Z, rec.states / traces[:, None, None]).real
-        assert np.allclose(vals, expected)
 
     def test_record_validation(self):
         rec = self._record()

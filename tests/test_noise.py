@@ -1,18 +1,14 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsme.noise import (
-    ItoPath,
     coarsen_increments,
     convert_noise,
     sample_wiener,
     sample_wiener_batch,
     trajectory_seed,
-    write_path_csv,
 )
 
 
@@ -58,19 +54,6 @@ class TestSampling:
         assert np.mean(np.abs(r) > level) <= 0.01
 
 
-class TestItoPath:
-    def test_increments_combine_drift_and_noise(self):
-        base = sample_wiener(1, 10, 0.01, seed=3)
-        drift = np.full((10, 1), 0.5)
-        path = ItoPath(base, drift, bound=0.5)
-        assert np.allclose(path.increments, 0.5 * 0.01 + base.increments)
-
-    def test_drift_bound_enforced(self):
-        base = sample_wiener(1, 10, 0.01, seed=3)
-        with pytest.raises(ValueError, match="bound"):
-            ItoPath(base, np.full((10, 1), 2.0), bound=1.0)
-
-
 class TestConvertNoise:
     def test_zero_compensator_is_bitwise_identity(self):
         y = sample_wiener(2, 200, 1e-3, seed=1).increments
@@ -113,19 +96,6 @@ class TestRefinement:
     def test_coarsen_rejects_ragged(self):
         with pytest.raises(ValueError):
             coarsen_increments(np.zeros((7, 1)), 2)
-
-
-class TestDump:
-    def test_csv_round_trip(self):
-        path = sample_wiener(2, 5, 0.1, seed=8)
-        buf = io.StringIO()
-        write_path_csv(path, buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "t,dW_1,dW_2"
-        assert len(lines) == 6
-        parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-        assert np.allclose(parsed[:, 0], 0.1 * np.arange(5))
-        assert np.array_equal(parsed[:, 1:], path.increments)
 
 
 def test_trajectory_seed_is_stable():
