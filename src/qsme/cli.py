@@ -1,13 +1,14 @@
 """Command-line entry point: scenario runs, config validation, check suites.
 
 Exit codes: 0 ok, 1 validation-suite failure, 2 config error, 3 runtime abort
-(trace collapse, a nonpositive sme_linear trace at a checkpoint, Picard
-non-convergence), 4 I/O failure.
+(trace collapse, a nonpositive sme_linear or linear-mode meanfield trace,
+Picard non-convergence), 4 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -120,6 +121,19 @@ ENGINES = {
 }
 
 
+def _csv_chunks(outputs, out_times: dict, per_traj: dict, means: dict):
+    """The CSV body (header, then every row), one checkpoint of one observable per chunk."""
+    if outputs:
+        yield "t,traj_id,observable,value\n"
+    for label, _, _ in outputs:
+        traj_vals = per_traj.get(label)
+        for k, t in enumerate(out_times[label]):
+            vals = () if traj_vals is None else traj_vals[k]
+            rows = [f"{t:.17g},{m},{label},{v:.17g}\n" for m, v in enumerate(vals)]
+            rows.append(f"{t:.17g},mean,{label},{means[label][k]:.17g}\n")
+            yield "".join(rows)
+
+
 def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both") -> RunArtifacts:
     """Execute a validated scenario and write CSV/JSON artifacts."""
     os.makedirs(out_dir, exist_ok=True)
@@ -177,20 +191,6 @@ def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both") -> RunArtifacts:
             out_times[label] = sc.dt * ostride * np.arange(vals.shape[0])
 
     safe_name = "".join(c if c.isalnum() or c in "-_." else "_" for c in sc.name)
-    csv_path = None
-    body_lines: list[str] = []
-    if sc.outputs:
-        body_lines.append("t,traj_id,observable,value")
-        for label, _, _ in sc.outputs:
-            times = out_times[label]
-            traj_vals = per_traj.get(label)
-            for k, t in enumerate(times):
-                if traj_vals is not None:
-                    for m in range(traj_vals.shape[1]):
-                        body_lines.append(f"{t:.17g},{m},{label},{traj_vals[k, m]:.17g}")
-                body_lines.append(f"{t:.17g},mean,{label},{means[label][k]:.17g}")
-    body = "\n".join(body_lines) + ("\n" if body_lines else "")
-
     summary = {
         "name": sc.name,
         "engine": sc.engine,
@@ -213,19 +213,27 @@ def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both") -> RunArtifacts:
         "engine_details": engine_details,
     }
     summary_blob = json.dumps(summary, indent=2, sort_keys=True)
-    digest = hashlib.sha256((body or summary_blob).encode()).hexdigest()
 
+    # Hash the CSV body, and write it unless fmt is "json", one checkpoint at a time.
+    digest = hashlib.sha256()
+    csv_path = None
     if sc.outputs and fmt in ("csv", "both"):
         csv_path = os.path.join(out_dir, f"{safe_name}.csv")
-        stamp = datetime.now(timezone.utc).isoformat()
-        with open(csv_path, "w") as f:
+    with (open(csv_path, "w") if csv_path else contextlib.nullcontext()) as f:
+        if f is not None:
+            stamp = datetime.now(timezone.utc).isoformat()
             f.write(f"# generated={stamp} scenario={safe_name} seed={sc.seed} config={cfg_hash}\n")
-            f.write(body)
+        for chunk in _csv_chunks(sc.outputs, out_times, per_traj, means):
+            digest.update(chunk.encode())
+            if f is not None:
+                f.write(chunk)
+    if not sc.outputs:
+        digest.update(summary_blob.encode())
     json_path = os.path.join(out_dir, f"{safe_name}.summary.json")
     if fmt in ("json", "both") or not sc.outputs:
         with open(json_path, "w") as f:
             f.write(summary_blob + "\n")
-    return RunArtifacts(csv_path, json_path, cfg_hash, sc.seed, digest)
+    return RunArtifacts(csv_path, json_path, cfg_hash, sc.seed, digest.hexdigest())
 
 
 def _cmd_simulate(args) -> int:

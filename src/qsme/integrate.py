@@ -1,8 +1,9 @@
-"""The one time-stepping loop behind every trajectory driver.
+"""The one time-stepping loop behind every trajectory driver and the Picard solver.
 
 A driver supplies a step closure ``step(x, k) -> x`` that advances the state
 over step ``k`` and a map ``observe(x, k)`` that turns the state after ``k``
-steps into what is stored (usually the Schroedinger-frame state at t = k dt).
+steps into what is stored (usually the Schroedinger-frame state at t = k dt;
+for each mean-field Picard iteration, the Monte Carlo mean of the batch).
 """
 
 from __future__ import annotations

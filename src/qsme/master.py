@@ -24,6 +24,7 @@ from .linalg import dag, hermitianize, hs_norm
 from .pure import PureFilterParams
 
 RECORD_KINDS = ("linear", "normalized")
+STEP_TRACE_TOL = 1e-8  # largest |tr rho - 1| the normalized stepper accepts
 
 
 @dataclass
@@ -100,11 +101,7 @@ def nonlinear_sme_rhs(
 
 
 def nonlinear_sme_step(
-    rho: np.ndarray,
-    p: SMEParams,
-    db: np.ndarray,
-    t: float = 0.0,
-    trace_tol: float = 1e-8,
+    rho: np.ndarray, p: SMEParams, db: np.ndarray, t: float = 0.0
 ) -> np.ndarray:
     """One Euler update of the normalized (nonlinear) stochastic master equation.
 
@@ -113,12 +110,12 @@ def nonlinear_sme_step(
 
     Drift and noise coefficients are traceless at unit trace, so the update
     preserves the trace to roundoff; the input trace is checked against
-    ``trace_tol``.  Output is exactly Hermitian.
+    ``STEP_TRACE_TOL``.  Output is exactly Hermitian.
     """
     rho = np.asarray(rho, dtype=complex)
     tr = np.einsum("...ii->...", rho).real
-    if np.max(np.abs(tr - 1.0)) > trace_tol:
-        raise ValueError(f"input trace deviates from 1 beyond {trace_tol}")
+    if np.max(np.abs(tr - 1.0)) > STEP_TRACE_TOL:
+        raise ValueError(f"input trace deviates from 1 beyond {STEP_TRACE_TOL}")
     db = np.asarray(db, dtype=float)
     drift, coef = nonlinear_sme_rhs(rho, p, t)
     noise = np.einsum("n...ij,...n->...ij", coef, db)

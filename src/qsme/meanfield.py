@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TrajectoryAbort
+from .integrate import integrate, replicate
 from .linalg import dag, hermitianize, hs_norm, operator_norm, require_density
 from .master import SMEParams, linear_sme_step, nonlinear_sme_step
 from .noise import sample_wiener_batch
@@ -30,10 +31,7 @@ class InteractionMap:
     ``hs_kernel`` acts on the matrix entries through a dim^2 x dim^2 kernel
     (bounded on Hilbert-Schmidt operators, constant ``strength``);
     ``potential`` multiplies by a bounded real symmetric table contracted
-    with the diagonal of eta (bounded from trace class to operators).  With
-    ``conjugate_input`` the map is applied to the entrywise conjugate of eta;
-    all stored eta are Hermitian so this amounts to a transpose and is off by
-    default.
+    with the diagonal of eta (bounded from trace class to operators).
     """
 
     variant: str
@@ -41,7 +39,6 @@ class InteractionMap:
     kernel: np.ndarray | None = None  # (dim^2, dim^2) for hs_kernel
     table: np.ndarray | None = None  # (dim, dim) real symmetric for potential
     strength: float = 0.0  # the constant C_A of the variant's bound
-    conjugate_input: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -85,18 +82,18 @@ class InteractionMap:
         return cls("zero", dim)
 
     @classmethod
-    def from_kernel(cls, kernel: np.ndarray, conjugate_input: bool = False) -> "InteractionMap":
+    def from_kernel(cls, kernel: np.ndarray) -> "InteractionMap":
         kernel = np.asarray(kernel, dtype=complex)
         if kernel.ndim == 4:
             d = kernel.shape[0]
             kernel = kernel.reshape(d * d, d * d)
         d = int(round(np.sqrt(kernel.shape[0])))
-        return cls("hs_kernel", d, kernel=kernel, conjugate_input=conjugate_input)
+        return cls("hs_kernel", d, kernel=kernel)
 
     @classmethod
-    def from_potential(cls, table: np.ndarray, conjugate_input: bool = False) -> "InteractionMap":
+    def from_potential(cls, table: np.ndarray) -> "InteractionMap":
         table = np.asarray(table, dtype=float)
-        return cls("potential", table.shape[0], table=table, conjugate_input=conjugate_input)
+        return cls("potential", table.shape[0], table=table)
 
 
 def hermiticity_preserving_kernel(
@@ -124,8 +121,6 @@ def apply_interaction(imap: InteractionMap, eta: np.ndarray) -> np.ndarray:
         raise ValueError(f"dimension mismatch: eta {eta.shape} vs interaction dim {imap.dim}")
     if imap.variant == "zero":
         return np.zeros_like(eta)
-    if imap.conjugate_input:
-        eta = np.conj(eta)
     if imap.variant == "hs_kernel":
         out = (imap.kernel @ eta.reshape(-1)).reshape(imap.dim, imap.dim)
         return hermitianize(out)
@@ -193,13 +188,6 @@ class PicardReport:
         }
 
 
-def _effective_params(cfg: MeanFieldConfig, eta: np.ndarray) -> SMEParams:
-    if cfg.interaction.variant == "zero":
-        return cfg.params
-    heff = cfg.params.h + apply_interaction(cfg.interaction, eta)
-    return SMEParams(heff, cfg.params.ls, cfg.params.dt, cfg.params.picture)
-
-
 def frozen_field_step(
     rho: np.ndarray,
     eta: np.ndarray,
@@ -214,7 +202,9 @@ def frozen_field_step(
     increments are then outputs dY).  With a zero interaction this is
     bitwise the plain step.
     """
-    p = _effective_params(cfg, eta)
+    p = cfg.params
+    if cfg.interaction.variant != "zero":
+        p = SMEParams(p.h + apply_interaction(cfg.interaction, eta), p.ls, p.dt, p.picture)
     if cfg.mode == "normalized":
         return nonlinear_sme_step(rho, p, db, t)
     return linear_sme_step(rho, p, db, t)
@@ -234,47 +224,46 @@ def mckean_vlasov_solve(cfg: MeanFieldConfig) -> PicardReport:
     incr = sample_wiener_batch(p.n_channels, steps, p.dt, cfg.seed, cfg.trajectories)
     times = p.dt * np.arange(steps + 1)
 
-    eta_path = np.broadcast_to(cfg.rho0, (steps + 1, p.dim, p.dim)).copy()
+    eta_path = replicate(cfg.rho0, (steps + 1,))
+    x0 = replicate(cfg.rho0, (cfg.trajectories,))
     distances: list[float] = []
     trace_distances: list[float] = []
     converged = False
-    noise_floor = 0.0
+    max_var = 0.0
+
+    def step(x, k):  # eta_path is the previous iterate while integrate runs
+        return frozen_field_step(x, eta_path[k], cfg, incr[:, k, :], k * p.dt)
 
     # The path is the Monte Carlo mean at every checkpoint, t=0 included, so
     # a zero interaction reduces bitwise to a plain Monte Carlo run.
-    x0 = np.broadcast_to(cfg.rho0, (cfg.trajectories, p.dim, p.dim)).copy()
-    mean0 = np.mean(x0, axis=0)
+    def observe(x, k):
+        nonlocal max_var
+        if cfg.mode == "linear":
+            traces = np.einsum("mii->m", x).real
+            bad = np.flatnonzero(~(traces > 0.0))
+            if bad.size:
+                raise TrajectoryAbort("trace collapse in a linear-mode trajectory",
+                                      step=k, trajectory=int(bad[0]))
+            x = x / traces[:, None, None]
+        mean = np.mean(x, axis=0)
+        spread = x - mean
+        max_var = max(max_var, float(np.mean(spread.real**2 + spread.imag**2, axis=0).sum()))
+        return mean
 
     for _ in range(cfg.picard_max_iter):
-        new_path = np.empty_like(eta_path)
-        new_path[0] = mean0
         max_var = 0.0
-        x = x0.copy()
-        for k in range(steps):
-            pk = _effective_params(cfg, eta_path[k])
-            if cfg.mode == "normalized":
-                x = nonlinear_sme_step(x, pk, incr[:, k, :], k * p.dt)
-                samples = x
-            else:
-                x = linear_sme_step(x, pk, incr[:, k, :], k * p.dt)
-                traces = np.einsum("mii->m", x).real
-                if np.any(traces <= 0.0):
-                    raise TrajectoryAbort("trace collapse in a linear-mode trajectory", step=k)
-                samples = x / traces[:, None, None]
-            new_path[k + 1] = np.mean(samples, axis=0)
-            spread = samples - new_path[k + 1]
-            max_var = max(max_var, float(np.mean(spread.real**2 + spread.imag**2, axis=0).sum()))
+        new_path = integrate(step, x0, steps, 1, observe)
         diff = new_path - eta_path
         distances.append(float(hs_norm(diff).max()))
         trace_distances.append(
             float(np.abs(np.linalg.eigvalsh(hermitianize(diff))).sum(axis=-1).max())
         )
         eta_path = new_path
-        noise_floor = float(np.sqrt(max_var / cfg.trajectories))
         if distances[-1] <= cfg.picard_tol:
             converged = True
             break
 
+    noise_floor = float(np.sqrt(max_var / cfg.trajectories))
     return PicardReport(
         times=times,
         mean_field_path=eta_path,

@@ -16,6 +16,7 @@ frame whenever a driver records them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,14 +44,13 @@ class PureFilterParams:
     ``ls`` is a stack of shape (n, d, d).  In the interaction picture the
     Hamiltonian term is dropped and every channel operator is dressed with
     exp(iHt) ... exp(-iHt) at each step, from a spectral decomposition of H
-    cached at construction.
+    built on first use.
     """
 
     h: np.ndarray
     ls: np.ndarray
     dt: float
     picture: str = "schroedinger"
-    _prop: Propagator = field(init=False, repr=False, default=None)
     _damping: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -66,7 +66,10 @@ class PureFilterParams:
         if self.picture not in PICTURES:
             raise ValueError(f"picture must be one of {PICTURES}")
         self._damping = 0.5 * sum(dag(l) @ l for l in ls)
-        self._prop = Propagator(self.h)
+
+    @cached_property
+    def _prop(self) -> Propagator:
+        return Propagator(self.h)
 
     @property
     def dim(self) -> int:

@@ -109,7 +109,6 @@ _INTERACTION = {
         "variant": {"type": "string", "enum": ["zero", "hs_kernel", "potential"]},
         "table": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
         "kernel": {"type": "array", "items": {"type": "array", "items": _COMPLEX}},
-        "conjugate_input": {"type": "boolean"},
     },
     "required": ["variant"],
     "additionalProperties": False,
@@ -372,7 +371,6 @@ def validate_scenario(data: dict) -> Scenario:
 
 
 def _build_interaction(spec: dict, d: int) -> InteractionMap:
-    conj = spec.get("conjugate_input", False)
     if spec["variant"] == "zero":
         return InteractionMap.zero(d)
     if spec["variant"] == "potential":
@@ -381,13 +379,13 @@ def _build_interaction(spec: dict, d: int) -> InteractionMap:
         table = np.asarray(spec["table"], dtype=float)
         if table.shape != (d, d):
             raise ValueError(f"table has shape {table.shape}, expected ({d}, {d})")
-        return InteractionMap.from_potential(table, conjugate_input=conj)
+        return InteractionMap.from_potential(table)
     if "kernel" not in spec:
         raise ValueError("hs_kernel variant requires a kernel")
     kernel = np.array([[complex(re, im) for re, im in row] for row in spec["kernel"]])
     if kernel.shape != (d * d, d * d):
         raise ValueError(f"kernel has shape {kernel.shape}, expected ({d * d}, {d * d})")
-    return InteractionMap.from_kernel(kernel, conjugate_input=conj)
+    return InteractionMap.from_kernel(kernel)
 
 
 def load_scenario(path: str) -> Scenario:

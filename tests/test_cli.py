@@ -204,6 +204,30 @@ class TestSimulate:
         assert (report["step"], report["trajectory"]) == (1, 0)
         assert not (tmp_path / "out" / "qubit-smoke.csv").exists()
 
+    def test_meanfield_linear_trace_collapse_names_step_and_trajectory(self, tmp_path, capsys):
+        # L = 10 sigma_z with dt 0.05 drives a linear-mode trace through zero
+        # on the first step of the first Picard iteration
+        data = minimal_scenario(
+            hamiltonian={"scaled": {"op": "pauli_x", "factor": 0.3}},
+            channels=[{"scaled": {"op": "pauli_z", "factor": 10.0}}],
+            rho0={"diag": [0.7, 0.3]},
+            dt=0.05,
+            horizon=0.5,
+            trajectories=50,
+            seed=1,
+            engine="meanfield",
+            meanfield={
+                "interaction": {"variant": "potential", "table": [[1.0, -1.0], [-1.0, 1.0]]},
+                "mode": "linear",
+            },
+            outputs=[{"observable": "pauli_z", "stride": 1, "label": "pauli_z"}],
+        )
+        path = write_scenario(tmp_path, data)
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 3
+        report = json.loads(capsys.readouterr().err)
+        assert report["abort"] is True
+        assert (report["step"], report["trajectory"]) == (1, 0)
+
     def test_scenario_file_is_closed(self, tmp_path, capsys):
         path = write_scenario(tmp_path, minimal_scenario())
         with warnings.catch_warnings(record=True) as caught:

@@ -9,8 +9,15 @@ from qsme.ensemble import (
     run_ensemble,
 )
 from qsme.integrate import integrate
-from qsme.linalg import SIGMA_X, SIGMA_Z
+from qsme.linalg import SIGMA_X, SIGMA_Z, hs_norm
 from qsme.master import SMEParams, nonlinear_sme_step, run_nonlinear_sme
+from qsme.meanfield import (
+    InteractionMap,
+    MeanFieldConfig,
+    frozen_field_step,
+    hermiticity_preserving_kernel,
+    mckean_vlasov_solve,
+)
 from qsme.noise import sample_wiener_batch
 
 
@@ -50,3 +57,48 @@ def test_ensemble_driver_is_bitwise_the_hand_loop():
             kets = p.to_schroedinger_frame(ens.kets, (k + 1) * p.dt)
             frame = WeightedEnsemble(ens.weights, kets, ens.cutoff)
             assert np.array_equal(out[(k + 1) // 3], reconstruct_density(frame))
+
+
+def _hand_picard(cfg):
+    """The Picard iteration written out with frozen_field_step, no integrate."""
+    p, steps = cfg.params, cfg.steps
+    incr = sample_wiener_batch(p.n_channels, steps, p.dt, cfg.seed, cfg.trajectories)
+    eta = np.broadcast_to(cfg.rho0, (steps + 1, p.dim, p.dim)).copy()
+    distances, max_var = [], 0.0
+    for _ in range(cfg.picard_max_iter):
+        x = np.broadcast_to(cfg.rho0, (cfg.trajectories, p.dim, p.dim)).copy()
+        new = np.empty_like(eta)
+        new[0] = x.mean(axis=0)
+        max_var = 0.0
+        for k in range(steps):
+            x = frozen_field_step(x, eta[k], cfg, incr[:, k, :], k * p.dt)
+            samples = x
+            if cfg.mode == "linear":
+                samples = x / np.einsum("mii->m", x).real[:, None, None]
+            new[k + 1] = samples.mean(axis=0)
+            spread = samples - new[k + 1]
+            max_var = max(max_var, float(np.mean(spread.real**2 + spread.imag**2, axis=0).sum()))
+        distances.append(float(hs_norm(new - eta).max()))
+        eta = new
+        if distances[-1] <= cfg.picard_tol:
+            break
+    return eta, distances, float(np.sqrt(max_var / cfg.trajectories))
+
+
+@pytest.mark.parametrize("mode", ["normalized", "linear"])
+def test_picard_solver_is_bitwise_the_hand_loop(mode):
+    p = SMEParams(0.3 * SIGMA_X, SIGMA_Z[None], 1e-3)
+    if mode == "normalized":
+        imap = InteractionMap.from_potential(np.array([[2.0, -2.0], [-2.0, 2.0]]))
+    else:
+        kernel = hermiticity_preserving_kernel(2, np.random.default_rng(8), strength=2.0)
+        imap = InteractionMap.from_kernel(kernel)
+    rho0 = np.array([[0.65, 0.15], [0.15, 0.35]])
+    cfg = MeanFieldConfig(p, imap, rho0, 40, 0.05, picard_max_iter=4, picard_tol=1e-9,
+                          mode=mode, seed=11)
+    rep = mckean_vlasov_solve(cfg)
+    path, distances, noise_floor = _hand_picard(cfg)
+    assert len(distances) > 2
+    assert np.array_equal(rep.mean_field_path, path)
+    assert rep.iteration_distances == distances
+    assert rep.noise_floor == noise_floor

@@ -88,14 +88,6 @@ class TestInteractionMap:
         with pytest.raises(ValueError, match="Hermitian"):
             InteractionMap.from_kernel(bad)
 
-    def test_conjugate_input_toggle(self):
-        rng = np.random.default_rng(5)
-        kernel = hermiticity_preserving_kernel(2, rng)
-        plain = InteractionMap.from_kernel(kernel)
-        conj = InteractionMap.from_kernel(kernel, conjugate_input=True)
-        eta = random_density(2, rng)
-        assert np.allclose(apply_interaction(conj, eta), apply_interaction(plain, eta.T))
-
 
 class TestFrozenFieldStep:
     def test_zero_interaction_is_bitwise_plain_step(self):
