@@ -1,8 +1,9 @@
 """Command-line entry point: scenario runs, config validation, check suites.
 
-Exit codes: 0 ok, 1 validation-suite failure, 2 config error, 3 runtime abort
-(trace collapse, a nonpositive sme_linear or linear-mode meanfield trace,
-Picard non-convergence), 4 I/O failure.
+Exit codes: 0 ok, 1 validation-suite failure, 2 config error (including a run
+whose estimated noise and checkpoint memory exceeds physical memory),
+3 runtime abort (trace collapse, a nonpositive sme_linear or linear-mode
+meanfield trace, Picard non-convergence), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ import numpy as np
 
 from .ensemble import decompose_state, run_ensemble
 from .errors import TrajectoryAbort
-from .master import SMEParams, run_linear_sme, run_nonlinear_sme
+from .integrate import integrate, replicate
+from .linalg import hermitianize
+from .master import SMEParams, linear_sme_step, run_nonlinear_sme
 from .meanfield import MeanFieldConfig, mckean_vlasov_solve
 from .noise import sample_wiener_batch
 from .pure import run_linear, run_nonlinear
@@ -51,6 +54,34 @@ def _grid_stride(sc: Scenario) -> int:
     return math.gcd(*strides) if strides else sc.steps
 
 
+def memory_estimate(sc: Scenario) -> dict[str, int]:
+    """Bytes of the noise increments and of the checkpoint buffer a run allocates.
+
+    Noise is the (M, steps, n) float64 batch; the buffer holds (K+1) complex
+    states per trajectory, d entries for kets and d^2 for densities, or the
+    (steps+1, d, d) mean path of a mean-field run.
+    """
+    noise = sc.trajectories * sc.steps * sc.ls.shape[0] * 8
+    if sc.engine == "meanfield":
+        checkpoints = (sc.steps + 1) * sc.dim**2 * 16
+    else:
+        per_state = sc.dim if ENGINES[sc.engine][1] == "ket" else sc.dim**2
+        checkpoints = (sc.steps // _grid_stride(sc) + 1) * sc.trajectories * per_state * 16
+    return {"noise_bytes": noise, "checkpoint_bytes": checkpoints}
+
+
+def _check_memory(sc: Scenario) -> None:
+    """Refuse (config error) a run whose estimate exceeds the machine's physical memory."""
+    need = sum(memory_estimate(sc).values())
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ScenarioError([(
+            "/",
+            f"noise and checkpoint buffers need an estimated {need} bytes, "
+            f"more than the {have} bytes of physical memory",
+        )])
+
+
 def _ket_values(states: np.ndarray, op: np.ndarray, stride: int) -> np.ndarray:
     num = np.einsum("kmi,ij,kmj->km", np.conj(states), op, states).real
     return num / np.sum(np.abs(states) ** 2, axis=-1)
@@ -66,23 +97,17 @@ def _density_values(states: np.ndarray, op: np.ndarray, stride: int) -> np.ndarr
     return np.einsum("ij,kmji->km", op, states).real
 
 
-def _traces(states: np.ndarray, stride: int) -> np.ndarray:
-    """Traces of unnormalized densities, shape (K+1, M); a nonpositive or NaN one aborts."""
-    traces = np.einsum("kmii->km", states).real
-    bad = np.argwhere(~(traces > 0.0))
-    if bad.size:
-        k, m = bad[0]
-        raise TrajectoryAbort("nonpositive trace in a linear-equation trajectory",
-                              step=int(k) * stride, trajectory=int(m))
-    return traces
+def _traces(states: np.ndarray) -> np.ndarray:
+    """Traces of unnormalized densities, shape (..., M)."""
+    return np.einsum("...mii->...m", states).real
 
 
 def _unnormalized_values(states: np.ndarray, op: np.ndarray, stride: int) -> np.ndarray:
-    return _density_values(states, op, stride) / _traces(states, stride)
+    return _density_values(states, op, stride) / _traces(states)
 
 
 def _unnormalized_final(states: np.ndarray, stride: int) -> np.ndarray:
-    return (states[-1] / _traces(states, stride)[-1][:, None, None]).mean(axis=0)
+    return (states[-1] / _traces(states[-1])[:, None, None]).mean(axis=0)
 
 
 # State kind -> (expectation of one observable per checkpoint and trajectory,
@@ -94,6 +119,29 @@ REDUCERS = {
     "unnormalized": (_unnormalized_values, _unnormalized_final),
 }
 
+
+def _run_sme_linear(sc: Scenario, p: SMEParams, incr: np.ndarray, stride: int) -> np.ndarray:
+    """``run_linear_sme``'s loop, aborting at the first checkpoint with a nonpositive or NaN trace.
+
+    The check is not in ``run_linear_sme`` itself: the ``bounds`` suite runs
+    the linear equation from an indefinite gamma0.
+    """
+
+    def step(x, k):
+        return linear_sme_step(x, p, incr[:, k, :], k * p.dt)
+
+    def observe(x, k):
+        frame = p.to_schroedinger_frame_matrix(x, k * p.dt)
+        bad = np.flatnonzero(~(_traces(frame) > 0.0))
+        if bad.size:
+            raise TrajectoryAbort("nonpositive trace in a linear-equation trajectory",
+                                  step=k, trajectory=int(bad[0]))
+        return frame
+
+    x0 = replicate(hermitianize(np.asarray(sc.rho0, dtype=complex)), incr.shape[:1])
+    return integrate(step, x0, incr.shape[1], stride, observe)
+
+
 # Trajectory engine -> (runner (scenario, params, increments, stride) ->
 # checkpoint states, state kind).  ``meanfield`` is not here: it yields a
 # mean path, not per-trajectory states.
@@ -104,10 +152,7 @@ ENGINES = {
     "pure_nonlinear": (
         lambda sc, p, incr, stride: run_nonlinear(sc.chi0, p, incr, checkpoint_stride=stride), "ket"
     ),
-    "sme_linear": (
-        lambda sc, p, incr, stride: run_linear_sme(sc.rho0, p, incr, checkpoint_stride=stride),
-        "unnormalized",
-    ),
+    "sme_linear": (_run_sme_linear, "unnormalized"),
     "sme_nonlinear": (
         lambda sc, p, incr, stride: run_nonlinear_sme(sc.rho0, p, incr, checkpoint_stride=stride),
         "density",
@@ -122,20 +167,28 @@ ENGINES = {
 
 
 def _csv_chunks(outputs, out_times: dict, per_traj: dict, means: dict):
-    """The CSV body (header, then every row), one checkpoint of one observable per chunk."""
+    """The CSV body (header, then every row), one checkpoint of one observable per chunk.
+
+    Rows are ``t,traj_id,observable,value`` with t and value as ``.17g``; t is
+    formatted once per checkpoint and the ``,traj_id,observable,`` middles
+    once per observable.
+    """
     if outputs:
         yield "t,traj_id,observable,value\n"
     for label, _, _ in outputs:
         traj_vals = per_traj.get(label)
-        for k, t in enumerate(out_times[label]):
-            vals = () if traj_vals is None else traj_vals[k]
-            rows = [f"{t:.17g},{m},{label},{v:.17g}\n" for m, v in enumerate(vals)]
-            rows.append(f"{t:.17g},mean,{label},{means[label][k]:.17g}\n")
+        mids = [] if traj_vals is None else [f",{m},{label}," for m in range(traj_vals.shape[1])]
+        for k, (t, mean) in enumerate(zip(out_times[label].tolist(), means[label].tolist())):
+            ts = f"{t:.17g}"
+            vals = () if traj_vals is None else traj_vals[k].tolist()
+            rows = [f"{ts}{mid}{v:.17g}\n" for mid, v in zip(mids, vals)]
+            rows.append(f"{ts},mean,{label},{mean:.17g}\n")
             yield "".join(rows)
 
 
 def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both") -> RunArtifacts:
     """Execute a validated scenario and write CSV/JSON artifacts."""
+    _check_memory(sc)
     os.makedirs(out_dir, exist_ok=True)
     cfg_hash = _config_hash(sc.raw)
     stride = _grid_stride(sc)
@@ -180,7 +233,7 @@ def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both") -> RunArtifacts:
         states = run(sc, params, incr, stride)
         del incr  # not needed past integration; the reduction and the CSV are the memory peak
         values, final = REDUCERS[kind]
-        mean_final = final(states, stride)  # first, so a trace check covers every checkpoint
+        mean_final = final(states, stride)
         for label, op, ostride in sc.outputs:
             vals = values(states[:: ostride // stride], op, ostride)  # (K+1, M)
             per_traj[label] = vals
@@ -273,6 +326,7 @@ def _cmd_validate_config(args) -> int:
                 "channels": int(sc.ls.shape[0]),
                 "steps": sc.steps,
                 "config_hash": _config_hash(sc.raw),
+                **memory_estimate(sc),
             },
             indent=2,
         )

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import TrajectoryAbort
 from .integrate import integrate, replicate
 from .linalg import hermitianize
-from .pure import PureFilterParams, linear_pure_step
+from .pure import PureFilterParams, apply_stacked, linear_pure_step, stacked_transpose
 
 logger = logging.getLogger(__name__)
 
@@ -75,8 +75,12 @@ def decompose_state(rho0: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> Wei
 
 
 def _feedback(kets: np.ndarray, weights: np.ndarray, ls: np.ndarray) -> np.ndarray:
-    """pi_j = sum_k p_k (e_k, (L_j + L_j†) e_k) / sum_k p_k ||e_k||^2, batched (..., n)."""
-    sym = np.einsum("...ki,nij,...kj->...kn", np.conj(kets), ls, kets).real
+    """pi_j = sum_k p_k (e_k, (L_j + L_j†) e_k) / sum_k p_k ||e_k||^2, batched (..., n).
+
+    L_j e_k for every channel and ket comes from one GEMM.
+    """
+    lk = apply_stacked(stacked_transpose(ls), kets)  # (..., k, n, d)
+    sym = np.einsum("...ki,...kni->...kn", np.conj(kets), lk).real
     num = 2.0 * np.einsum("k,...kn->...n", weights, sym)
     den = np.einsum("k,...ki->...", weights, np.abs(kets) ** 2)
     if np.any(den <= 0.0):

@@ -37,6 +37,26 @@ def _channel_mv(ls: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("nij,...j->n...i", ls, x)
 
 
+def stacked_transpose(ops: np.ndarray) -> np.ndarray:
+    """(k, d, d) -> (d, k d) with columns [A_1ᵀ | ... | A_kᵀ].
+
+    A row ket x times this matrix is [A_1 x | ... | A_k x], so a batch of kets
+    meets all k operators in one GEMM (see ``apply_stacked``).
+    """
+    return ops.transpose(2, 0, 1).reshape(ops.shape[-1], -1)
+
+
+def _step_matrix(k: np.ndarray, ls: np.ndarray, dt: float) -> np.ndarray:
+    """[(I + dt K)ᵀ | L_1ᵀ ... L_nᵀ], the linear pure step as one matrix."""
+    return stacked_transpose(np.concatenate([(np.eye(k.shape[-1]) + dt * k)[None], ls]))
+
+
+def apply_stacked(stacked: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Every operator of a ``stacked_transpose`` matrix applied to (..., d) kets: (..., k, d)."""
+    d = x.shape[-1]
+    return (x.reshape(-1, d) @ stacked).reshape(x.shape[:-1] + (-1, d))
+
+
 @dataclass
 class PureFilterParams:
     """Hamiltonian, coupling channels, step size and picture for the pure filters.
@@ -71,6 +91,10 @@ class PureFilterParams:
     def _prop(self) -> Propagator:
         return Propagator(self.h)
 
+    @cached_property
+    def _linear_step_matrix(self) -> np.ndarray:
+        return _step_matrix(-1j * self.h - self._damping, self.ls, self.dt)
+
     @property
     def dim(self) -> int:
         return self.h.shape[-1]
@@ -90,6 +114,16 @@ class PureFilterParams:
             return self._damping
         u = self._prop.factor(t)
         return dag(u) @ self._damping @ u
+
+    def linear_step_matrix(self, t: float) -> np.ndarray:
+        """[(I + dt K)ᵀ | L_1ᵀ ... L_nᵀ] at time ``t``, K = -iH - (1/2) sum_j L_j† L_j.
+
+        Cached in the Schroedinger picture; in the interaction picture K drops
+        -iH and both K and the channels are dressed at ``t``, rebuilt per call.
+        """
+        if self.picture == "schroedinger":
+            return self._linear_step_matrix
+        return _step_matrix(-self.damping(t), self.channel_ops(t), self.dt)
 
     def to_schroedinger_frame(self, state: np.ndarray, t: float) -> np.ndarray:
         """Map an interaction-picture ket back: chi = exp(-iHt) xi."""
@@ -124,16 +158,17 @@ def linear_pure_step(
 
     d chi = -[iH chi + (1/2) sum_j L_j† L_j chi] dt + sum_j L_j chi dY_j;
     in the interaction picture the -iH term is dropped and the channels are
-    dressed at time ``t``.
+    dressed at time ``t``.  All 1 + n operators meet the kets in one GEMM
+    with ``p.linear_step_matrix(t)``; the result is (I + dt K) chi plus
+    sum_j dY_j L_j chi.
     """
     chi = np.asarray(chi, dtype=complex)
     dy = np.asarray(dy, dtype=float)
-    ls_t = p.channel_ops(t)
-    drift = -_mv(p.damping(t), chi)
-    if p.picture == "schroedinger":
-        drift = drift - 1j * _mv(p.h, chi)
-    noise = np.einsum("n...i,...n->...i", _channel_mv(ls_t, chi), dy)
-    return chi + p.dt * drift + noise
+    y = apply_stacked(p.linear_step_matrix(t), chi)  # (..., 1 + n, d): (I + dt K) chi, L_j chi
+    out = y[..., 0, :]
+    for j in range(p.n_channels):
+        out = out + dy[..., j, None] * y[..., j + 1, :]
+    return out
 
 
 def nonlinear_pure_step(

@@ -6,6 +6,7 @@ import pytest
 
 from qsme import cli, scenario
 from qsme.cli import main
+from qsme.master import linear_sme_step
 from qsme.scenario import ScenarioError, apply_overrides, validate_scenario
 
 
@@ -44,6 +45,18 @@ class TestValidateConfig:
         path = write_scenario(tmp_path, minimal_scenario(rho0={"diag": [0.5, 0.4]}))
         assert main(["validate-config", path]) == 2
         assert "trace != 1" in capsys.readouterr().err
+
+    def test_memory_estimate_reported(self, tmp_path, capsys):
+        # 20 trajectories, 50 steps, 1 channel, checkpoints every 10 steps at d = 2
+        for engine, extra, per_state in (
+            ("sme_nonlinear", {}, 4),
+            ("pure_linear", {"rho0": {"pure": {"basis": 0}}}, 2),
+        ):
+            path = write_scenario(tmp_path, minimal_scenario(engine=engine, **extra))
+            assert main(["validate-config", path]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["noise_bytes"] == 20 * 50 * 1 * 8
+            assert out["checkpoint_bytes"] == 6 * 20 * per_state * 16
 
     def test_non_hermitian_h_rejected(self, tmp_path, capsys):
         h = {"entries": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
@@ -204,6 +217,43 @@ class TestSimulate:
         assert (report["step"], report["trajectory"]) == (1, 0)
         assert not (tmp_path / "out" / "qubit-smoke.csv").exists()
 
+    def test_sme_linear_trace_collapse_aborts_at_first_checkpoint(self, tmp_path, capsys, monkeypatch):
+        # the collapsing scenario above over a 100x horizon: the abort comes
+        # from the first checkpoint, not after the whole horizon
+        steps = []
+
+        def counting_step(*args):
+            steps.append(1)
+            return linear_sme_step(*args)
+
+        monkeypatch.setattr(cli, "linear_sme_step", counting_step)
+        data = minimal_scenario(
+            hamiltonian={"scaled": {"op": "pauli_x", "factor": 0.5}},
+            channels=[{"scaled": {"op": "pauli_z", "factor": 20.0}}],
+            rho0={"diag": [0.7, 0.3]},
+            dt=0.01,
+            horizon=10.0,
+            trajectories=50,
+            seed=1,
+            engine="sme_linear",
+            outputs=[{"observable": "pauli_z", "stride": 1, "label": "pauli_z"}],
+        )
+        path = write_scenario(tmp_path, data)
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 3
+        report = json.loads(capsys.readouterr().err)
+        assert (report["step"], report["trajectory"]) == (1, 0)
+        assert len(steps) == 1  # one checkpoint stride
+
+    def test_run_beyond_physical_memory_exits_2_before_drawing_noise(self, tmp_path, capsys, monkeypatch):
+        def no_noise(*args, **kwargs):
+            raise AssertionError("noise drawn")
+
+        monkeypatch.setattr(cli, "sample_wiener_batch", no_noise)
+        path = write_scenario(tmp_path, minimal_scenario(trajectories=10**9))
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_meanfield_linear_trace_collapse_names_step_and_trajectory(self, tmp_path, capsys):
         # L = 10 sigma_z with dt 0.05 drives a linear-mode trace through zero
         # on the first step of the first Picard iteration
@@ -243,6 +293,32 @@ class TestSimulate:
         assert main(["simulate", path, "--format", "json", "--out", str(tmp_path / "o")]) == 0
         info = json.loads(capsys.readouterr().out)
         assert info["csv"] is None
+
+
+class TestCsvChunks:
+    @staticmethod
+    def row_by_row(outputs, out_times, per_traj, means):
+        """The CSV body formatted one row at a time from numpy scalars."""
+        body = "t,traj_id,observable,value\n" if outputs else ""
+        for label, _, _ in outputs:
+            for k, t in enumerate(out_times[label]):
+                vals = per_traj[label][k] if label in per_traj else ()
+                for m, v in enumerate(vals):
+                    body += f"{t:.17g},{m},{label},{v:.17g}\n"
+                body += f"{t:.17g},mean,{label},{means[label][k]:.17g}\n"
+        return body
+
+    def test_bytes_match_row_by_row_formatting(self):
+        special = [-0.0, 1e-300, np.nan, np.inf, -np.inf, 5e-324, 0.1, 1.0 / 3.0, -2.5e17]
+        vals = np.array(special * 2).reshape(3, 6)
+        outputs = [("pauli_z", None, 1), ("number", None, 2)]
+        out_times = {"pauli_z": 1e-3 * np.arange(3), "number": 2e-3 * np.arange(3)}
+        per_traj = {"pauli_z": vals, "number": vals[::-1].copy()}
+        means = {"pauli_z": np.array([np.nan, -0.0, 1e-300]), "number": np.array([np.inf, 0.3, -0.0])}
+        for traj in (per_traj, {}):  # trajectory engines, and meanfield (means only)
+            body = "".join(cli._csv_chunks(outputs, out_times, traj, means))
+            assert body == self.row_by_row(outputs, out_times, traj, means)
+        assert "".join(cli._csv_chunks([], {}, {}, {})) == ""
 
 
 class TestCheck:

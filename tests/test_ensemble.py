@@ -3,6 +3,7 @@ import pytest
 
 from qsme.ensemble import (
     WeightedEnsemble,
+    _feedback,
     decompose_state,
     ensemble_step,
     reconstruct_density,
@@ -81,6 +82,21 @@ class TestSharedFeedback:
         pi = shared_feedback(ens, ls)
         oracle = output_compensators(reconstruct_density(ens), ls)
         assert np.allclose(pi, oracle, atol=1e-12)
+
+
+    def test_batched_feedback_matches_reconstructed_density(self):
+        # (M, rank, d) kets, one feedback vector per trajectory from one GEMM
+        rng = np.random.default_rng(11)
+        d, rank, m = 4, 3, 6
+        weights = np.sort(rng.uniform(0.2, 1.0, rank))[::-1]
+        weights /= weights.sum()
+        kets = np.stack([[random_ket(d, rng, unit=False) for _ in range(rank)] for _ in range(m)])
+        ls = np.stack([random_operator(d, rng) for _ in range(2)])
+        pi = _feedback(kets, weights, ls)
+        assert pi.shape == (m, 2)
+        for k in range(m):
+            rho = reconstruct_density(WeightedEnsemble(weights, kets[k], rank))
+            assert np.allclose(pi[k], output_compensators(rho, ls), atol=1e-12)
 
 
 class TestEnsembleStep:

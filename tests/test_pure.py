@@ -14,6 +14,7 @@ from qsme.linalg import (
 )
 from qsme.noise import coarsen_increments, sample_wiener, sample_wiener_batch
 from qsme.pure import (
+    PICTURES,
     PureFilterParams,
     expectation,
     jacobian_norm_estimate,
@@ -84,6 +85,45 @@ class TestLinearStep:
             errs.append(float(np.linalg.norm(cs - ci)))
         assert errs[1] <= 0.6 * errs[0]
         assert errs[2] <= 0.6 * errs[1]
+
+
+def einsum_linear_step(chi, p, dy, t):
+    """The linear pure step as separate einsums: chi + dt (-iH - (1/2) sum L†L) chi + sum_j dY_j L_j chi."""
+    drift = -np.einsum("ij,...j->...i", p.damping(t), chi)
+    if p.picture == "schroedinger":
+        drift = drift - 1j * np.einsum("ij,...j->...i", p.h, chi)
+    lchi = np.einsum("nij,...j->n...i", p.channel_ops(t), chi)
+    return chi + p.dt * drift + np.einsum("n...i,...n->...i", lchi, dy)
+
+
+class TestLinearStepKernel:
+    @pytest.mark.parametrize("picture", PICTURES)
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_gemm_matches_einsum_formula(self, d, n, picture):
+        rng = np.random.default_rng(100 * d + n)
+        ls = np.stack([random_operator(d, rng) for _ in range(n)])
+        p = PureFilterParams(random_hermitian(d, rng), ls, 0.01, picture)
+        m, r, t = 5, 3, 0.37
+        cases = [
+            (random_ket(d, rng), rng.normal(0.0, 0.1, n)),
+            (np.stack([random_ket(d, rng, unit=False) for _ in range(m)]), rng.normal(0.0, 0.1, (m, n))),
+            (
+                np.stack([[random_ket(d, rng, unit=False) for _ in range(r)] for _ in range(m)]),
+                rng.normal(0.0, 0.1, (m, 1, n)),
+            ),
+        ]
+        for chi, dy in cases:
+            out = linear_pure_step(chi, p, dy, t)
+            ref = einsum_linear_step(chi, p, dy, t)
+            assert out.shape == ref.shape == chi.shape
+            assert np.max(np.abs(out - ref)) <= 1e-13
+
+    def test_schroedinger_matrix_is_cached(self):
+        p = qubit_params(h=SIGMA_X)
+        assert p.linear_step_matrix(0.0) is p.linear_step_matrix(0.5)
+        pi = qubit_params(h=SIGMA_X, picture="interaction")
+        assert not np.allclose(pi.linear_step_matrix(0.0), pi.linear_step_matrix(0.5))
 
 
 class TestNonlinearStep:
