@@ -3,7 +3,8 @@
 Exit codes: 0 ok, 1 validation-suite failure, 2 config error (including a run
 whose estimated noise and checkpoint memory exceeds physical memory),
 3 runtime abort (trace collapse, a nonpositive sme_linear or linear-mode
-meanfield trace, Picard non-convergence), 4 I/O failure.
+meanfield trace, a vanished ensemble norm, a non-finite observable value,
+Picard non-convergence), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .ensemble import decompose_state, run_ensemble
+from .ensemble import decompose_state, run_ensemble, weighted_density, weighted_expectations
 from .errors import TrajectoryAbort
 from .integrate import integrate, replicate
 from .linalg import hermitianize
@@ -55,18 +56,26 @@ def _grid_stride(sc: Scenario) -> int:
 
 
 def memory_estimate(sc: Scenario) -> dict[str, int]:
-    """Bytes of the noise increments and of the checkpoint buffer a run allocates.
+    """Bytes of the noise increments and of the checkpoint data a run allocates.
 
-    Noise is the (M, steps, n) float64 batch; the buffer holds (K+1) complex
-    states per trajectory, d entries for kets and d^2 for densities, or the
-    (steps+1, d, d) mean path of a mean-field run.
+    Noise is the (M, steps, n) float64 batch.  A trajectory run stores the
+    (K+1, n_obs, M) float64 observable values and keeps one complex working
+    state per trajectory: d entries for kets, rank * d for ensemble kets and
+    d^2 for densities.  A mean-field run stores its (steps+1, d, d) mean path.
     """
     noise = sc.trajectories * sc.steps * sc.ls.shape[0] * 8
     if sc.engine == "meanfield":
         checkpoints = (sc.steps + 1) * sc.dim**2 * 16
     else:
-        per_state = sc.dim if ENGINES[sc.engine][1] == "ket" else sc.dim**2
-        checkpoints = (sc.steps // _grid_stride(sc) + 1) * sc.trajectories * per_state * 16
+        values = (sc.steps // _grid_stride(sc) + 1) * sc.trajectories * len(sc.outputs) * 8
+        kind = ENGINES[sc.engine][1]
+        if kind == "ket":
+            per_state = sc.dim
+        elif kind == "ensemble":
+            per_state = decompose_state(sc.rho0).cutoff * sc.dim
+        else:
+            per_state = sc.dim**2
+        checkpoints = values + sc.trajectories * per_state * 16
     return {"noise_bytes": noise, "checkpoint_bytes": checkpoints}
 
 
@@ -82,19 +91,25 @@ def _check_memory(sc: Scenario) -> None:
         )])
 
 
-def _ket_values(states: np.ndarray, op: np.ndarray, stride: int) -> np.ndarray:
-    num = np.einsum("kmi,ij,kmj->km", np.conj(states), op, states).real
-    return num / np.sum(np.abs(states) ** 2, axis=-1)
+def _ket_values(frame: np.ndarray, ops: list) -> np.ndarray:
+    bra = np.conj(frame)
+    nrm = np.sum(np.abs(frame) ** 2, axis=-1)
+    out = np.empty((len(ops), frame.shape[0]))
+    for i, op in enumerate(ops):
+        out[i] = np.einsum("mi,ij,mj->m", bra, op, frame).real / nrm
+    return out
 
 
-def _ket_final(states: np.ndarray, stride: int) -> np.ndarray:
-    last = states[-1]
-    nrm = np.sum(np.abs(last) ** 2, axis=-1)
-    return (np.einsum("mi,mj->mij", last, np.conj(last)) / nrm[:, None, None]).mean(axis=0)
+def _ket_final(frame: np.ndarray) -> np.ndarray:
+    nrm = np.sum(np.abs(frame) ** 2, axis=-1)
+    return (np.einsum("mi,mj->mij", frame, np.conj(frame)) / nrm[:, None, None]).mean(axis=0)
 
 
-def _density_values(states: np.ndarray, op: np.ndarray, stride: int) -> np.ndarray:
-    return np.einsum("ij,kmji->km", op, states).real
+def _density_values(frame: np.ndarray, ops: list) -> np.ndarray:
+    out = np.empty((len(ops), frame.shape[0]))
+    for i, op in enumerate(ops):
+        out[i] = np.einsum("ij,mji->m", op, frame).real
+    return out
 
 
 def _traces(states: np.ndarray) -> np.ndarray:
@@ -102,25 +117,30 @@ def _traces(states: np.ndarray) -> np.ndarray:
     return np.einsum("...mii->...m", states).real
 
 
-def _unnormalized_values(states: np.ndarray, op: np.ndarray, stride: int) -> np.ndarray:
-    return _density_values(states, op, stride) / _traces(states)
+def _unnormalized_values(frame: np.ndarray, ops: list) -> np.ndarray:
+    return _density_values(frame, ops) / _traces(frame)
 
 
-def _unnormalized_final(states: np.ndarray, stride: int) -> np.ndarray:
-    return (states[-1] / _traces(states[-1])[:, None, None]).mean(axis=0)
+def _unnormalized_final(frame: np.ndarray) -> np.ndarray:
+    return (frame / _traces(frame)[:, None, None]).mean(axis=0)
 
 
-# State kind -> (expectation of one observable per checkpoint and trajectory,
-# shape (K+1, M); mean normalized final density), both over checkpoint states
-# (K+1, M, ...) taken every ``stride`` steps.
+# State kind -> (the (n_obs, M) expectations of the observables ``ops`` at one
+# checkpoint; the mean normalized density), both over one checkpoint's
+# Schroedinger-frame states: (M, d) kets, (M, d, d) densities, or for the
+# ensemble a ((M, rank, d) kets, (rank,) weights) pair.
 REDUCERS = {
     "ket": (_ket_values, _ket_final),
-    "density": (_density_values, lambda states, stride: states[-1].mean(axis=0)),
+    "density": (_density_values, lambda frame: frame.mean(axis=0)),
     "unnormalized": (_unnormalized_values, _unnormalized_final),
+    "ensemble": (
+        lambda frame, ops: weighted_expectations(*frame, ops),
+        lambda frame: weighted_density(*frame).mean(axis=0),
+    ),
 }
 
 
-def _run_sme_linear(sc: Scenario, p: SMEParams, incr: np.ndarray, stride: int) -> np.ndarray:
+def _run_sme_linear(sc: Scenario, p: SMEParams, incr: np.ndarray, stride: int, reduce) -> np.ndarray:
     """``run_linear_sme``'s loop, aborting at the first checkpoint with a nonpositive or NaN trace.
 
     The check is not in ``run_linear_sme`` itself: the ``bounds`` suite runs
@@ -136,33 +156,45 @@ def _run_sme_linear(sc: Scenario, p: SMEParams, incr: np.ndarray, stride: int) -
         if bad.size:
             raise TrajectoryAbort("nonpositive trace in a linear-equation trajectory",
                                   step=k, trajectory=int(bad[0]))
-        return frame
+        return reduce(frame, k)
 
     x0 = replicate(hermitianize(np.asarray(sc.rho0, dtype=complex)), incr.shape[:1])
     return integrate(step, x0, incr.shape[1], stride, observe)
 
 
-# Trajectory engine -> (runner (scenario, params, increments, stride) ->
-# checkpoint states, state kind).  ``meanfield`` is not here: it yields a
-# mean path, not per-trajectory states.
+def _run_ensemble(sc: Scenario, p: SMEParams, incr: np.ndarray, stride: int, reduce) -> np.ndarray:
+    """``run_ensemble`` from the spectral decomposition of rho0; ``reduce`` sees (kets, weights)."""
+    ens = decompose_state(sc.rho0)
+    return run_ensemble(
+        ens, p, incr, checkpoint_stride=stride, reduce=lambda kets, k: reduce((kets, ens.weights), k)
+    )
+
+
+# Trajectory engine -> (runner (scenario, params, increments, stride,
+# per-checkpoint reduce) -> what reduce returned at each checkpoint, state
+# kind).  ``meanfield`` is not here: it yields a mean path, not
+# per-trajectory states.
 ENGINES = {
     "pure_linear": (
-        lambda sc, p, incr, stride: run_linear(sc.chi0, p, incr, checkpoint_stride=stride), "ket"
+        lambda sc, p, incr, stride, reduce: run_linear(
+            sc.chi0, p, incr, checkpoint_stride=stride, reduce=reduce
+        ),
+        "ket",
     ),
     "pure_nonlinear": (
-        lambda sc, p, incr, stride: run_nonlinear(sc.chi0, p, incr, checkpoint_stride=stride), "ket"
+        lambda sc, p, incr, stride, reduce: run_nonlinear(
+            sc.chi0, p, incr, checkpoint_stride=stride, reduce=reduce
+        ),
+        "ket",
     ),
     "sme_linear": (_run_sme_linear, "unnormalized"),
     "sme_nonlinear": (
-        lambda sc, p, incr, stride: run_nonlinear_sme(sc.rho0, p, incr, checkpoint_stride=stride),
-        "density",
-    ),
-    "ensemble": (
-        lambda sc, p, incr, stride: run_ensemble(
-            decompose_state(sc.rho0), p, incr, checkpoint_stride=stride
+        lambda sc, p, incr, stride, reduce: run_nonlinear_sme(
+            sc.rho0, p, incr, checkpoint_stride=stride, reduce=reduce
         ),
         "density",
     ),
+    "ensemble": (_run_ensemble, "ensemble"),
 }
 
 
@@ -229,13 +261,26 @@ def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both") -> RunArtifacts:
     else:
         params = _params(sc)
         run, kind = ENGINES[sc.engine]
-        incr = sample_wiener_batch(params.n_channels, sc.steps, sc.dt, sc.seed, sc.trajectories)
-        states = run(sc, params, incr, stride)
-        del incr  # not needed past integration; the reduction and the CSV are the memory peak
         values, final = REDUCERS[kind]
-        mean_final = final(states, stride)
-        for label, op, ostride in sc.outputs:
-            vals = values(states[:: ostride // stride], op, ostride)  # (K+1, M)
+        ops = [op for _, op, _ in sc.outputs]
+        last = []  # the final checkpoint's states, for the final-state reducer
+
+        def reduce(frame, k):
+            with np.errstate(divide="ignore", invalid="ignore"):  # non-finite values abort below
+                vals = values(frame, ops)  # (n_obs, M)
+            bad = np.flatnonzero(~np.isfinite(vals).all(axis=0))
+            if bad.size:
+                raise TrajectoryAbort("non-finite observable value", step=k, trajectory=int(bad[0]))
+            if k == sc.steps:
+                last.append(frame)
+            return vals
+
+        incr = sample_wiener_batch(params.n_channels, sc.steps, sc.dt, sc.seed, sc.trajectories)
+        checkpoint_values = run(sc, params, incr, stride, reduce)  # (K+1, n_obs, M)
+        del incr  # not needed past integration; the CSV is the memory peak
+        mean_final = final(last[0])
+        for i, (label, op, ostride) in enumerate(sc.outputs):
+            vals = checkpoint_values[:: ostride // stride, i]  # (K'+1, M)
             per_traj[label] = vals
             means[label] = vals.mean(axis=1)
             stderrs[label] = (

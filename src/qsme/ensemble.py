@@ -74,18 +74,26 @@ def decompose_state(rho0: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> Wei
     return WeightedEnsemble(w / w.sum(), v[:, keep].T.copy(), cutoff=int(w.size), dropped_mass=dropped)
 
 
-def _feedback(kets: np.ndarray, weights: np.ndarray, ls: np.ndarray) -> np.ndarray:
+def _weighted_mass(kets: np.ndarray, weights: np.ndarray, step: int | None = None) -> np.ndarray:
+    """sum_k p_k ||e_k||^2 per trajectory, shape (...); aborts where it is not positive."""
+    den = np.einsum("k,...ki->...", weights, np.abs(kets) ** 2)
+    bad = np.flatnonzero(~(den > 0.0))
+    if bad.size:
+        raise TrajectoryAbort("ensemble weighted norm vanished", step=step,
+                              trajectory=int(bad[0]) if den.ndim else None)
+    return den
+
+
+def _feedback(kets: np.ndarray, weights: np.ndarray, ls: np.ndarray, step: int | None = None) -> np.ndarray:
     """pi_j = sum_k p_k (e_k, (L_j + L_j†) e_k) / sum_k p_k ||e_k||^2, batched (..., n).
 
-    L_j e_k for every channel and ket comes from one GEMM.
+    L_j e_k for every channel and ket comes from one GEMM.  ``step`` only
+    locates an abort.
     """
     lk = apply_stacked(stacked_transpose(ls), kets)  # (..., k, n, d)
     sym = np.einsum("...ki,...kni->...kn", np.conj(kets), lk).real
     num = 2.0 * np.einsum("k,...kn->...n", weights, sym)
-    den = np.einsum("k,...ki->...", weights, np.abs(kets) ** 2)
-    if np.any(den <= 0.0):
-        raise TrajectoryAbort("ensemble weighted norm vanished")
-    return num / den[..., None]
+    return num / _weighted_mass(kets, weights, step)[..., None]
 
 
 def shared_feedback(ens: WeightedEnsemble, ls: np.ndarray) -> np.ndarray:
@@ -94,11 +102,16 @@ def shared_feedback(ens: WeightedEnsemble, ls: np.ndarray) -> np.ndarray:
 
 
 def _kick_kets(
-    kets: np.ndarray, weights: np.ndarray, p: PureFilterParams, db: np.ndarray, t: float
+    kets: np.ndarray,
+    weights: np.ndarray,
+    p: PureFilterParams,
+    db: np.ndarray,
+    t: float,
+    step: int | None = None,
 ) -> np.ndarray:
     """Advance all kets one step with shared noise and feedback frozen at the start state."""
     ls_t = p.channel_ops(t)
-    pi = _feedback(kets, weights, ls_t)
+    pi = _feedback(kets, weights, ls_t, step)
     dy = db + pi * p.dt
     return linear_pure_step(kets, p, dy[..., None, :], t)
 
@@ -117,15 +130,28 @@ def ensemble_step(
 
 def reconstruct_density(ens: WeightedEnsemble) -> np.ndarray:
     """rho = sum_k p_k e_k (x) conj(e_k) / sum_k p_k ||e_k||^2; unit trace by construction."""
-    return _reconstruct(ens.kets, ens.weights)
+    return weighted_density(ens.kets, ens.weights)
 
 
-def _reconstruct(kets: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    den = np.einsum("k,...ki->...", weights, np.abs(kets) ** 2)
-    if np.any(den <= 0.0):
-        raise TrajectoryAbort("ensemble weighted norm vanished")
+def weighted_density(kets: np.ndarray, weights: np.ndarray, step: int | None = None) -> np.ndarray:
+    """The density of every trajectory's weighted kets (..., rank, d): shape (..., d, d)."""
+    den = _weighted_mass(kets, weights, step)
     rho = np.einsum("k,...ki,...kj->...ij", weights, kets, np.conj(kets))
     return hermitianize(rho / den[..., None, None])
+
+
+def weighted_expectations(kets: np.ndarray, weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """tr(O rho) for every O of the stack ``ops`` (n_obs, d, d), straight from the kets.
+
+    sum_k p_k (e_k, O e_k) / sum_k p_k ||e_k||^2 with every O e_k from one GEMM;
+    no density is formed.  Returns shape (n_obs, ...).  A vanished weighted
+    norm gives non-finite values rather than an abort, for the caller to locate.
+    """
+    d = kets.shape[-1]
+    ops = np.asarray(ops, dtype=complex).reshape(-1, d, d)
+    oe = apply_stacked(stacked_transpose(ops), kets)  # (..., k, n_obs, d)
+    num = np.einsum("k,...ki,...kni->n...", weights, np.conj(kets), oe).real
+    return num / np.einsum("k,...ki->...", weights, np.abs(kets) ** 2)
 
 
 def run_ensemble(
@@ -133,25 +159,28 @@ def run_ensemble(
     p: PureFilterParams,
     increments: np.ndarray,
     checkpoint_stride: int = 1,
-    return_kets: bool = False,
+    reduce=None,
 ):
     """Drive an ensemble along innovation increments; densities at checkpoints.
 
     ``increments`` has shape (..., steps, n); the same batch of increments
     drives every ket.  Returns reconstructed Schroedinger-frame densities of
-    shape (K+1, ..., d, d); with ``return_kets`` also the raw (unnormalized)
-    kets at checkpoints, shape (K+1, ..., rank, d).
+    shape (K+1, ..., d, d).  A per-checkpoint ``reduce(kets, k)`` receives the
+    raw (unnormalized) Schroedinger-frame kets, shape (..., rank, d), and its
+    results are stored instead.  A trajectory whose weighted norm is not
+    positive aborts with the step and the trajectory.
     """
     increments = np.asarray(increments, dtype=float)
     weights = ens0.weights
+    if reduce is None:
+        def reduce(kets, k):
+            return weighted_density(kets, weights, k)
 
     def step(kets, k):
-        return _kick_kets(kets, weights, p, increments[..., k, :], k * p.dt)
-
-    def observe(kets, k):
-        frame = p.to_schroedinger_frame(kets, k * p.dt)
-        return frame if return_kets else _reconstruct(frame, weights)
+        return _kick_kets(kets, weights, p, increments[..., k, :], k * p.dt, k)
 
     kets0 = replicate(ens0.kets, increments.shape[:-2])
-    out = integrate(step, kets0, increments.shape[-2], checkpoint_stride, observe)
-    return (_reconstruct(out, weights), out) if return_kets else out
+    return integrate(
+        step, kets0, increments.shape[-2], checkpoint_stride,
+        lambda kets, k: reduce(p.to_schroedinger_frame(kets, k * p.dt), k),
+    )

@@ -2,8 +2,12 @@
 
 A driver supplies a step closure ``step(x, k) -> x`` that advances the state
 over step ``k`` and a map ``observe(x, k)`` that turns the state after ``k``
-steps into what is stored (usually the Schroedinger-frame state at t = k dt;
-for each mean-field Picard iteration, the Monte Carlo mean of the batch).
+steps into what is stored.  The ``run_*`` drivers map the state to the
+Schroedinger frame and hand that frame to a per-checkpoint ``reduce(frame, k)``
+whose default, ``keep_frame``, stores the frame state itself; the CLI reduces
+it to observable values instead, so no run holds every checkpoint's states.
+For each mean-field Picard iteration ``observe`` is the Monte Carlo mean of
+the batch.
 """
 
 from __future__ import annotations
@@ -14,6 +18,11 @@ import numpy as np
 def replicate(x0: np.ndarray, batch: tuple) -> np.ndarray:
     """A writable copy of ``x0`` for every index of the leading ``batch`` shape."""
     return np.broadcast_to(x0, batch + x0.shape).copy()
+
+
+def keep_frame(frame, k: int):
+    """The default per-checkpoint map of the ``run_*`` drivers: the frame state itself."""
+    return frame
 
 
 def integrate(step, x0: np.ndarray, steps: int, stride: int, observe) -> np.ndarray:

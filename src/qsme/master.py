@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TrajectoryAbort
-from .integrate import integrate, replicate
+from .integrate import integrate, keep_frame, replicate
 from .linalg import dag, hermitianize, hs_norm
 from .pure import PureFilterParams
 
@@ -261,10 +261,12 @@ def run_linear_sme(
     increments: np.ndarray,
     checkpoint_stride: int = 1,
     track_min_eig: bool = False,
+    reduce=keep_frame,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Batched linear-equation driver; Schroedinger-frame states at checkpoints.
 
-    ``increments`` has shape (..., steps, n); returns (K+1, ..., d, d).  With
+    ``increments`` has shape (..., steps, n); returns (K+1, ..., d, d), or
+    what the per-checkpoint ``reduce(frame, k)`` returns for each frame.  With
     ``track_min_eig`` also returns the per-step minimum eigenvalue of the
     evolving state, shape (steps+1, ...), for positivity monitoring.
     """
@@ -283,15 +285,19 @@ def run_linear_sme(
 
     out = integrate(
         step, x, increments.shape[-2], checkpoint_stride,
-        lambda x, k: p.to_schroedinger_frame_matrix(x, k * p.dt),
+        lambda x, k: reduce(p.to_schroedinger_frame_matrix(x, k * p.dt), k),
     )
     return (out, mins) if track_min_eig else out
 
 
 def run_nonlinear_sme(
-    rho0: np.ndarray, p: SMEParams, increments: np.ndarray, checkpoint_stride: int = 1
+    rho0: np.ndarray,
+    p: SMEParams,
+    increments: np.ndarray,
+    checkpoint_stride: int = 1,
+    reduce=keep_frame,
 ) -> np.ndarray:
-    """Batched normalized-equation driver; Schroedinger-frame states at checkpoints."""
+    """Batched normalized-equation driver; Schroedinger-frame states (or ``reduce``) at checkpoints."""
     increments = np.asarray(increments, dtype=float)
 
     def step(x, k):
@@ -300,7 +306,7 @@ def run_nonlinear_sme(
     x = replicate(hermitianize(np.asarray(rho0, dtype=complex)), increments.shape[:-2])
     return integrate(
         step, x, increments.shape[-2], checkpoint_stride,
-        lambda x, k: p.to_schroedinger_frame_matrix(x, k * p.dt),
+        lambda x, k: reduce(p.to_schroedinger_frame_matrix(x, k * p.dt), k),
     )
 
 

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import TrajectoryAbort
-from .integrate import integrate, replicate
+from .integrate import integrate, keep_frame, replicate
 from .linalg import Propagator, dag, require_hermitian
 
 PICTURES = ("schroedinger", "interaction")
@@ -278,6 +278,7 @@ def run_linear(
     increments: np.ndarray,
     innovation_driven: bool = False,
     checkpoint_stride: int = 1,
+    reduce=keep_frame,
 ) -> np.ndarray:
     """Drive the linear stepper along given increments; states at checkpoints.
 
@@ -285,7 +286,8 @@ def run_linear(
     given increments are innovations dB and the output is synthesized per step
     as dY_j = dB_j + <L_j + L_j†> dt, i.e. the linear equation under the
     physical measure.  Returns an array of shape (K+1, ..., d) of states in
-    the Schroedinger frame, where K = steps // checkpoint_stride.
+    the Schroedinger frame, where K = steps // checkpoint_stride; a
+    per-checkpoint ``reduce(frame, k)`` stores its result instead.
     """
     increments = np.asarray(increments, dtype=float)
 
@@ -301,7 +303,7 @@ def run_linear(
     chi = replicate(np.asarray(chi0, dtype=complex), increments.shape[:-2])
     return integrate(
         step, chi, increments.shape[-2], checkpoint_stride,
-        lambda chi, k: p.to_schroedinger_frame(chi, k * p.dt),
+        lambda chi, k: reduce(p.to_schroedinger_frame(chi, k * p.dt), k),
     )
 
 
@@ -310,8 +312,9 @@ def run_nonlinear(
     p: PureFilterParams,
     increments: np.ndarray,
     checkpoint_stride: int = 1,
+    reduce=keep_frame,
 ) -> np.ndarray:
-    """Drive the nonlinear stepper along innovation increments dB; states at checkpoints."""
+    """Drive the nonlinear stepper along innovation increments dB; states (or ``reduce``) at checkpoints."""
     increments = np.asarray(increments, dtype=float)
 
     def step(phi, k):
@@ -320,5 +323,5 @@ def run_nonlinear(
     phi = replicate(np.asarray(phi0, dtype=complex), increments.shape[:-2])
     return integrate(
         step, phi, increments.shape[-2], checkpoint_stride,
-        lambda phi, k: p.to_schroedinger_frame(phi, k * p.dt),
+        lambda phi, k: reduce(p.to_schroedinger_frame(phi, k * p.dt), k),
     )

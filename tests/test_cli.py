@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -6,7 +9,10 @@ import pytest
 
 from qsme import cli, scenario
 from qsme.cli import main
-from qsme.master import linear_sme_step
+from qsme.linalg import random_density, random_hermitian, random_ket, random_operator
+from qsme.master import SMEParams, linear_sme_step, run_linear_sme, run_nonlinear_sme
+from qsme.noise import sample_wiener_batch
+from qsme.pure import run_linear
 from qsme.scenario import ScenarioError, apply_overrides, validate_scenario
 
 
@@ -47,16 +53,20 @@ class TestValidateConfig:
         assert "trace != 1" in capsys.readouterr().err
 
     def test_memory_estimate_reported(self, tmp_path, capsys):
-        # 20 trajectories, 50 steps, 1 channel, checkpoints every 10 steps at d = 2
+        # 20 trajectories, 50 steps, 1 channel, one observable checkpointed
+        # every 10 steps at d = 2: (K+1) M n_obs float64 values plus one
+        # complex working state per trajectory
         for engine, extra, per_state in (
             ("sme_nonlinear", {}, 4),
+            ("sme_linear", {}, 4),
             ("pure_linear", {"rho0": {"pure": {"basis": 0}}}, 2),
+            ("ensemble", {"rho0": {"diag": [0.7, 0.3]}}, 2 * 2),  # rank 2 kets
         ):
             path = write_scenario(tmp_path, minimal_scenario(engine=engine, **extra))
             assert main(["validate-config", path]) == 0
             out = json.loads(capsys.readouterr().out)
             assert out["noise_bytes"] == 20 * 50 * 1 * 8
-            assert out["checkpoint_bytes"] == 6 * 20 * per_state * 16
+            assert out["checkpoint_bytes"] == 6 * 20 * 1 * 8 + 20 * per_state * 16
 
     def test_non_hermitian_h_rejected(self, tmp_path, capsys):
         h = {"entries": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
@@ -145,10 +155,13 @@ class TestSimulate:
             "ensemble": {"rho0": {"diag": [0.7, 0.3]}},
         }
         for engine, extra in engines.items():
-            data = minimal_scenario(engine=engine, **extra)
-            path = write_scenario(tmp_path, data, name=f"{engine}.json")
-            assert main(["simulate", path, "--out", str(tmp_path / engine)]) == 0
-            capsys.readouterr()
+            for outputs in (minimal_scenario()["outputs"], []):  # with no outputs only the summary is written
+                data = minimal_scenario(engine=engine, outputs=outputs, **extra)
+                path = write_scenario(tmp_path, data, name=f"{engine}.json")
+                assert main(["simulate", path, "--out", str(tmp_path / engine)]) == 0
+                info = json.loads(capsys.readouterr().out)
+                final = np.asarray(json.load(open(info["summary"]))["final_state_mean"])
+                assert final.shape == (2, 2, 2) and np.all(np.isfinite(final))
 
     def test_meanfield_zero_interaction_matches_sme_nonlinear(self, tmp_path, capsys):
         base = minimal_scenario(trajectories=50)
@@ -244,6 +257,28 @@ class TestSimulate:
         assert (report["step"], report["trajectory"]) == (1, 0)
         assert len(steps) == 1  # one checkpoint stride
 
+    def test_pure_linear_vanishing_norm_exits_3(self, tmp_path, capsys):
+        # a strong channel at small dt shrinks every linear ket until both
+        # components underflow; <sigma_z> is then 0/0, first for trajectory 1
+        # at step 729, which was once written to the CSV as nan with exit 0
+        data = minimal_scenario(
+            hamiltonian={"scaled": {"op": "pauli_x", "factor": 0.5}},
+            channels=[{"scaled": {"op": "pauli_z", "factor": 100.0}}],
+            rho0={"pure": [[0.6, 0.0], [0.8, 0.0]]},
+            dt=1e-4,
+            horizon=0.1,
+            trajectories=5,
+            seed=1,
+            engine="pure_linear",
+            outputs=[{"observable": "pauli_z", "stride": 1, "label": "pauli_z"}],
+        )
+        path = write_scenario(tmp_path, data)
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 3
+        report = json.loads(capsys.readouterr().err)
+        assert report["abort"] is True and "non-finite" in report["reason"]
+        assert (report["step"], report["trajectory"]) == (729, 1)
+        assert not (tmp_path / "out" / "qubit-smoke.csv").exists()
+
     def test_run_beyond_physical_memory_exits_2_before_drawing_noise(self, tmp_path, capsys, monkeypatch):
         def no_noise(*args, **kwargs):
             raise AssertionError("noise drawn")
@@ -293,6 +328,93 @@ class TestSimulate:
         assert main(["simulate", path, "--format", "json", "--out", str(tmp_path / "o")]) == 0
         info = json.loads(capsys.readouterr().out)
         assert info["csv"] is None
+
+
+class TestReducers:
+    """The per-checkpoint reducers against the whole-buffer formulas they replaced."""
+
+    @staticmethod
+    def old_ket_values(states, op):
+        num = np.einsum("kmi,ij,kmj->km", np.conj(states), op, states).real
+        return num / np.sum(np.abs(states) ** 2, axis=-1)
+
+    @staticmethod
+    def old_ket_final(states):
+        last = states[-1]
+        nrm = np.sum(np.abs(last) ** 2, axis=-1)
+        return (np.einsum("mi,mj->mij", last, np.conj(last)) / nrm[:, None, None]).mean(axis=0)
+
+    @staticmethod
+    def old_density_values(states, op):
+        return np.einsum("ij,kmji->km", op, states).real
+
+    @classmethod
+    def old_unnormalized_values(cls, states, op):
+        return cls.old_density_values(states, op) / np.einsum("...mii->...m", states).real
+
+    @staticmethod
+    def old_unnormalized_final(states):
+        return (states[-1] / np.einsum("mii->m", states[-1]).real[:, None, None]).mean(axis=0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 16])
+    def test_bitwise_equal_to_whole_buffer_formulas(self, d):
+        rng = np.random.default_rng(30 + d)
+        h = random_hermitian(d, rng)
+        ls = np.stack([random_operator(d, rng), random_hermitian(d, rng)])
+        p = SMEParams(h, ls, 1e-2, "interaction")
+        ops = [random_hermitian(d, rng), np.diag(np.arange(d)).astype(complex), np.eye(d)]
+        strides = (1, 2, 3)  # one per observable, on the gcd grid of every step
+        incr = sample_wiener_batch(2, 12, p.dt, seed=d, n_traj=7)
+        chi0 = random_ket(d, rng)
+        rho0 = random_density(d, rng)
+        cases = (
+            ("ket", lambda **kw: run_linear(chi0, p, incr, **kw),
+             self.old_ket_values, self.old_ket_final),
+            ("density", lambda **kw: run_nonlinear_sme(rho0, p, incr, **kw),
+             self.old_density_values, lambda states: states[-1].mean(axis=0)),
+            ("unnormalized", lambda **kw: run_linear_sme(rho0, p, incr, **kw),
+             self.old_unnormalized_values, self.old_unnormalized_final),
+        )
+        for kind, run, old_values, old_final in cases:
+            values, final = cli.REDUCERS[kind]
+            states = run()  # (K+1, M, ...)
+            vals = run(reduce=lambda frame, k: values(frame, ops))  # (K+1, n_obs, M)
+            for i, (op, stride) in enumerate(zip(ops, strides)):
+                assert np.array_equal(vals[::stride, i], old_values(states[::stride], op)), kind
+            assert np.array_equal(final(states[-1]), old_final(states)), kind
+
+    def test_ensemble_run_keeps_no_checkpoint_states(self, tmp_path):
+        # d = 4 rank-4 kets at M = 2000 over 500 steps with stride 1: the
+        # (K+1, M, d, d) density buffer would be 256 MB on its own; the run
+        # keeps (K+1, M) values instead, so its peak stays far below that
+        data = minimal_scenario(
+            dim=4,
+            hamiltonian="number",
+            channels=[{"scaled": {"op": "number", "factor": 0.5}}],
+            rho0={"diag": [0.4, 0.3, 0.2, 0.1]},
+            horizon=0.5,
+            trajectories=2000,
+            engine="ensemble",
+            outputs=[{"observable": "number", "stride": 1, "label": "n"}],
+        )
+        assert (501 * 2000 * 4 * 4 * 16) / 2**20 > 240
+        script = (
+            "import json, sys\n"
+            "from qsme.cli import run_scenario\n"
+            "from qsme.scenario import validate_scenario\n"
+            "run_scenario(validate_scenario(json.loads(sys.argv[1])), sys.argv[2], fmt='json')\n"
+            "status = open('/proc/self/status').read().split('\\n')\n"
+            "print([l for l in status if l.startswith('VmHWM')][0].split()[1])\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        out = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(data), str(tmp_path)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        peak_mb = int(out.stdout.strip()) / 1024
+        assert peak_mb < 120, f"VmHWM {peak_mb:.1f} MB"
 
 
 class TestCsvChunks:

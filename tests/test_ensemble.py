@@ -9,7 +9,9 @@ from qsme.ensemble import (
     reconstruct_density,
     run_ensemble,
     shared_feedback,
+    weighted_expectations,
 )
+from qsme.errors import TrajectoryAbort
 from qsme.linalg import (
     SIGMA_Z,
     coupling_norm,
@@ -164,13 +166,33 @@ class TestEquivalenceAndGrowth:
         p = moderate_params(rng, d=d)
         ens0 = decompose_state(random_density(d, rng))
         incr = sample_wiener_batch(1, 500, 1e-3, seed=9, n_traj=4000)
-        _, kets = run_ensemble(ens0, p, incr, checkpoint_stride=100, return_kets=True)
+        kets = run_ensemble(ens0, p, incr, checkpoint_stride=100, reduce=lambda kets, k: kets)
         mass = np.einsum("k,cmki->cm", ens0.weights, np.abs(kets) ** 2)
         lnorm2 = coupling_norm(p.ls) ** 2
         for c in range(mass.shape[0]):
             t = 0.1 * c
             se = mass[c].std(ddof=1) / np.sqrt(mass.shape[1])
             assert mass[c].mean() <= np.exp(4 * t * lnorm2) + 3 * se
+
+    @pytest.mark.parametrize("picture", ["schroedinger", "interaction"])
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_expectations_from_kets_match_reconstructed_density(self, picture, rank):
+        rng = np.random.default_rng(20 + rank)
+        d = 4
+        base = moderate_params(rng, d=d, dt=1e-2)
+        p = SMEParams(base.h, base.ls, base.dt, picture)
+        ens0 = decompose_state(random_density(d, rng, rank=rank))
+        assert ens0.kets.shape == (rank, d)
+        ops = np.stack([random_hermitian(d, rng), np.diag(np.arange(d)).astype(complex), np.eye(d)])
+        incr = sample_wiener_batch(1, 40, p.dt, seed=21, n_traj=50)
+        vals = run_ensemble(
+            ens0, p, incr, checkpoint_stride=4,
+            reduce=lambda kets, k: weighted_expectations(kets, ens0.weights, ops),
+        )  # (K+1, n_obs, M)
+        rhos = run_ensemble(ens0, p, incr, checkpoint_stride=4)  # (K+1, M, d, d)
+        oracle = np.einsum("nij,kmji->knm", ops, rhos).real
+        assert vals.shape == oracle.shape == (11, 3, 50)
+        assert np.max(np.abs(vals - oracle)) <= 1e-13
 
     def test_feedback_stays_consistent_along_path(self):
         rng = np.random.default_rng(10)
@@ -181,6 +203,34 @@ class TestEquivalenceAndGrowth:
             oracle = output_compensators(reconstruct_density(ens), p.ls)
             assert np.allclose(pi, oracle, atol=1e-12)
             ens = ensemble_step(ens, p, rng.normal(0.0, 0.03, 1), k * p.dt)
+
+
+class TestAborts:
+    # H = 0, L = sigma_z, dt = 0.5 from |0>: the step multiplies the ket by
+    # 0.75 + dY with dY = dB + pi dt = dB + 1, so dB = -1.75 zeroes it exactly
+    P = SMEParams(np.zeros((2, 2)), SIGMA_Z[None], 0.5)
+    ENS = decompose_state(np.diag([1.0, 0.0]).astype(complex))
+
+    def test_vanished_norm_names_step_and_trajectory(self):
+        incr = np.zeros((3, 2, 1))
+        incr[1, 0, 0] = -1.75
+        with pytest.raises(TrajectoryAbort, match="weighted norm vanished") as err:
+            run_ensemble(self.ENS, self.P, incr)
+        assert (err.value.step, err.value.trajectory) == (1, 1)
+
+    def test_vanished_norm_at_a_checkpoint_is_located(self):
+        incr = np.zeros((3, 1, 1))
+        incr[2, 0, 0] = -1.75
+        with pytest.raises(TrajectoryAbort) as err:
+            run_ensemble(self.ENS, self.P, incr)
+        assert (err.value.step, err.value.trajectory) == (1, 2)
+
+    def test_feedback_names_first_vanished_trajectory(self):
+        kets = np.ones((5, 2, 2), dtype=complex)
+        kets[[2, 4]] = 0.0
+        with pytest.raises(TrajectoryAbort) as err:
+            _feedback(kets, np.array([0.5, 0.5]), SIGMA_Z[None].astype(complex), step=7)
+        assert (err.value.step, err.value.trajectory) == (7, 2)
 
 
 class TestValidation:
