@@ -1,7 +1,8 @@
 """Command-line entry point: scenario runs, config validation, check suites.
 
-Exit codes: 0 ok, 1 validation-suite failure, 2 config error (including a run
-whose estimated noise and checkpoint memory exceeds physical memory),
+Exit codes: 0 ok, 1 validation-suite failure, 2 config error (including a
+duplicate output label or one that would break CSV rows, and a run whose
+estimated noise and checkpoint memory exceeds physical memory),
 3 runtime abort (trace collapse, a nonpositive sme_linear or linear-mode
 meanfield trace, a vanished ensemble norm, a non-finite observable value,
 Picard non-convergence), 4 I/O failure.
@@ -201,21 +202,24 @@ ENGINES = {
 def _csv_chunks(outputs, out_times: dict, per_traj: dict, means: dict):
     """The CSV body (header, then every row), one checkpoint of one observable per chunk.
 
-    Rows are ``t,traj_id,observable,value`` with t and value as ``.17g``; t is
-    formatted once per checkpoint and the ``,traj_id,observable,`` middles
-    once per observable.
+    Rows are ``t,traj_id,observable,value`` with t and value as ``.17g``.
+    Each observable's rows at one checkpoint come from one ``%`` template,
+    built once per observable (a ``%`` in the label escaped as ``%%``) and
+    filled with a single format call whose arguments alternate the t string
+    with the values: every trajectory's, then the mean.
     """
     if outputs:
         yield "t,traj_id,observable,value\n"
     for label, _, _ in outputs:
         traj_vals = per_traj.get(label)
-        mids = [] if traj_vals is None else [f",{m},{label}," for m in range(traj_vals.shape[1])]
+        n_traj = 0 if traj_vals is None else traj_vals.shape[1]
+        name = label.replace("%", "%%")
+        tmpl = "".join([f"%s,{m},{name},%.17g\n" for m in range(n_traj)] + [f"%s,mean,{name},%.17g\n"])
+        args = [None] * (2 * n_traj + 2)
         for k, (t, mean) in enumerate(zip(out_times[label].tolist(), means[label].tolist())):
-            ts = f"{t:.17g}"
-            vals = () if traj_vals is None else traj_vals[k].tolist()
-            rows = [f"{ts}{mid}{v:.17g}\n" for mid, v in zip(mids, vals)]
-            rows.append(f"{ts},mean,{label},{mean:.17g}\n")
-            yield "".join(rows)
+            args[0::2] = [f"{t:.17g}"] * (n_traj + 1)
+            args[1::2] = ([] if traj_vals is None else traj_vals[k].tolist()) + [mean]
+            yield tmpl % tuple(args)
 
 
 def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both") -> RunArtifacts:
@@ -317,14 +321,15 @@ def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both") -> RunArtifacts:
     csv_path = None
     if sc.outputs and fmt in ("csv", "both"):
         csv_path = os.path.join(out_dir, f"{safe_name}.csv")
-    with (open(csv_path, "w") if csv_path else contextlib.nullcontext()) as f:
+    with (open(csv_path, "wb") if csv_path else contextlib.nullcontext()) as f:
         if f is not None:
             stamp = datetime.now(timezone.utc).isoformat()
-            f.write(f"# generated={stamp} scenario={safe_name} seed={sc.seed} config={cfg_hash}\n")
+            f.write(f"# generated={stamp} scenario={safe_name} seed={sc.seed} config={cfg_hash}\n".encode())
         for chunk in _csv_chunks(sc.outputs, out_times, per_traj, means):
-            digest.update(chunk.encode())
+            data = chunk.encode()
+            digest.update(data)
             if f is not None:
-                f.write(chunk)
+                f.write(data)
     if not sc.outputs:
         digest.update(summary_blob.encode())
     json_path = os.path.join(out_dir, f"{safe_name}.summary.json")

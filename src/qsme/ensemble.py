@@ -17,7 +17,7 @@ import numpy as np
 from .errors import TrajectoryAbort
 from .integrate import integrate, replicate
 from .linalg import hermitianize
-from .pure import PureFilterParams, apply_stacked, linear_pure_step, stacked_transpose
+from .pure import PureFilterParams, linear_pure_step
 
 logger = logging.getLogger(__name__)
 
@@ -51,7 +51,7 @@ class WeightedEnsemble:
 
     def mass(self) -> float:
         """The weighted squared norm sum_k p_k ||e_k||^2."""
-        return float(np.sum(self.weights * np.sum(np.abs(self.kets) ** 2, axis=-1)))
+        return float(_mass(self.kets, self.weights))
 
 
 def decompose_state(rho0: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> WeightedEnsemble:
@@ -74,9 +74,41 @@ def decompose_state(rho0: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> Wei
     return WeightedEnsemble(w / w.sum(), v[:, keep].T.copy(), cutoff=int(w.size), dropped_mass=dropped)
 
 
+def _weighted_dots(x: np.ndarray, kets: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k p_k Re(x_k, e_k) for x and kets of shape (..., k, d): shape (...).
+
+    On real views (real and imaginary parts interleaved) Re(x_k, e_k) is a
+    plain dot product, so this is one two-operand real contraction and a GEMV.
+    """
+    xr, kr = (np.ascontiguousarray(z).view(float) for z in (x, kets))
+    return np.einsum("...ki,...ki->...k", xr, kr) @ weights
+
+
+def _mass(kets: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k p_k ||e_k||^2 for kets (..., k, d): shape (...).
+
+    ``_weighted_forms`` of A = I by the same contraction, so an identity
+    observable reads exactly 1.
+    """
+    return _weighted_dots(kets, kets, weights)
+
+
+def _weighted_forms(kets: np.ndarray, weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """sum_k p_k Re(e_k, A_j e_k) for kets (..., k, d) and operators A_j (n, d, d): shape (..., n).
+
+    Per operator, A_j e_k for every ket is one GEMM; no (..., k, n, d) stack
+    of images is held at once.
+    """
+    flat = kets.reshape(-1, kets.shape[-1])
+    out = np.empty(kets.shape[:-2] + (len(ops),))
+    for j, a in enumerate(ops):
+        out[..., j] = _weighted_dots((flat @ a.T).reshape(kets.shape), kets, weights)
+    return out
+
+
 def _weighted_mass(kets: np.ndarray, weights: np.ndarray, step: int | None = None) -> np.ndarray:
     """sum_k p_k ||e_k||^2 per trajectory, shape (...); aborts where it is not positive."""
-    den = np.einsum("k,...ki->...", weights, np.abs(kets) ** 2)
+    den = _mass(kets, weights)
     bad = np.flatnonzero(~(den > 0.0))
     if bad.size:
         raise TrajectoryAbort("ensemble weighted norm vanished", step=step,
@@ -87,12 +119,9 @@ def _weighted_mass(kets: np.ndarray, weights: np.ndarray, step: int | None = Non
 def _feedback(kets: np.ndarray, weights: np.ndarray, ls: np.ndarray, step: int | None = None) -> np.ndarray:
     """pi_j = sum_k p_k (e_k, (L_j + L_j†) e_k) / sum_k p_k ||e_k||^2, batched (..., n).
 
-    L_j e_k for every channel and ket comes from one GEMM.  ``step`` only
-    locates an abort.
+    ``step`` only locates an abort.
     """
-    lk = apply_stacked(stacked_transpose(ls), kets)  # (..., k, n, d)
-    sym = np.einsum("...ki,...kni->...kn", np.conj(kets), lk).real
-    num = 2.0 * np.einsum("k,...kn->...n", weights, sym)
+    num = 2.0 * _weighted_forms(kets, weights, ls)
     return num / _weighted_mass(kets, weights, step)[..., None]
 
 
@@ -136,22 +165,20 @@ def reconstruct_density(ens: WeightedEnsemble) -> np.ndarray:
 def weighted_density(kets: np.ndarray, weights: np.ndarray, step: int | None = None) -> np.ndarray:
     """The density of every trajectory's weighted kets (..., rank, d): shape (..., d, d)."""
     den = _weighted_mass(kets, weights, step)
-    rho = np.einsum("k,...ki,...kj->...ij", weights, kets, np.conj(kets))
+    rho = np.swapaxes(weights[:, None] * kets, -1, -2) @ np.conj(kets)
     return hermitianize(rho / den[..., None, None])
 
 
 def weighted_expectations(kets: np.ndarray, weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """tr(O rho) for every O of the stack ``ops`` (n_obs, d, d), straight from the kets.
 
-    sum_k p_k (e_k, O e_k) / sum_k p_k ||e_k||^2 with every O e_k from one GEMM;
-    no density is formed.  Returns shape (n_obs, ...).  A vanished weighted
-    norm gives non-finite values rather than an abort, for the caller to locate.
+    sum_k p_k Re(e_k, O e_k) / sum_k p_k ||e_k||^2; no density is formed.
+    Returns shape (n_obs, ...).  A vanished weighted norm gives non-finite
+    values rather than an abort, for the caller to locate.
     """
     d = kets.shape[-1]
     ops = np.asarray(ops, dtype=complex).reshape(-1, d, d)
-    oe = apply_stacked(stacked_transpose(ops), kets)  # (..., k, n_obs, d)
-    num = np.einsum("k,...ki,...kni->n...", weights, np.conj(kets), oe).real
-    return num / np.einsum("k,...ki->...", weights, np.abs(kets) ** 2)
+    return np.moveaxis(_weighted_forms(kets, weights, ops) / _mass(kets, weights)[..., None], -1, 0)
 
 
 def run_ensemble(

@@ -267,6 +267,11 @@ class Scenario:
         return round(self.horizon / self.dt)
 
 
+# Characters an output label may not contain: labels are written unquoted in
+# the CSV's ``observable`` column.
+LABEL_FORBIDDEN = (",", '"', "\r", "\n")
+
+
 def resolve_picture(requested: str, h: np.ndarray, dt: float) -> str:
     """``auto`` picks the interaction picture once the Hamiltonian is stiff on the grid."""
     if requested != "auto":
@@ -331,7 +336,17 @@ def validate_scenario(data: dict) -> Scenario:
                 errors.append(("/meanfield/interaction", str(e)))
 
     outputs = []
+    first_with_label: dict[str, int] = {}
     for i, out in enumerate(data.get("outputs", [])):
+        label = out["label"]
+        unsafe = [c for c in LABEL_FORBIDDEN if c in label]
+        if unsafe:
+            errors.append((f"/outputs/{i}/label",
+                           f"label {label!r} contains {', '.join(map(repr, unsafe))}, which would break CSV rows"))
+        if label in first_with_label:
+            errors.append((f"/outputs/{i}/label",
+                           f"label {label!r} is already used by /outputs/{first_with_label[label]}"))
+        first_with_label.setdefault(label, i)
         try:
             op = build_matrix(out["observable"], d)
             stride = out.get("stride", 1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -101,6 +102,32 @@ class TestValidateConfig:
         assert "/rho0" in err and "/outputs/0/stride" in err
 
 
+    def test_duplicate_output_label_rejected(self, tmp_path, capsys):
+        data = minimal_scenario()
+        data["outputs"] = [
+            {"observable": "pauli_z", "stride": 10, "label": "z"},
+            {"observable": "pauli_x", "stride": 10, "label": "z"},
+        ]
+        path = write_scenario(tmp_path, data)
+        assert main(["validate-config", path]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error at /outputs/1/label:")
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("label", ["a,b%s", 'say "z"', "z\r", "z\nz", ","])
+    def test_csv_breaking_label_rejected(self, tmp_path, capsys, label):
+        data = minimal_scenario()
+        data["outputs"] = [
+            {"observable": "pauli_x", "stride": 10, "label": "x"},
+            {"observable": "pauli_z", "stride": 10, "label": label},
+        ]
+        path = write_scenario(tmp_path, data)
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error at /outputs/1/label" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestSimulate:
     def test_summary_and_csv_written(self, tmp_path, capsys):
         path = write_scenario(tmp_path, minimal_scenario())
@@ -125,6 +152,18 @@ class TestSimulate:
         body_a = open(info_a["csv"]).read().split("\n")[1:]
         body_b = open(info_b["csv"]).read().split("\n")[1:]
         assert body_a == body_b
+
+    @pytest.mark.parametrize("engine", ["ensemble", "meanfield"])
+    def test_written_csv_hashes_to_digest(self, tmp_path, capsys, engine):
+        extra = {"meanfield": {"interaction": {"variant": "zero"}}} if engine == "meanfield" else {}
+        path = write_scenario(tmp_path, minimal_scenario(engine=engine, **extra))
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 0
+        info = json.loads(capsys.readouterr().out)
+        with open(info["csv"], "rb") as f:
+            assert f.readline().startswith(b"# generated=")
+            body = f.read()
+        assert body.startswith(b"t,traj_id,observable,value\n")
+        assert hashlib.sha256(body).hexdigest() == info["digest"]
 
     def test_dt_override_doubles_rows_and_changes_hash(self, tmp_path, capsys):
         path = write_scenario(tmp_path, minimal_scenario())
@@ -441,6 +480,17 @@ class TestCsvChunks:
             body = "".join(cli._csv_chunks(outputs, out_times, traj, means))
             assert body == self.row_by_row(outputs, out_times, traj, means)
         assert "".join(cli._csv_chunks([], {}, {}, {})) == ""
+
+    def test_percent_in_labels_is_written_literally(self):
+        vals = np.array([[0.25, -1.0 / 3.0], [np.nan, 5e-324], [-0.0, 1e17]])
+        outputs = [("pop%", None, 1), ("%s", None, 1), ("100%%", None, 1)]
+        out_times = {label: 1e-3 * np.arange(3) for label, _, _ in outputs}
+        per_traj = {label: vals * (i + 1) for i, (label, _, _) in enumerate(outputs)}
+        means = {label: v.mean(axis=1) for label, v in per_traj.items()}
+        for traj in (per_traj, {}):
+            body = "".join(cli._csv_chunks(outputs, out_times, traj, means))
+            assert body == self.row_by_row(outputs, out_times, traj, means)
+            assert {row.split(",")[2] for row in body.splitlines()[1:]} == {"pop%", "%s", "100%%"}
 
 
 class TestCheck:

@@ -4,6 +4,8 @@ import pytest
 from qsme.ensemble import (
     WeightedEnsemble,
     _feedback,
+    _mass,
+    _weighted_forms,
     decompose_state,
     ensemble_step,
     reconstruct_density,
@@ -231,6 +233,58 @@ class TestAborts:
         with pytest.raises(TrajectoryAbort) as err:
             _feedback(kets, np.array([0.5, 0.5]), SIGMA_Z[None].astype(complex), step=7)
         assert (err.value.step, err.value.trajectory) == (7, 2)
+
+
+class TestRealViewHelpers:
+    # The helpers work on real views of the kets; the oracles are the complex
+    # einsum formulas they replace.
+    @staticmethod
+    def check(kets, weights, ops):
+        forms = np.einsum("k,...ki,...kni->...n", weights, np.conj(kets),
+                          np.einsum("nij,...kj->...kni", ops, kets)).real
+        mass = np.einsum("k,...ki->...", weights, np.abs(kets) ** 2)
+        assert np.max(np.abs(_weighted_forms(kets, weights, ops) - forms)) <= 1e-13
+        assert np.max(np.abs(_mass(kets, weights) - mass)) <= 1e-13
+        vals = weighted_expectations(kets, weights, ops)
+        assert np.max(np.abs(vals - np.moveaxis(forms / mass[..., None], -1, 0))) <= 1e-13
+        pi = _feedback(kets, weights, ops)
+        assert np.max(np.abs(pi - 2.0 * forms / mass[..., None])) <= 1e-13
+
+    def test_non_contiguous_kets(self):
+        rng = np.random.default_rng(30)
+        d, rank, m = 4, 3, 7
+        weights = decompose_state(random_density(d, rng, rank=rank)).weights
+        ops = np.stack([random_operator(d, rng), random_hermitian(d, rng)])
+        base = rng.normal(size=(m, d, rank)) + 1j * rng.normal(size=(m, d, rank))
+        wide = rng.normal(size=(2 * m, rank, 2 * d)) + 1j * rng.normal(size=(2 * m, rank, 2 * d))
+        transposed = base.swapaxes(-1, -2)  # (m, rank, d) with a strided last axis
+        sliced = wide[::2, :, ::2]
+        for kets in (transposed, sliced, transposed[0], sliced[3]):
+            assert kets.shape[-2:] == (rank, d) and not kets.flags.c_contiguous
+            self.check(kets, weights, ops)
+
+    def test_identity_observable_reads_exactly_one(self):
+        # the mass is the quadratic form of the identity, taken by the same dot product
+        rng = np.random.default_rng(33)
+        d = 4
+        weights = decompose_state(random_density(d, rng)).weights
+        kets = rng.normal(size=(200, d, d)) + 1j * rng.normal(size=(200, d, d))
+        for frame in (kets, kets.swapaxes(-1, -2)):
+            assert np.all(weighted_expectations(frame, weights, np.eye(d)) == 1.0)
+
+    def test_interaction_picture_frames(self):
+        rng = np.random.default_rng(31)
+        d = 4
+        base = moderate_params(rng, d=d, dt=1e-2)
+        p = SMEParams(50.0 * base.h, base.ls, base.dt, "interaction")
+        ens0 = decompose_state(random_density(d, rng, rank=3))
+        incr = sample_wiener_batch(1, 20, p.dt, seed=32, n_traj=6)
+        frames = run_ensemble(ens0, p, incr, checkpoint_stride=5, reduce=lambda kets, k: kets)
+        assert frames.shape == (5, 6, 3, d)
+        ops = np.stack([random_hermitian(d, rng), np.diag(np.arange(d)).astype(complex)])
+        self.check(frames, ens0.weights, ops)  # every checkpoint at once
+        for k, kets in enumerate(frames):
+            self.check(kets, ens0.weights, p.channel_ops(5 * k * p.dt))  # dressed channels
 
 
 class TestValidation:
