@@ -13,15 +13,11 @@ from .linalg import (
     SIGMA_Y,
     SIGMA_Z,
     Propagator,
-    bracket,
-    dress,
-    evolution_factor,
     hermitian_spectrum,
     hermitianize,
-    norms,
     positive_parts,
 )
-from .noise import WienerPath, convert_noise, sample_wiener, sample_wiener_batch
+from .noise import sample_wiener_batch
 from .pure import (
     PureFilterParams,
     expectation,
@@ -29,7 +25,6 @@ from .pure import (
     linear_pure_step,
     mean_map,
     nonlinear_pure_step,
-    norm_process_step,
     run_linear,
     run_nonlinear,
 )
@@ -44,15 +39,11 @@ from .master import (
     reconstruct_path,
     run_linear_sme,
     run_nonlinear_sme,
-    trace_process_step,
 )
 from .ensemble import (
     WeightedEnsemble,
     decompose_state,
-    ensemble_step,
-    reconstruct_density,
     run_ensemble,
-    shared_feedback,
 )
 from .meanfield import (
     InteractionMap,
@@ -71,5 +62,22 @@ from .validation import (
     moment_bound_check,
     trace_inequality_check,
 )
+
+__all__ = [
+    "TrajectoryAbort",
+    "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "Propagator", "hermitian_spectrum", "hermitianize",
+    "positive_parts",
+    "sample_wiener_batch",
+    "PureFilterParams", "expectation", "jacobian_norm_estimate", "linear_pure_step", "mean_map",
+    "nonlinear_pure_step", "run_linear", "run_nonlinear",
+    "SMEParams", "TrajectoryRecord", "deterministic_lindblad_solve", "lindblad_generator",
+    "linear_sme_step", "nonlinear_sme_step", "normalize_path", "reconstruct_path",
+    "run_linear_sme", "run_nonlinear_sme",
+    "WeightedEnsemble", "decompose_state", "run_ensemble",
+    "InteractionMap", "MeanFieldConfig", "PicardReport", "apply_interaction",
+    "frozen_field_step", "mckean_vlasov_solve", "reweighted_expectation",
+    "MonteCarloConfig", "convergence_order", "hamiltonian_continuity_experiment",
+    "martingale_test", "moment_bound_check", "trace_inequality_check",
+]
 
 __version__ = "0.1.0"

@@ -4,8 +4,9 @@ Exit codes: 0 ok, 1 validation-suite failure, 2 config error (including a
 duplicate output label or one that would break CSV rows, and a run whose
 estimated noise and checkpoint memory exceeds physical memory),
 3 runtime abort (trace collapse, a nonpositive sme_linear or linear-mode
-meanfield trace, a vanished ensemble norm, a non-finite observable value,
-Picard non-convergence), 4 I/O failure.
+meanfield trace, a normalized density whose trace leaves 1 as a diverging
+sme_nonlinear or meanfield run blows up, a vanished ensemble norm, a
+non-finite observable value, Picard non-convergence), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ import numpy as np
 
 from .ensemble import decompose_state, run_ensemble, weighted_density, weighted_expectations
 from .errors import TrajectoryAbort
-from .integrate import integrate, replicate
-from .linalg import hermitianize
-from .master import SMEParams, linear_sme_step, run_nonlinear_sme
+from .master import SMEParams, run_linear_sme, run_nonlinear_sme
 from .meanfield import MeanFieldConfig, mckean_vlasov_solve
 from .noise import sample_wiener_batch
 from .pure import run_linear, run_nonlinear
@@ -142,25 +141,17 @@ REDUCERS = {
 
 
 def _run_sme_linear(sc: Scenario, p: SMEParams, incr: np.ndarray, stride: int, reduce) -> np.ndarray:
-    """``run_linear_sme``'s loop, aborting at the first checkpoint with a nonpositive or NaN trace.
+    """``run_linear_sme``, aborting at the first checkpoint with a nonpositive or NaN trace.
 
     The check is not in ``run_linear_sme`` itself: the ``bounds`` suite runs
     the linear equation from an indefinite gamma0.
     """
 
-    def step(x, k):
-        return linear_sme_step(x, p, incr[:, k, :], k * p.dt)
-
-    def observe(x, k):
-        frame = p.to_schroedinger_frame_matrix(x, k * p.dt)
-        bad = np.flatnonzero(~(_traces(frame) > 0.0))
-        if bad.size:
-            raise TrajectoryAbort("nonpositive trace in a linear-equation trajectory",
-                                  step=k, trajectory=int(bad[0]))
+    def checked(frame, k):
+        TrajectoryAbort.unless(_traces(frame) > 0.0, "nonpositive trace in a linear-equation trajectory", k)
         return reduce(frame, k)
 
-    x0 = replicate(hermitianize(np.asarray(sc.rho0, dtype=complex)), incr.shape[:1])
-    return integrate(step, x0, incr.shape[1], stride, observe)
+    return run_linear_sme(sc.rho0, p, incr, checkpoint_stride=stride, reduce=checked)
 
 
 def _run_ensemble(sc: Scenario, p: SMEParams, incr: np.ndarray, stride: int, reduce) -> np.ndarray:
@@ -272,9 +263,7 @@ def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both") -> RunArtifacts:
         def reduce(frame, k):
             with np.errstate(divide="ignore", invalid="ignore"):  # non-finite values abort below
                 vals = values(frame, ops)  # (n_obs, M)
-            bad = np.flatnonzero(~np.isfinite(vals).all(axis=0))
-            if bad.size:
-                raise TrajectoryAbort("non-finite observable value", step=k, trajectory=int(bad[0]))
+            TrajectoryAbort.unless(np.isfinite(vals).all(axis=0), "non-finite observable value", k)
             if k == sc.steps:
                 last.append(frame)
             return vals

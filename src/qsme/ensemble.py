@@ -42,16 +42,8 @@ class WeightedEnsemble:
             raise ValueError("weights must be nonnegative and nonincreasing")
         if abs(self.weights.sum() - 1.0) > 1e-10:
             raise ValueError("weights must sum to 1")
-        if self.mass() <= 0.0:
+        if _mass(self.kets, self.weights) <= 0.0:
             raise ValueError("ensemble has vanishing weighted norm")
-
-    @property
-    def dim(self) -> int:
-        return self.kets.shape[1]
-
-    def mass(self) -> float:
-        """The weighted squared norm sum_k p_k ||e_k||^2."""
-        return float(_mass(self.kets, self.weights))
 
 
 def decompose_state(rho0: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> WeightedEnsemble:
@@ -109,10 +101,7 @@ def _weighted_forms(kets: np.ndarray, weights: np.ndarray, ops: np.ndarray) -> n
 def _weighted_mass(kets: np.ndarray, weights: np.ndarray, step: int | None = None) -> np.ndarray:
     """sum_k p_k ||e_k||^2 per trajectory, shape (...); aborts where it is not positive."""
     den = _mass(kets, weights)
-    bad = np.flatnonzero(~(den > 0.0))
-    if bad.size:
-        raise TrajectoryAbort("ensemble weighted norm vanished", step=step,
-                              trajectory=int(bad[0]) if den.ndim else None)
+    TrajectoryAbort.unless(den > 0.0, "ensemble weighted norm vanished", step)
     return den
 
 
@@ -125,41 +114,17 @@ def _feedback(kets: np.ndarray, weights: np.ndarray, ls: np.ndarray, step: int |
     return num / _weighted_mass(kets, weights, step)[..., None]
 
 
-def shared_feedback(ens: WeightedEnsemble, ls: np.ndarray) -> np.ndarray:
-    """The common feedback vector pi for one ensemble, shape (n,)."""
-    return _feedback(ens.kets, ens.weights, np.asarray(ls, dtype=complex))
-
-
 def _kick_kets(
-    kets: np.ndarray,
-    weights: np.ndarray,
-    p: PureFilterParams,
-    db: np.ndarray,
-    t: float,
-    step: int | None = None,
+    kets: np.ndarray, weights: np.ndarray, p: PureFilterParams, db: np.ndarray, t: float
 ) -> np.ndarray:
-    """Advance all kets one step with shared noise and feedback frozen at the start state."""
+    """Advance all kets one step with shared noise and feedback frozen at the start state.
+
+    A vanished weighted norm aborts without a step index; ``integrate`` adds it.
+    """
     ls_t = p.channel_ops(t)
-    pi = _feedback(kets, weights, ls_t, step)
+    pi = _feedback(kets, weights, ls_t)
     dy = db + pi * p.dt
     return linear_pure_step(kets, p, dy[..., None, :], t)
-
-
-def ensemble_step(
-    ens: WeightedEnsemble, p: PureFilterParams, db: np.ndarray, t: float = 0.0
-) -> WeightedEnsemble:
-    """One Euler update: de_k = (-iH e_k - (1/2) L†L e_k) dt + L e_k [dB + pi dt].
-
-    Every ket receives the same dB and the same pi (computed once from the
-    step's start state); weights are unchanged.
-    """
-    kets = _kick_kets(ens.kets, ens.weights, p, np.asarray(db, dtype=float), t)
-    return WeightedEnsemble(ens.weights, kets, ens.cutoff, ens.dropped_mass)
-
-
-def reconstruct_density(ens: WeightedEnsemble) -> np.ndarray:
-    """rho = sum_k p_k e_k (x) conj(e_k) / sum_k p_k ||e_k||^2; unit trace by construction."""
-    return weighted_density(ens.kets, ens.weights)
 
 
 def weighted_density(kets: np.ndarray, weights: np.ndarray, step: int | None = None) -> np.ndarray:
@@ -204,7 +169,7 @@ def run_ensemble(
             return weighted_density(kets, weights, k)
 
     def step(kets, k):
-        return _kick_kets(kets, weights, p, increments[..., k, :], k * p.dt, k)
+        return _kick_kets(kets, weights, p, increments[..., k, :], k * p.dt)
 
     kets0 = replicate(ens0.kets, increments.shape[:-2])
     return integrate(

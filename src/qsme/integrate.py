@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import TrajectoryAbort
+
 
 def replicate(x0: np.ndarray, batch: tuple) -> np.ndarray:
     """A writable copy of ``x0`` for every index of the leading ``batch`` shape."""
@@ -29,6 +31,8 @@ def integrate(step, x0: np.ndarray, steps: int, stride: int, observe) -> np.ndar
     """Run ``steps`` steps from ``x0``; ``observe`` at t = 0 and every ``stride`` steps.
 
     Returns shape (steps // stride + 1, ...): entry i is ``observe(x, i * stride)``.
+    A ``TrajectoryAbort`` that ``step(x, k)`` raises without a step index is
+    located at ``k``, the number of steps ``x`` has taken.
     """
     if steps % stride:
         raise ValueError("step count must be a multiple of checkpoint_stride")
@@ -37,7 +41,12 @@ def integrate(step, x0: np.ndarray, steps: int, stride: int, observe) -> np.ndar
     out[0] = first
     x = x0
     for k in range(steps):
-        x = step(x, k)
+        try:
+            x = step(x, k)
+        except TrajectoryAbort as e:
+            if e.step is not None:
+                raise
+            raise TrajectoryAbort(e.reason, step=k, trajectory=e.trajectory) from e
         if (k + 1) % stride == 0:
             out[(k + 1) // stride] = observe(x, k + 1)
     return out

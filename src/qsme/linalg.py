@@ -43,17 +43,6 @@ def operator_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def trace_norm(a: np.ndarray) -> float:
-    """Sum of singular values."""
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
-
-
-def norms(a: np.ndarray) -> tuple[float, float, float]:
-    """(operator norm, Hilbert-Schmidt norm, trace norm); always ordered op <= hs <= tr."""
-    s = np.linalg.svd(a, compute_uv=False)
-    return float(s.max(initial=0.0)), float(np.sqrt(np.sum(s**2))), float(np.sum(s))
-
-
 def coupling_norm(ls: np.ndarray) -> float:
     """The channel norm used by every growth estimate: sum of per-channel operator norms."""
     return float(sum(operator_norm(l) for l in ls))
@@ -89,17 +78,6 @@ def require_density(
     return rho
 
 
-def bracket(a: np.ndarray, b: np.ndarray, kind: str = "commutator") -> np.ndarray:
-    """AB - BA (``commutator``) or AB + BA (``anticommutator``)."""
-    if a.shape[-1] != b.shape[-1]:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if kind == "commutator":
-        return a @ b - b @ a
-    if kind == "anticommutator":
-        return a @ b + b @ a
-    raise ValueError(f"unknown bracket kind {kind!r}")
-
-
 def hermitian_spectrum(a: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending, real) and orthonormal eigenvectors (columns) of a Hermitian matrix.
 
@@ -117,20 +95,6 @@ def positive_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     plus = hermitianize((v * np.maximum(w, 0.0)) @ dag(v))
     minus = hermitianize((v * np.maximum(-w, 0.0)) @ dag(v))
     return plus, minus
-
-
-def evolution_factor(h: np.ndarray, t: float) -> np.ndarray:
-    """Unitary exp(-iHt) via spectral decomposition of the Hermitian H."""
-    w, v = hermitian_spectrum(h)
-    return (v * np.exp(-1j * w * t)) @ dag(v)
-
-
-def dress(l: np.ndarray, h: np.ndarray, t: float) -> np.ndarray:
-    """Conjugate a coupling operator into the interaction picture: exp(iHt) L exp(-iHt)."""
-    if l.shape[-1] != h.shape[-1]:
-        raise ValueError(f"dimension mismatch: {l.shape} vs {h.shape}")
-    u = evolution_factor(h, t)
-    return dag(u) @ l @ u
 
 
 class Propagator:

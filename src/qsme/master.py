@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TrajectoryAbort
+from .errors import TraceDeviation, TrajectoryAbort
 from .integrate import integrate, keep_frame, replicate
 from .linalg import dag, hermitianize, hs_norm
 from .pure import PureFilterParams
@@ -109,50 +109,17 @@ def nonlinear_sme_step(
             + sum_j [L_j rho + rho L_j† - rho tr(L_j rho + rho L_j†)] dB_j.
 
     Drift and noise coefficients are traceless at unit trace, so the update
-    preserves the trace to roundoff; the input trace is checked against
-    ``STEP_TRACE_TOL``.  Output is exactly Hermitian.
+    preserves the trace to roundoff; an input trace farther than
+    ``STEP_TRACE_TOL`` from 1, or NaN, raises ``TraceDeviation`` naming the
+    first such trajectory.  Output is exactly Hermitian.
     """
     rho = np.asarray(rho, dtype=complex)
-    tr = np.einsum("...ii->...", rho).real
-    if np.max(np.abs(tr - 1.0)) > STEP_TRACE_TOL:
-        raise ValueError(f"input trace deviates from 1 beyond {STEP_TRACE_TOL}")
+    ok = np.abs(np.einsum("...ii->...", rho).real - 1.0) <= STEP_TRACE_TOL  # False for NaN
+    TraceDeviation.unless(ok, f"input trace deviates from 1 beyond {STEP_TRACE_TOL}")
     db = np.asarray(db, dtype=float)
     drift, coef = nonlinear_sme_rhs(rho, p, t)
     noise = np.einsum("n...ij,...n->...ij", coef, db)
     return hermitianize(rho + p.dt * drift + noise)
-
-
-def trace_process_step(
-    value: float | np.ndarray,
-    rho: np.ndarray,
-    ls: np.ndarray,
-    incr: np.ndarray,
-    direction: str = "forward_trace",
-    dt: float | None = None,
-) -> float | np.ndarray:
-    """Euler update of the trace or inverse-trace process.
-
-    ``forward_trace``: d T = T sum_j m_j dY_j         (incr = output dY)
-    ``inverse_trace``: d S = -S sum_j m_j dB_j        (incr = innovation dB)
-
-    with m_j = tr(L_j rho + rho L_j†) evaluated at the current *normalized*
-    state.  Both SDEs are driftless; ``dt`` is accepted for signature
-    symmetry and unused.
-    """
-    value = np.asarray(value, dtype=float)
-    if np.any(value <= 0.0):
-        raise ValueError("trace process value must be positive")
-    m = output_compensators(np.asarray(rho, dtype=complex), ls)
-    kick = np.sum(m * np.asarray(incr), axis=-1)
-    if direction == "forward_trace":
-        out = value * (1.0 + kick)
-    elif direction == "inverse_trace":
-        out = value * (1.0 - kick)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    if np.any(out <= 0.0):
-        raise TrajectoryAbort(f"{direction} process driven nonpositive")
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass

@@ -84,9 +84,6 @@ class InteractionMap:
     @classmethod
     def from_kernel(cls, kernel: np.ndarray) -> "InteractionMap":
         kernel = np.asarray(kernel, dtype=complex)
-        if kernel.ndim == 4:
-            d = kernel.shape[0]
-            kernel = kernel.reshape(d * d, d * d)
         d = int(round(np.sqrt(kernel.shape[0])))
         return cls("hs_kernel", d, kernel=kernel)
 
@@ -94,24 +91,6 @@ class InteractionMap:
     def from_potential(cls, table: np.ndarray) -> "InteractionMap":
         table = np.asarray(table, dtype=float)
         return cls("potential", table.shape[0], table=table)
-
-
-def hermiticity_preserving_kernel(
-    dim: int, rng: np.random.Generator, terms: int = 3, strength: float | None = None
-) -> np.ndarray:
-    """Random dim^2 x dim^2 kernel that maps Hermitian matrices to Hermitian matrices.
-
-    Built as a real combination of maps nu -> M nu + nu M†, optionally scaled
-    to a requested Hilbert-Schmidt operator norm.
-    """
-    eye = np.eye(dim)
-    kernel = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for _ in range(terms):
-        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        kernel += np.kron(m, eye) + np.kron(eye, np.conj(m))
-    if strength is not None:
-        kernel *= strength / operator_norm(kernel)
-    return kernel
 
 
 def apply_interaction(imap: InteractionMap, eta: np.ndarray) -> np.ndarray:
@@ -240,10 +219,7 @@ def mckean_vlasov_solve(cfg: MeanFieldConfig) -> PicardReport:
         nonlocal max_var
         if cfg.mode == "linear":
             traces = np.einsum("mii->m", x).real
-            bad = np.flatnonzero(~(traces > 0.0))
-            if bad.size:
-                raise TrajectoryAbort("trace collapse in a linear-mode trajectory",
-                                      step=k, trajectory=int(bad[0]))
+            TrajectoryAbort.unless(traces > 0.0, "trace collapse in a linear-mode trajectory", k)
             x = x / traces[:, None, None]
         mean = np.mean(x, axis=0)
         spread = x - mean
@@ -285,18 +261,13 @@ class ReweightedEstimate:
     degenerate: bool  # flagged when the effective sample size drops below 10
 
 
-def reweighted_expectation(linear_paths, observable: np.ndarray, time_index: int = -1) -> ReweightedEstimate:
+def reweighted_expectation(gammas: np.ndarray, observable: np.ndarray) -> ReweightedEstimate:
     """Physical-measure expectation of tr(O rho(t)) from reference-measure linear paths.
 
     Under the reference measure (Brownian output) the trace T(t) = tr gamma(t)
-    is the likelihood weight, so E_phys[f] = E_ref[T f] / E_ref[T].  Accepts a
-    sequence of linear TrajectoryRecords or a stacked array of gamma states
-    at one time, shape (M, d, d).
+    is the likelihood weight, so E_phys[f] = E_ref[T f] / E_ref[T].  ``gammas``
+    stacks the linear states of every path at one time, shape (M, d, d).
     """
-    if isinstance(linear_paths, np.ndarray):
-        gammas = linear_paths
-    else:
-        gammas = np.stack([rec.states[time_index] for rec in linear_paths])
     observable = np.asarray(observable, dtype=complex)
     weights = np.einsum("mii->m", gammas).real
     if np.any(weights <= 0.0):

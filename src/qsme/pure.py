@@ -20,7 +20,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import TrajectoryAbort
 from .integrate import integrate, keep_frame, replicate
 from .linalg import Propagator, dag, require_hermitian
 
@@ -211,37 +210,6 @@ def nonlinear_pure_step(
     if renormalize:
         out = out / np.linalg.norm(out, axis=-1, keepdims=True)
     return out
-
-
-def norm_process_step(
-    value: float | np.ndarray,
-    kind: str,
-    compensators: np.ndarray,
-    incr: np.ndarray,
-    dt: float | None = None,
-) -> float | np.ndarray:
-    """Euler update of the scalar norm processes of the linear equation.
-
-    ``square_norm``:          d N = 2 N sum_j <L_Sj> dY_j     (incr = output dY)
-    ``inverse_square_norm``:  d M = -2 M sum_j <L_Sj> dB_j    (incr = innovation dB)
-
-    Both SDEs are driftless; ``dt`` is accepted for signature symmetry with
-    the other steppers and unused.  ``compensators`` holds the per-channel
-    normalized expectations <L_Sj> at the current state.
-    """
-    value = np.asarray(value, dtype=float)
-    if np.any(value <= 0.0):
-        raise ValueError("norm process value must be positive")
-    kick = 2.0 * np.sum(np.asarray(compensators) * np.asarray(incr), axis=-1)
-    if kind == "square_norm":
-        out = value * (1.0 + kick)
-    elif kind == "inverse_square_norm":
-        out = value * (1.0 - kick)
-    else:
-        raise ValueError(f"unknown norm process kind {kind!r}")
-    if np.any(out <= 0.0):
-        raise TrajectoryAbort(f"{kind} process driven nonpositive")
-    return float(out) if out.ndim == 0 else out
 
 
 def mean_map(m: np.ndarray, psi: np.ndarray) -> np.ndarray:

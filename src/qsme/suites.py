@@ -34,7 +34,7 @@ from .master import (
     run_nonlinear_sme,
     simulate_linear_record,
 )
-from .noise import coarsen_increments, sample_wiener, sample_wiener_batch
+from .noise import coarsen_increments, sample_wiener_batch
 from .pure import run_linear
 from .validation import (
     MonteCarloConfig,
@@ -323,8 +323,8 @@ def equivalence_suite(fast: bool = False) -> list[CheckOutcome]:
     d = 4
     gamma0 = random_density(d, rng)
     p = SMEParams(random_hermitian(d, rng), random_operator(d, rng)[None], 1e-3, "schroedinger")
-    path = sample_wiener(1, round(0.5 / p.dt), p.dt, seed)
-    rec = simulate_linear_record(gamma0, p, path.increments)
+    incr = sample_wiener_batch(1, round(0.5 / p.dt), p.dt, seed, 1)[0]
+    rec = simulate_linear_record(gamma0, p, incr)
     back = reconstruct_path(normalize_path(rec), t0=float(np.trace(gamma0).real))
     rel = float(
         np.max(hs_norm(back.states - rec.states)) / np.max(hs_norm(rec.states))
@@ -351,7 +351,7 @@ def equivalence_suite(fast: bool = False) -> list[CheckOutcome]:
     n_paths = 8 if fast else 64
     sums = {4: 0.0, 2: 0.0, 1: 0.0}
     for traj in range(n_paths):
-        fine = sample_wiener(1, fine_steps, fine_dt, seed, trajectory=traj).increments
+        fine = sample_wiener_batch(1, fine_steps, fine_dt, seed, 1, offset=traj)[0]
         for factor in (4, 2, 1):
             dt = fine_dt * factor
             incr = coarsen_increments(fine, factor) if factor > 1 else fine

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qsme import cli, scenario
+from qsme import cli, master, scenario
 from qsme.cli import main
 from qsme.linalg import random_density, random_hermitian, random_ket, random_operator
 from qsme.master import SMEParams, linear_sme_step, run_linear_sme, run_nonlinear_sme
@@ -278,7 +278,7 @@ class TestSimulate:
             steps.append(1)
             return linear_sme_step(*args)
 
-        monkeypatch.setattr(cli, "linear_sme_step", counting_step)
+        monkeypatch.setattr(master, "linear_sme_step", counting_step)
         data = minimal_scenario(
             hamiltonian={"scaled": {"op": "pauli_x", "factor": 0.5}},
             channels=[{"scaled": {"op": "pauli_z", "factor": 20.0}}],
@@ -295,6 +295,50 @@ class TestSimulate:
         report = json.loads(capsys.readouterr().err)
         assert (report["step"], report["trajectory"]) == (1, 0)
         assert len(steps) == 1  # one checkpoint stride
+
+    def test_sme_linear_trace_collapse_without_outputs_exits_3(self, tmp_path, capsys):
+        # with no outputs the checkpoints are t = 0 and the horizon; over a
+        # one-step horizon the collapse is still caught, at step 1
+        data = minimal_scenario(
+            hamiltonian={"scaled": {"op": "pauli_x", "factor": 0.5}},
+            channels=[{"scaled": {"op": "pauli_z", "factor": 20.0}}],
+            rho0={"diag": [0.7, 0.3]},
+            dt=0.01,
+            horizon=0.01,
+            trajectories=50,
+            seed=1,
+            engine="sme_linear",
+            outputs=[],
+        )
+        path = write_scenario(tmp_path, data)
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 3
+        report = json.loads(capsys.readouterr().err)
+        assert report["abort"] is True and "trace" in report["reason"]
+        assert (report["step"], report["trajectory"]) == (1, 0)
+        assert not (tmp_path / "out" / "qubit-smoke.summary.json").exists()
+
+    @pytest.mark.parametrize("engine", ["sme_nonlinear", "meanfield"])
+    def test_diverging_density_run_exits_3(self, tmp_path, capsys, engine):
+        # L = 5 sigma_z at dt = 0.1 blows the normalized state up until its
+        # trace leaves 1; this once escaped as a ValueError traceback, exit 1
+        data = minimal_scenario(
+            hamiltonian={"scaled": {"op": "pauli_x", "factor": 0.3}},
+            channels=[{"scaled": {"op": "pauli_z", "factor": 5.0}}],
+            rho0={"diag": [0.7, 0.3]},
+            dt=0.1,
+            horizon=2.0,
+            trajectories=50,
+            seed=1,
+            engine=engine,
+            outputs=[{"observable": "pauli_z", "stride": 1, "label": "pauli_z"}],
+        )
+        if engine == "meanfield":
+            data["meanfield"] = {"interaction": {"variant": "potential", "table": [[1.0, -1.0], [-1.0, 1.0]]}}
+        path = write_scenario(tmp_path, data)
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 3
+        report = json.loads(capsys.readouterr().err)
+        assert report["abort"] is True and "trace" in report["reason"]
+        assert (report["step"], report["trajectory"]) == (4, 1)
 
     def test_pure_linear_vanishing_norm_exits_3(self, tmp_path, capsys):
         # a strong channel at small dt shrinks every linear ket until both

@@ -4,8 +4,6 @@ import pytest
 from qsme.ensemble import (
     WeightedEnsemble,
     decompose_state,
-    ensemble_step,
-    reconstruct_density,
     run_ensemble,
 )
 from qsme.integrate import integrate
@@ -15,10 +13,11 @@ from qsme.meanfield import (
     InteractionMap,
     MeanFieldConfig,
     frozen_field_step,
-    hermiticity_preserving_kernel,
     mckean_vlasov_solve,
 )
 from qsme.noise import sample_wiener_batch
+
+from oracles import ensemble_step, hermiticity_preserving_kernel, reconstruct_density
 
 
 def test_checkpoints_observe_every_stride_from_zero():

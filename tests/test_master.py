@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsme.errors import TrajectoryAbort
+from qsme.errors import TraceDeviation, TrajectoryAbort
 from qsme.linalg import (
     SIGMA_X,
     SIGMA_Z,
@@ -21,14 +21,12 @@ from qsme.master import (
     linear_sme_step,
     nonlinear_sme_step,
     normalize_path,
-    output_compensators,
     reconstruct_path,
     run_linear_sme,
     run_nonlinear_sme,
     simulate_linear_record,
-    trace_process_step,
 )
-from qsme.noise import coarsen_increments, sample_wiener, sample_wiener_batch
+from qsme.noise import coarsen_increments, sample_wiener_batch
 from qsme.pure import PureFilterParams, run_linear, run_nonlinear
 
 
@@ -91,7 +89,7 @@ class TestLinearStep:
         sums = {4: 0.0, 2: 0.0, 1: 0.0}
         n_paths = 16
         for traj in range(n_paths):
-            fine = sample_wiener(1, round(0.5 / fine_dt), fine_dt, 89, trajectory=traj).increments
+            fine = sample_wiener_batch(1, round(0.5 / fine_dt), fine_dt, 89, 1, offset=traj)[0]
             for factor in (4, 2, 1):
                 dt = fine_dt * factor
                 incr = coarsen_increments(fine, factor) if factor > 1 else fine
@@ -131,6 +129,28 @@ class TestNonlinearStep:
         with pytest.raises(ValueError, match="trace"):
             nonlinear_sme_step(np.diag([0.8, 0.1]).astype(complex), p, np.zeros(1))
 
+    def test_rejects_nan_input(self):
+        # |tr - 1| > tol is False for NaN, so the guard must be written the other way
+        p = SMEParams(np.zeros((2, 2)), SIGMA_Z[None], 1e-3)
+        with pytest.raises(ValueError, match="trace"):
+            nonlinear_sme_step(np.full((2, 2), np.nan, dtype=complex), p, np.zeros(1))
+        batch = np.stack([np.diag([0.5, 0.5]), np.diag([np.nan, 0.5]), np.diag([0.8, 0.1])]).astype(complex)
+        with pytest.raises(TraceDeviation) as exc:
+            nonlinear_sme_step(batch, p, np.zeros((3, 1)))
+        assert (exc.value.step, exc.value.trajectory) == (None, 1)
+
+    def test_run_locates_diverging_trajectory(self):
+        # a strong channel at a coarse step drives some trajectory's state to
+        # a trace off 1; the run names the step and the trajectory
+        p = SMEParams(0.3 * SIGMA_X, 5.0 * SIGMA_Z[None], 0.1)
+        incr = sample_wiener_batch(1, 20, 0.1, seed=1, n_traj=50)
+        with pytest.raises(TrajectoryAbort) as exc:
+            run_nonlinear_sme(np.diag([0.7, 0.3]), p, incr)
+        k, m = exc.value.step, exc.value.trajectory
+        assert k is not None and m is not None
+        states = run_nonlinear_sme(np.diag([0.7, 0.3]), p, incr[m : m + 1, :k], checkpoint_stride=k)
+        assert abs(np.trace(states[-1, 0]).real - 1.0) > 1e-8
+
     def test_mean_matches_deterministic_lindblad(self):
         rng = np.random.default_rng(7)
         p = moderate_qubit(rng)
@@ -148,19 +168,35 @@ class TestNonlinearStep:
 
 
 class TestTraceProcess:
+    """The trace process T(t) as ``reconstruct_path`` rebuilds it from a normalized record.
+
+    T_{k+1} = T_k (1 + sum_j m_j dY_j), m_j = tr(L_j rho + rho L_j†) at rho_k.
+    """
+
+    @staticmethod
+    def normalized(rho, l, db, dt=1e-3):
+        rho = np.asarray(rho, complex)
+        steps = len(db)
+        return TrajectoryRecord(
+            dt * np.arange(steps + 1), np.stack([rho] * (steps + 1)), np.asarray(db, float)[:, None],
+            np.ones(steps + 1), "normalized", SMEParams(np.zeros((2, 2)), np.asarray(l, complex)[None], dt),
+        )
+
     def test_traceless_compensator_is_constant(self):
-        rho = 0.5 * np.eye(2, dtype=complex)
-        out = trace_process_step(2.5, rho, SIGMA_Z[None], np.array([0.3]))
-        assert out == 2.5
+        rec = self.normalized(0.5 * np.eye(2), SIGMA_Z, [0.3, -0.2, 0.1])  # m = tr(sigma_z) = 0
+        assert np.all(reconstruct_path(rec, t0=2.5).trace == 2.5)
 
     def test_rejects_nonpositive_value(self):
+        rec = self.normalized(0.5 * np.eye(2), SIGMA_Z, [0.0])
         with pytest.raises(ValueError):
-            trace_process_step(-1.0, 0.5 * np.eye(2, dtype=complex), SIGMA_Z[None], np.zeros(1))
+            reconstruct_path(rec, t0=-1.0)
 
     def test_abort_on_sign_loss(self):
-        rho = np.diag([1.0, 0.0]).astype(complex)  # m = tr(sigma_z rho)*2 = 2
-        with pytest.raises(TrajectoryAbort):
-            trace_process_step(1.0, rho, SIGMA_Z[None], np.array([-0.6]))
+        # m = 2 tr(sigma_z rho) = 2, so dY = -0.6 + 2 dt takes T through zero at step 1
+        rec = self.normalized(np.diag([1.0, 0.0]), SIGMA_Z, [0.01, -0.6])
+        with pytest.raises(TrajectoryAbort) as exc:
+            reconstruct_path(rec)
+        assert exc.value.step == 1
 
     def test_trace_martingale(self):
         rng = np.random.default_rng(9)
@@ -173,47 +209,19 @@ class TestTraceProcess:
             se = traces[k].std(ddof=1) / np.sqrt(traces.shape[1])
             assert abs(traces[k].mean() - 1.0) <= 3 * se
 
-    def test_forward_inverse_product_stays_near_one(self):
-        # T(t) * (1/T)(t) -> 1 under step halving (coupled noise)
-        rng = np.random.default_rng(11)
-        p0 = moderate_qubit(rng)
-        g0 = random_density(2, rng)
-        fine_dt = 5e-4
-        sums = {4: 0.0, 2: 0.0, 1: 0.0}
-        n_paths = 16
-        for traj in range(n_paths):
-            fine = sample_wiener(1, round(0.5 / fine_dt), fine_dt, 91, trajectory=traj).increments
-            for factor in (4, 2, 1):
-                dt = fine_dt * factor
-                incr = coarsen_increments(fine, factor) if factor > 1 else fine
-                pm = SMEParams(p0.h, p0.ls, dt)
-                rec = simulate_linear_record(g0, pm, incr)
-                rhos = rec.states / np.einsum("kii->k", rec.states).real[:, None, None]
-                m = output_compensators(rhos[:-1], pm.ls)
-                fwd, inv, worst = 1.0, 1.0, 0.0
-                for k in range(incr.shape[0]):
-                    db = incr[k] - m[k] * dt
-                    fwd = trace_process_step(fwd, rhos[k], pm.ls, incr[k], "forward_trace")
-                    inv = trace_process_step(inv, rhos[k], pm.ls, db, "inverse_trace")
-                    worst = max(worst, abs(fwd * inv - 1.0))
-                sums[factor] += worst
-        gaps = [sums[f] / n_paths for f in (4, 2, 1)]
-        assert gaps[1] <= 0.85 * gaps[0]
-        assert gaps[2] <= 0.85 * gaps[1]
-
 
 class TestPathTransforms:
     def _record(self, seed=12, steps=300, dt=1e-3):
         rng = np.random.default_rng(seed)
         p = moderate_qubit(rng, dt)
         gamma0 = random_density(2, rng)
-        incr = sample_wiener(1, steps, dt, seed + 1).increments
+        incr = sample_wiener_batch(1, steps, dt, seed + 1, 1)[0]
         return simulate_linear_record(gamma0, p, incr)
 
     def test_constant_trace_path_normalizes_trivially(self):
         # L = 0: trace is constant, rho = gamma, B = Y
         p = SMEParams(0.4 * SIGMA_X, np.zeros((1, 2, 2)), 1e-3)
-        incr = sample_wiener(1, 50, 1e-3, 13).increments
+        incr = sample_wiener_batch(1, 50, 1e-3, 13, 1)[0]
         rec = simulate_linear_record(random_density(2, np.random.default_rng(13)), p, incr)
         norm = normalize_path(rec)
         assert np.allclose(norm.states, rec.states, atol=1e-12)
@@ -321,7 +329,7 @@ class TestRankOneNonlinearConsistency:
         sums = {4: 0.0, 2: 0.0, 1: 0.0}
         n_paths = 16
         for traj in range(n_paths):
-            fine = sample_wiener(1, round(0.5 / fine_dt), fine_dt, 90, trajectory=traj).increments
+            fine = sample_wiener_batch(1, round(0.5 / fine_dt), fine_dt, 90, 1, offset=traj)[0]
             for factor in (4, 2, 1):
                 dt = fine_dt * factor
                 incr = coarsen_increments(fine, factor) if factor > 1 else fine
@@ -340,7 +348,7 @@ class TestRecordSerialization:
     def _record(self):
         rng = np.random.default_rng(27)
         p = moderate_qubit(rng)
-        incr = sample_wiener(1, 20, 1e-3, 28).increments
+        incr = sample_wiener_batch(1, 20, 1e-3, 28, 1)[0]
         return simulate_linear_record(random_density(2, rng), p, incr)
 
     def test_record_validation(self):

@@ -3,43 +3,46 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsme.noise import (
-    coarsen_increments,
-    convert_noise,
-    sample_wiener,
-    sample_wiener_batch,
-    trajectory_seed,
-)
+from qsme.linalg import SIGMA_X, SIGMA_Z, random_density, random_operator
+from qsme.master import SMEParams, TrajectoryRecord, normalize_path, reconstruct_path, simulate_linear_record
+from qsme.noise import coarsen_increments, sample_wiener_batch, trajectory_seed
 
 
 class TestSampling:
     def test_deterministic_given_seed(self):
-        a = sample_wiener(2, 100, 1e-3, seed=123)
-        b = sample_wiener(2, 100, 1e-3, seed=123)
-        assert np.array_equal(a.increments, b.increments)
+        a = sample_wiener_batch(2, 100, 1e-3, seed=123, n_traj=1)
+        b = sample_wiener_batch(2, 100, 1e-3, seed=123, n_traj=1)
+        assert np.array_equal(a, b)
 
     def test_distinct_trajectories_differ(self):
-        a = sample_wiener(1, 50, 1e-3, seed=123, trajectory=0)
-        b = sample_wiener(1, 50, 1e-3, seed=123, trajectory=1)
-        assert not np.array_equal(a.increments, b.increments)
+        a = sample_wiener_batch(1, 50, 1e-3, seed=123, n_traj=1, offset=0)
+        b = sample_wiener_batch(1, 50, 1e-3, seed=123, n_traj=1, offset=1)
+        assert not np.array_equal(a, b)
 
     def test_batch_matches_individual(self):
-        batch = sample_wiener_batch(2, 30, 1e-2, seed=9, n_traj=5, offset=3)
-        one = sample_wiener(2, 30, 1e-2, seed=9, trajectory=4)
-        assert np.array_equal(batch[1], one.increments)
+        # row m of an offset-o batch is bitwise the single-row batch at offset o + m
+        for offset, n_traj in [(0, 4), (3, 5), (17, 3)]:
+            batch = sample_wiener_batch(2, 30, 1e-2, seed=9, n_traj=n_traj, offset=offset)
+            assert batch.shape == (n_traj, 30, 2)
+            for m in range(n_traj):
+                one = sample_wiener_batch(2, 30, 1e-2, seed=9, n_traj=1, offset=offset + m)
+                assert np.array_equal(batch[m], one[0])
 
     def test_moments(self):
         dt = 1e-3
-        path = sample_wiener(1, 100_000, dt, seed=77)
-        x = path.increments.ravel()
+        x = sample_wiener_batch(1, 100_000, dt, seed=77, n_traj=1).ravel()
         assert abs(x.mean()) <= 3 * np.sqrt(dt / x.size)
         assert abs(x.var() - dt) <= 0.05 * dt
 
     def test_invalid_args_rejected(self):
         with pytest.raises(ValueError):
-            sample_wiener(0, 10, 1e-3, 1)
+            sample_wiener_batch(0, 10, 1e-3, 1, n_traj=2)
         with pytest.raises(ValueError):
-            sample_wiener(1, 10, -1e-3, 1)
+            sample_wiener_batch(1, 0, 1e-3, 1, n_traj=2)
+        with pytest.raises(ValueError):
+            sample_wiener_batch(1, 10, -1e-3, 1, n_traj=2)
+        with pytest.raises(ValueError):
+            sample_wiener_batch(1, 10, 0.0, 1, n_traj=2)
 
     def test_cross_trajectory_correlation(self):
         # sub-seeded streams look independent: pairwise correlation of the
@@ -55,36 +58,49 @@ class TestSampling:
 
 
 class TestConvertNoise:
+    """Output <-> innovation increments where the package converts them.
+
+    ``normalize_path`` maps dY to dB = dY - m dt and ``reconstruct_path``
+    maps dB back to dY = dB + m dt, with m_j = tr(L_j rho + rho L_j†) at the
+    normalized state of the same step.
+    """
+
+    @staticmethod
+    def record(l, gamma0, steps=200, dt=1e-3, seed=1, h=None):
+        p = SMEParams(np.zeros((2, 2)) if h is None else h, np.asarray(l, complex)[None], dt)
+        incr = sample_wiener_batch(1, steps, dt, seed, n_traj=1)[0]
+        return simulate_linear_record(np.asarray(gamma0, complex), p, incr)
+
     def test_zero_compensator_is_bitwise_identity(self):
-        y = sample_wiener(2, 200, 1e-3, seed=1).increments
-        comp = np.zeros_like(y)
-        b = convert_noise("output_to_innovation", y, comp, 1e-3)
-        assert np.array_equal(b, y)
-        assert np.array_equal(convert_noise("innovation_to_output", b, comp, 1e-3), y)
+        # an anti-Hermitian channel has m = 2 Re tr(L rho) = 0 at every state
+        rec = self.record(0.5j * SIGMA_Z, np.diag([0.6, 0.4]), h=0.3 * SIGMA_X)
+        norm = normalize_path(rec)
+        assert np.array_equal(norm.noise, rec.noise)
+        assert np.array_equal(reconstruct_path(norm).noise, rec.noise)
 
     def test_eigenstate_compensator_value(self):
-        # phi = (1,0), L = sigma_z: compensator 2<L_S> = 2, so dB = dY - 2 dt
+        # rho = |0><0| stays put under L = sigma_z with compensator 2<L_S> = 2,
+        # so dB = dY - 2 dt
         dt = 0.01
-        dy = np.array([[0.3]])
-        db = convert_noise("output_to_innovation", dy, np.array([[2.0]]), dt)
-        assert np.allclose(db, 0.3 - 2 * dt)
+        rec = self.record(SIGMA_Z, np.diag([1.0, 0.0]), steps=20, dt=dt)
+        assert np.allclose(normalize_path(rec).noise, rec.noise - 2 * dt, rtol=0, atol=1e-15)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            convert_noise("output_to_innovation", np.zeros((5, 2)), np.zeros((5, 3)), 0.1)
+        rec = self.record(SIGMA_Z, np.diag([0.6, 0.4]), steps=5)
+        with pytest.raises(ValueError, match="lengths"):
+            TrajectoryRecord(rec.times, rec.states, rec.noise[:-1], rec.trace, "linear", rec.params)
 
     @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 10.0))
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 2.0))
     def test_round_trip_within_rounding(self, seed, scale):
         # floating-point subtraction is lossy, so the algebraic inverse is
-        # exact only up to one rounding per direction; see the docstring
+        # exact only up to one rounding per direction
         dt = 1e-3
         rng = np.random.default_rng(seed)
-        y = rng.normal(0.0, np.sqrt(dt), size=(64, 2))
-        comp = rng.uniform(-scale, scale, size=(64, 2))
-        b = convert_noise("output_to_innovation", y, comp, dt)
-        y2 = convert_noise("innovation_to_output", b, comp, dt)
-        assert np.all(np.abs(y2 - y) <= 2 * np.spacing(np.abs(y) + np.abs(comp) * dt))
+        rec = self.record(scale * random_operator(2, rng), random_density(2, rng), steps=64, seed=seed)
+        m_dt = np.abs(rec.noise - normalize_path(rec).noise)
+        y2 = reconstruct_path(normalize_path(rec), t0=rec.trace[0]).noise
+        assert np.all(np.abs(y2 - rec.noise) <= 2 * np.spacing(np.abs(rec.noise) + m_dt))
 
 
 class TestRefinement:

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsme.errors import TrajectoryAbort
 from qsme.linalg import (
     SIGMA_X,
     SIGMA_Z,
@@ -12,7 +11,7 @@ from qsme.linalg import (
     random_ket,
     random_operator,
 )
-from qsme.noise import coarsen_increments, sample_wiener, sample_wiener_batch
+from qsme.noise import coarsen_increments, sample_wiener_batch
 from qsme.pure import (
     PICTURES,
     PureFilterParams,
@@ -21,7 +20,6 @@ from qsme.pure import (
     linear_pure_step,
     mean_map,
     nonlinear_pure_step,
-    norm_process_step,
     run_linear,
     run_nonlinear,
 )
@@ -72,7 +70,7 @@ class TestLinearStep:
         l = random_operator(d, rng)
         chi0 = random_ket(d, rng)
         fine_dt = 2.5e-4
-        fine = sample_wiener(1, round(0.5 / fine_dt), fine_dt, 66).increments
+        fine = sample_wiener_batch(1, round(0.5 / fine_dt), fine_dt, 66, 1)[0]
         errs = []
         for factor in (4, 2, 1):
             dt = fine_dt * factor
@@ -186,17 +184,6 @@ class TestNonlinearStep:
 
 
 class TestNormProcess:
-    def test_constant_without_compensator(self):
-        assert norm_process_step(2.0, "square_norm", np.zeros(2), np.array([0.3, -0.1])) == 2.0
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            norm_process_step(0.0, "square_norm", np.zeros(1), np.zeros(1))
-
-    def test_abort_on_collapse(self):
-        with pytest.raises(TrajectoryAbort):
-            norm_process_step(1.0, "square_norm", np.array([1.0]), np.array([-0.6]))
-
     def test_square_norm_martingale(self):
         # mean of ||chi(t)||^2 under Brownian output stays at its start
         p = qubit_params(l=SIGMA_X, h=0.5 * SIGMA_Z)
@@ -206,38 +193,6 @@ class TestNormProcess:
         for k in range(1, norms2.shape[0]):
             se = norms2[k].std(ddof=1) / np.sqrt(norms2.shape[1])
             assert abs(norms2[k].mean() - 1.0) <= 3 * se
-
-    def test_scalar_sde_tracks_direct_norm(self):
-        # side by side: the scalar SDE tracks the norm of the linear path and
-        # the gap vanishes under step halving (strong rate ~ sqrt(dt): the
-        # scalar update has no dY^2 term, so the unmatched quadratic
-        # variation dominates)
-        rng = np.random.default_rng(77)
-        h = random_hermitian(2, rng)
-        l = random_operator(2, rng)
-        chi0 = random_ket(2, rng)
-        fine_dt = 5e-4
-        ls_sym = 0.5 * (l + l.conj().T)
-        sums = {4: 0.0, 2: 0.0, 1: 0.0}
-        n_paths = 16
-        for traj in range(n_paths):
-            fine = sample_wiener(1, round(0.5 / fine_dt), fine_dt, 78, trajectory=traj).increments
-            for factor in (4, 2, 1):
-                dt = fine_dt * factor
-                incr = coarsen_increments(fine, factor) if factor > 1 else fine
-                p = PureFilterParams(h, l[None], dt)
-                chi = chi0.copy()
-                value = 1.0
-                worst = 0.0
-                for k in range(incr.shape[0]):
-                    comp = np.array([expectation(ls_sym, chi).real])
-                    value = norm_process_step(value, "square_norm", comp, incr[k])
-                    chi = linear_pure_step(chi, p, incr[k])
-                    worst = max(worst, abs(value - float(np.sum(np.abs(chi) ** 2))))
-                sums[factor] += worst
-        gaps = [sums[f] / n_paths for f in (4, 2, 1)]
-        assert gaps[1] <= 0.85 * gaps[0]
-        assert gaps[2] <= 0.85 * gaps[1]
 
 
 class TestGrowthBound:
