@@ -4,9 +4,10 @@ Exit codes: 0 ok, 1 validation-suite failure, 2 config error (including a
 duplicate output label or one that would break CSV rows, and a run whose
 estimated noise and checkpoint memory exceeds physical memory),
 3 runtime abort (trace collapse, a nonpositive sme_linear or linear-mode
-meanfield trace, a normalized density whose trace leaves 1 as a diverging
-sme_nonlinear or meanfield run blows up, a vanished ensemble norm, a
-non-finite observable value, Picard non-convergence), 4 I/O failure.
+meanfield trace, a normalized density whose trace leaves 1 or whose purity
+tr rho^2 exceeds 2 as a diverging sme_nonlinear or meanfield run blows up, a
+vanished ensemble norm, a non-finite observable value, Picard
+non-convergence), 4 I/O failure.
 """
 
 from __future__ import annotations

@@ -5,7 +5,10 @@ output process Y; its trace is the likelihood weight.  The normalized
 equation evolves a density operator rho driven by the innovation process B
 and preserves the trace exactly.  ``normalize_path`` / ``reconstruct_path``
 realize the correspondence between the two at the discrete level, with
-left-point (Ito) evaluation of every coefficient.
+left-point (Ito) evaluation of every coefficient.  The same correspondence
+gives the normalized stepper: one Euler step of it is the linear update at
+dY = dB minus (m·dB) rho, so the drift lives only in the update both
+steppers share, with ``lindblad_generator`` as the dissipator.
 
 The deterministic (noise-averaged) Lindblad solver doubles as a test oracle:
 the innovation term of the normalized equation has zero mean under a Brownian
@@ -65,6 +68,21 @@ def _noise_coefficients(x: np.ndarray, ls: np.ndarray) -> np.ndarray:
     return lx + dag(lx)
 
 
+def _sme_update(
+    gamma: np.ndarray, p: SMEParams, ls_t: np.ndarray, dy: np.ndarray
+) -> np.ndarray:
+    """gamma + dt (-i[H, gamma] + Dissipator(gamma)) + sum_j (L_j gamma + gamma L_j†) dY_j, unsymmetrized.
+
+    ``ls_t`` are the channels already dressed for the step; the commutator is
+    dropped in the interaction picture.
+    """
+    drift = lindblad_generator(gamma, ls_t)
+    if p.picture == "schroedinger":
+        drift = drift - 1j * (p.h @ gamma - gamma @ p.h)
+    noise = np.einsum("n...ij,...n->...ij", _noise_coefficients(gamma, ls_t), dy)
+    return gamma + p.dt * drift + noise
+
+
 def linear_sme_step(
     gamma: np.ndarray, p: SMEParams, dy: np.ndarray, t: float = 0.0
 ) -> np.ndarray:
@@ -77,27 +95,7 @@ def linear_sme_step(
     gamma = np.asarray(gamma, dtype=complex)
     if gamma.shape[-1] != p.dim:
         raise ValueError(f"state dimension {gamma.shape[-1]} != params dimension {p.dim}")
-    dy = np.asarray(dy, dtype=float)
-    ls_t = p.channel_ops(t)
-    drift = lindblad_generator(gamma, ls_t)
-    if p.picture == "schroedinger":
-        drift = drift - 1j * (p.h @ gamma - gamma @ p.h)
-    noise = np.einsum("n...ij,...n->...ij", _noise_coefficients(gamma, ls_t), dy)
-    return hermitianize(gamma + p.dt * drift + noise)
-
-
-def nonlinear_sme_rhs(
-    rho: np.ndarray, p: SMEParams, t: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drift and per-channel noise coefficients of the normalized equation at rho."""
-    ls_t = p.channel_ops(t)
-    drift = lindblad_generator(rho, ls_t)
-    if p.picture == "schroedinger":
-        drift = drift - 1j * (p.h @ rho - rho @ p.h)
-    coef = _noise_coefficients(rho, ls_t)
-    m = output_compensators(rho, ls_t)
-    coef = coef - np.moveaxis(m, -1, 0)[..., None, None] * rho
-    return drift, coef
+    return hermitianize(_sme_update(gamma, p, p.channel_ops(t), np.asarray(dy, dtype=float)))
 
 
 def nonlinear_sme_step(
@@ -106,20 +104,29 @@ def nonlinear_sme_step(
     """One Euler update of the normalized (nonlinear) stochastic master equation.
 
     d rho = -i[H, rho] dt + Dissipator(rho) dt
-            + sum_j [L_j rho + rho L_j† - rho tr(L_j rho + rho L_j†)] dB_j.
+            + sum_j [L_j rho + rho L_j† - rho tr(L_j rho + rho L_j†)] dB_j,
 
-    Drift and noise coefficients are traceless at unit trace, so the update
-    preserves the trace to roundoff; an input trace farther than
-    ``STEP_TRACE_TOL`` from 1, or NaN, raises ``TraceDeviation`` naming the
+    computed as the linear update at dY = dB minus (m·dB) rho, with
+    m = ``output_compensators(rho, L_t)``: rho = gamma / tr gamma and
+    dB = dY - m dt turn one equation into the other.  Drift and noise
+    coefficients are traceless at unit trace, so the update preserves the
+    trace to roundoff.  An input trace farther than ``STEP_TRACE_TOL`` from 1,
+    or NaN, raises ``TraceDeviation``, and an output purity tr rho^2 above 2
+    (a density has at most 1) raises ``TrajectoryAbort``, each naming the
     first such trajectory.  Output is exactly Hermitian.
     """
     rho = np.asarray(rho, dtype=complex)
     ok = np.abs(np.einsum("...ii->...", rho).real - 1.0) <= STEP_TRACE_TOL  # False for NaN
     TraceDeviation.unless(ok, f"input trace deviates from 1 beyond {STEP_TRACE_TOL}")
     db = np.asarray(db, dtype=float)
-    drift, coef = nonlinear_sme_rhs(rho, p, t)
-    noise = np.einsum("n...ij,...n->...ij", coef, db)
-    return hermitianize(rho + p.dt * drift + noise)
+    ls_t = p.channel_ops(t)
+    m_db = np.einsum("...n,...n->...", output_compensators(rho, ls_t), db)
+    out = _sme_update(rho, p, ls_t, db)
+    out -= m_db[..., None, None] * rho
+    out = hermitianize(out)
+    purity = np.einsum("...ij,...ji->...", out, out).real
+    TrajectoryAbort.unless(purity <= 2.0, "normalized density purity tr rho^2 exceeds 2")  # False for NaN
+    return out
 
 
 @dataclass

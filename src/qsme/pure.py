@@ -7,6 +7,11 @@ Two equivalent descriptions are implemented:
 * the trace-preserving nonlinear equation for the normalized state phi driven
   by the innovation process B.
 
+The drift lives in one place, ``PureFilterParams.linear_step_matrix``: the
+nonlinear step is the linear step at dY = dB + a dt, with the compensators
+a_j = Re<phi|L_j phi> / ||phi||^2 of ``ket_compensators``, minus a term along
+phi; the innovation-driven linear run feeds dY = dB + 2 a dt.
+
 All steppers are pure functions of (state, params, increments) and broadcast
 over leading batch axes, so Monte Carlo runs are vectorized over trajectories.
 States evolved in the interaction picture are mapped back to the Schroedinger
@@ -29,11 +34,6 @@ PICTURES = ("schroedinger", "interaction")
 def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Matrix times batched vector: (d,d) @ (..., d)."""
     return np.einsum("ij,...j->...i", a, x)
-
-
-def _channel_mv(ls: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """All channel operators applied to a batched vector, result (n, ..., d)."""
-    return np.einsum("nij,...j->n...i", ls, x)
 
 
 def stacked_transpose(ops: np.ndarray) -> np.ndarray:
@@ -143,10 +143,14 @@ def expectation(op: np.ndarray, phi: np.ndarray) -> complex | np.ndarray:
     return complex(val) if val.ndim == 0 else val
 
 
-def _symmetric_expectations(ls_sym: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """<L_Sj> for every channel, shape (..., n); real by hermiticity."""
+def ket_compensators(phi: np.ndarray, ls: np.ndarray) -> np.ndarray:
+    """a_j = Re<phi|L_j phi> / ||phi||^2 = <L_Sj>, shape (..., n).
+
+    Half the density compensator m_j = tr(L_j rho + rho L_j†) at
+    rho = |phi><phi| / ||phi||^2.
+    """
     nrm2 = np.sum(np.abs(phi) ** 2, axis=-1)
-    vals = np.einsum("...i,nij,...j->...n", np.conj(phi), ls_sym, phi).real
+    vals = np.einsum("...i,nij,...j->...n", np.conj(phi), ls, phi).real
     return vals / nrm2[..., None]
 
 
@@ -179,34 +183,23 @@ def nonlinear_pure_step(
 ) -> np.ndarray:
     """One Euler update of the trace-preserving nonlinear filtering equation.
 
-    d phi = -[i(H - sum_j <L_Sj> L_Aj) + (1/2) sum_j (L_j - <L_Sj>)†(L_j - <L_Sj>)] phi dt
-            + sum_j (L_j - <L_Sj>) phi dB_j,
+    d phi = -[i(H - sum_j a_j L_Aj) + (1/2) sum_j (L_j - a_j)†(L_j - a_j)] phi dt
+            + sum_j (L_j - a_j) phi dB_j,
 
-    with <L_Sj> the normalized expectation of the symmetric part of L_j.  The
-    continuous equation preserves the norm but Euler does not, so the result
-    is renormalized by default; pass ``renormalize=False`` to observe the raw
-    per-step norm defect.
+    with a_j = <L_Sj> the normalized expectation of the symmetric part of L_j
+    (``ket_compensators``).  Expanded, this is the linear step at
+    dY = dB + a dt minus (a·dB + (1/2) dt |a|^2) phi, which is how it is
+    computed.  The continuous equation preserves the norm but Euler does not,
+    so the result is renormalized by default; pass ``renormalize=False`` to
+    observe the raw per-step norm defect.
     """
     phi = np.asarray(phi, dtype=complex)
     if np.any(np.sum(np.abs(phi) ** 2, axis=-1) == 0.0):
         raise ValueError("nonlinear step undefined for the zero vector")
     db = np.asarray(db, dtype=float)
-    ls_t = p.channel_ops(t)
-    ls_sym = 0.5 * (ls_t + dag(ls_t))
-    ls_asym = (ls_t - dag(ls_t)) / 2j
-    a = _symmetric_expectations(ls_sym, phi)  # (..., n)
-
-    shifted = _channel_mv(ls_t, phi) - np.moveaxis(a, -1, 0)[..., None] * phi  # (n, ..., d)
-    quad = np.einsum("nji,n...j->n...i", np.conj(ls_t), shifted) - (
-        np.moveaxis(a, -1, 0)[..., None] * shifted
-    )
-    drift = -0.5 * quad.sum(axis=0)
-    drift = drift + 1j * np.einsum("n...i,...n->...i", _channel_mv(ls_asym, phi), a)
-    if p.picture == "schroedinger":
-        drift = drift - 1j * _mv(p.h, phi)
-    noise = np.einsum("n...i,...n->...i", shifted, db)
-
-    out = phi + p.dt * drift + noise
+    a = ket_compensators(phi, p.channel_ops(t))  # (..., n)
+    out = linear_pure_step(phi, p, db + a * p.dt, t)
+    out = out - np.sum(a * db + 0.5 * p.dt * a**2, axis=-1)[..., None] * phi
     if renormalize:
         out = out / np.linalg.norm(out, axis=-1, keepdims=True)
     return out
@@ -252,10 +245,11 @@ def run_linear(
 
     ``increments`` has shape (..., steps, n).  With ``innovation_driven`` the
     given increments are innovations dB and the output is synthesized per step
-    as dY_j = dB_j + <L_j + L_j†> dt, i.e. the linear equation under the
-    physical measure.  Returns an array of shape (K+1, ..., d) of states in
-    the Schroedinger frame, where K = steps // checkpoint_stride; a
-    per-checkpoint ``reduce(frame, k)`` stores its result instead.
+    as dY_j = dB_j + 2 a_j dt = dB_j + <L_j + L_j†> dt, with a from
+    ``ket_compensators``, i.e. the linear equation under the physical
+    measure.  Returns an array of shape (K+1, ..., d) of states in the
+    Schroedinger frame, where K = steps // checkpoint_stride; a per-checkpoint
+    ``reduce(frame, k)`` stores its result instead.
     """
     increments = np.asarray(increments, dtype=float)
 
@@ -263,9 +257,7 @@ def run_linear(
         t = k * p.dt
         dy = increments[..., k, :]
         if innovation_driven:
-            ls_t = p.channel_ops(t)
-            comp = 2.0 * _symmetric_expectations(0.5 * (ls_t + dag(ls_t)), chi)
-            dy = dy + comp * p.dt
+            dy = dy + 2.0 * ket_compensators(chi, p.channel_ops(t)) * p.dt
         return linear_pure_step(chi, p, dy, t)
 
     chi = replicate(np.asarray(chi0, dtype=complex), increments.shape[:-2])

@@ -27,7 +27,7 @@ from .linalg import (
 )
 from .master import (
     SMEParams,
-    nonlinear_sme_rhs,
+    nonlinear_sme_step,
     normalize_path,
     reconstruct_path,
     run_linear_sme,
@@ -293,10 +293,7 @@ def _residual_max(rec) -> float:
     p = rec.params
     worst = 0.0
     for k in range(rec.noise.shape[0]):
-        drift, coef = nonlinear_sme_rhs(rec.states[k], p, k * p.dt)
-        predicted = rec.states[k] + p.dt * drift + np.einsum(
-            "nij,n->ij", coef, rec.noise[k]
-        )
+        predicted = nonlinear_sme_step(rec.states[k], p, rec.noise[k], k * p.dt)
         worst = max(worst, float(hs_norm(rec.states[k + 1] - predicted)))
     return worst
 

@@ -10,6 +10,7 @@ GONE = [
     "WienerPath", "sample_wiener", "trajectory_rng", "convert_noise", "bracket", "norms", "trace_norm",
     "norm_process_step", "trace_process_step", "evolution_factor", "dress", "ensemble_step",
     "shared_feedback", "reconstruct_density", "hermiticity_preserving_kernel",
+    "nonlinear_sme_rhs", "_symmetric_expectations", "_channel_mv",
 ]
 SUBMODULES = [importlib.import_module(f"qsme.{m.name}") for m in pkgutil.iter_modules(qsme.__path__)]
 

@@ -317,16 +317,16 @@ class TestSimulate:
         assert (report["step"], report["trajectory"]) == (1, 0)
         assert not (tmp_path / "out" / "qubit-smoke.summary.json").exists()
 
-    @pytest.mark.parametrize("engine", ["sme_nonlinear", "meanfield"])
-    def test_diverging_density_run_exits_3(self, tmp_path, capsys, engine):
-        # L = 5 sigma_z at dt = 0.1 blows the normalized state up until its
-        # trace leaves 1; this once escaped as a ValueError traceback, exit 1
+    @staticmethod
+    def diverging_density_run(tmp_path, capsys, engine, horizon):
+        # L = 5 sigma_z at dt = 0.1 blows the normalized state up: the first
+        # update already takes trajectory 1 to tr rho^2 = 25
         data = minimal_scenario(
             hamiltonian={"scaled": {"op": "pauli_x", "factor": 0.3}},
             channels=[{"scaled": {"op": "pauli_z", "factor": 5.0}}],
             rho0={"diag": [0.7, 0.3]},
             dt=0.1,
-            horizon=2.0,
+            horizon=horizon,
             trajectories=50,
             seed=1,
             engine=engine,
@@ -337,8 +337,21 @@ class TestSimulate:
         path = write_scenario(tmp_path, data)
         assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 3
         report = json.loads(capsys.readouterr().err)
-        assert report["abort"] is True and "trace" in report["reason"]
-        assert (report["step"], report["trajectory"]) == (4, 1)
+        assert report["abort"] is True and "purity" in report["reason"]
+        assert (report["step"], report["trajectory"]) == (0, 1)
+        assert not (tmp_path / "out" / "qubit-smoke.csv").exists()
+
+    @pytest.mark.parametrize("engine", ["sme_nonlinear", "meanfield"])
+    def test_diverging_density_run_exits_3(self, tmp_path, capsys, engine):
+        # once escaped as a ValueError traceback, exit 1, when the trace guard
+        # caught it at step 4
+        self.diverging_density_run(tmp_path, capsys, engine, horizon=2.0)
+
+    @pytest.mark.parametrize("engine", ["sme_nonlinear", "meanfield"])
+    def test_short_diverging_density_run_exits_3(self, tmp_path, capsys, engine):
+        # over 3 steps the trace stays within 1e-8 of 1, so without the
+        # purity guard this wrote |<sigma_z>| up to 1e5 to the CSV with exit 0
+        self.diverging_density_run(tmp_path, capsys, engine, horizon=0.3)
 
     def test_pure_linear_vanishing_norm_exits_3(self, tmp_path, capsys):
         # a strong channel at small dt shrinks every linear ket until both

@@ -29,6 +29,8 @@ from qsme.master import (
 from qsme.noise import coarsen_increments, sample_wiener_batch
 from qsme.pure import PureFilterParams, run_linear, run_nonlinear
 
+from oracles import direct_nonlinear_sme_step
+
 
 def moderate_qubit(rng, dt=1e-3):
     h = random_hermitian(2, rng)
@@ -140,16 +142,18 @@ class TestNonlinearStep:
         assert (exc.value.step, exc.value.trajectory) == (None, 1)
 
     def test_run_locates_diverging_trajectory(self):
-        # a strong channel at a coarse step drives some trajectory's state to
-        # a trace off 1; the run names the step and the trajectory
+        # a strong channel at a coarse step blows some trajectory's state up;
+        # the run names the step and the first trajectory whose update is no
+        # density (tr rho^2 > 2 by the unguarded formula)
         p = SMEParams(0.3 * SIGMA_X, 5.0 * SIGMA_Z[None], 0.1)
         incr = sample_wiener_batch(1, 20, 0.1, seed=1, n_traj=50)
-        with pytest.raises(TrajectoryAbort) as exc:
+        with pytest.raises(TrajectoryAbort, match="purity") as exc:
             run_nonlinear_sme(np.diag([0.7, 0.3]), p, incr)
         k, m = exc.value.step, exc.value.trajectory
         assert k is not None and m is not None
-        states = run_nonlinear_sme(np.diag([0.7, 0.3]), p, incr[m : m + 1, :k], checkpoint_stride=k)
-        assert abs(np.trace(states[-1, 0]).real - 1.0) > 1e-8
+        states = run_nonlinear_sme(np.diag([0.7, 0.3]), p, incr[:, :k], checkpoint_stride=1)[-1]
+        purity = hs_norm(direct_nonlinear_sme_step(states, p, incr[:, k], k * p.dt)) ** 2
+        assert np.flatnonzero(purity > 2.0)[0] == m
 
     def test_mean_matches_deterministic_lindblad(self):
         rng = np.random.default_rng(7)
@@ -165,6 +169,46 @@ class TestNonlinearStep:
                 / states.shape[1]
             )
             assert float(hs_norm(states[k].mean(axis=0) - oracle[k])) <= 3 * se + 2e-3
+
+    @pytest.mark.parametrize("picture", ["schroedinger", "interaction"])
+    def test_output_exactly_hermitian_for_inexact_input(self, picture):
+        # a unit-trace input that is not exactly Hermitian still gives an
+        # exactly Hermitian update: one symmetrization ends every step
+        rng = np.random.default_rng(9)
+        base = moderate_qubit(rng)
+        p = SMEParams(base.h, base.ls, base.dt, picture)
+        x = 1e-3 * random_operator(2, rng)
+        rho = random_density(2, rng) + x - 0.5 * np.trace(x) * np.eye(2)
+        assert abs(np.trace(rho) - 1.0) <= 1e-12 and not np.array_equal(rho, rho.conj().T)
+        out = nonlinear_sme_step(rho, p, np.array([0.07]), 0.3)
+        assert np.array_equal(out, out.conj().T)
+
+
+class TestNormalizedStepKernel:
+    """The normalized step, computed as the linear update at dY = dB minus (m·dB) rho,
+    against its own drift and noise formula (``tests/oracles.py``)."""
+
+    @pytest.mark.parametrize("picture", ["schroedinger", "interaction"])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_matches_direct_formula(self, d, n, picture):
+        rng = np.random.default_rng(100 * d + n)
+        ls = np.stack([random_operator(d, rng) for _ in range(n)])
+        p = SMEParams(random_hermitian(d, rng), ls, 0.01, picture)
+        m, r, t = 5, 3, 0.37
+        cases = [
+            (random_density(d, rng), rng.normal(0.0, 0.1, n)),
+            (np.stack([random_density(d, rng) for _ in range(m)]), rng.normal(0.0, 0.1, (m, n))),
+            (
+                np.stack([[random_density(d, rng) for _ in range(r)] for _ in range(m)]),
+                rng.normal(0.0, 0.1, (m, 1, n)),
+            ),
+        ]
+        for rho, db in cases:
+            out = nonlinear_sme_step(rho, p, db, t)
+            ref = direct_nonlinear_sme_step(rho, p, db, t)
+            assert out.shape == ref.shape == rho.shape
+            assert np.max(np.abs(out - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
 class TestTraceProcess:

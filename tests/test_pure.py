@@ -24,6 +24,8 @@ from qsme.pure import (
     run_nonlinear,
 )
 
+from oracles import direct_innovation_output, direct_nonlinear_pure_step
+
 
 def qubit_params(l=SIGMA_Z, h=None, dt=1e-3, picture="schroedinger"):
     h = np.zeros((2, 2)) if h is None else h
@@ -122,6 +124,58 @@ class TestLinearStepKernel:
         assert p.linear_step_matrix(0.0) is p.linear_step_matrix(0.5)
         pi = qubit_params(h=SIGMA_X, picture="interaction")
         assert not np.allclose(pi.linear_step_matrix(0.0), pi.linear_step_matrix(0.5))
+
+
+class TestNormalizedStepKernel:
+    """The normalized ket step, computed as the linear step at dB + a dt minus a term
+    along phi, and the innovation-driven output of ``run_linear``, against their
+    own formulas (``tests/oracles.py``)."""
+
+    @staticmethod
+    def params_and_cases(d, n, picture):
+        rng = np.random.default_rng(100 * d + n)
+        ls = np.stack([random_operator(d, rng) for _ in range(n)])
+        p = PureFilterParams(random_hermitian(d, rng), ls, 0.01, picture)
+        m, r = 5, 3
+        cases = [
+            (random_ket(d, rng, unit=False), rng.normal(0.0, 0.1, n)),
+            (np.stack([random_ket(d, rng, unit=False) for _ in range(m)]), rng.normal(0.0, 0.1, (m, n))),
+            (
+                np.stack([[random_ket(d, rng, unit=False) for _ in range(r)] for _ in range(m)]),
+                rng.normal(0.0, 0.1, (m, 1, n)),
+            ),
+        ]
+        return p, cases
+
+    @pytest.mark.parametrize("renormalize", [True, False])
+    @pytest.mark.parametrize("picture", PICTURES)
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_matches_direct_formula(self, d, n, picture, renormalize):
+        p, cases = self.params_and_cases(d, n, picture)
+        for phi, db in cases:
+            out = nonlinear_pure_step(phi, p, db, 0.37, renormalize)
+            ref = direct_nonlinear_pure_step(phi, p, db, 0.37, renormalize)
+            assert out.shape == ref.shape == phi.shape
+            assert np.max(np.abs(out - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("picture", PICTURES)
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_innovation_driven_run_matches_direct_output(self, d, n, picture):
+        p, cases = self.params_and_cases(d, n, picture)
+        chi0, steps = cases[0][0], 4
+        rng = np.random.default_rng(7)
+        for batch in [(), (5,), (5, 3)]:
+            incr = rng.normal(0.0, 0.1, batch + (steps, n))
+            out = run_linear(chi0, p, incr, innovation_driven=True)
+            chi = np.broadcast_to(chi0, batch + chi0.shape)
+            for k in range(steps):
+                t = k * p.dt
+                chi = linear_pure_step(chi, p, direct_innovation_output(chi, p, incr[..., k, :], t), t)
+                ref = p.to_schroedinger_frame(chi, t + p.dt)
+                assert out[k + 1].shape == ref.shape
+                assert np.max(np.abs(out[k + 1] - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
 class TestNonlinearStep:
