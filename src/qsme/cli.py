@@ -30,7 +30,7 @@ from .master import SMEParams, run_linear_sme, run_nonlinear_sme
 from .meanfield import MeanFieldConfig, mckean_vlasov_solve
 from .noise import sample_wiener_batch
 from .pure import run_linear, run_nonlinear
-from .scenario import Scenario, ScenarioError, apply_overrides, load_scenario, validate_scenario
+from .scenario import Scenario, ScenarioError, apply_overrides, load_scenario, read_scenario, validate_scenario
 from . import suites
 
 
@@ -330,8 +330,7 @@ def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both") -> RunArtifacts:
 
 
 def _cmd_simulate(args) -> int:
-    with open(args.scenario) as f:
-        data = json.load(f)
+    data = read_scenario(args.scenario)
     if args.set:
         data = apply_overrides(data, args.set)
     if args.seed is not None:
@@ -436,9 +435,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except FileNotFoundError as e:
         print(f"cannot read {e.filename}: {e.strerror}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as e:
-        print(f"config error: not valid JSON ({e})", file=sys.stderr)
         return 2
     except TrajectoryAbort as e:
         print(

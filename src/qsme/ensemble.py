@@ -4,7 +4,9 @@ A mixed initial state is expanded spectrally into weighted kets that all ride
 the same innovation increments and the same scalar feedback pi(t).  Each ket
 obeys the *linear* pure-state dynamics driven by dB + pi dt, weights never
 change, and kets are never renormalized: their norms carry the likelihood
-information that the reconstruction quotient consumes.
+information that the reconstruction quotient consumes.  At rank one the
+feedback is pi = 2 Re<e|L e> / ||e||^2, so a one-ket ensemble is the linear
+pure-state filter driven by innovations, dY = dB + 2 a dt.
 """
 
 from __future__ import annotations
@@ -15,13 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TrajectoryAbort
-from .integrate import integrate, replicate
+from .integrate import drive
 from .linalg import hermitianize
 from .pure import PureFilterParams, linear_pure_step
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_RANK_TOL = 1e-12
+RANK_TOL = 1e-12  # eigenvalues of rho0 at or below this are dropped
 
 
 @dataclass
@@ -46,21 +48,21 @@ class WeightedEnsemble:
             raise ValueError("ensemble has vanishing weighted norm")
 
 
-def decompose_state(rho0: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> WeightedEnsemble:
+def decompose_state(rho0: np.ndarray) -> WeightedEnsemble:
     """Spectral expansion rho0 = sum_k p_k e_k (x) conj(e_k), largest weights first.
 
-    Eigenvalues below ``rank_tol`` are dropped and the remaining weights
+    Eigenvalues at or below ``RANK_TOL`` are dropped and the remaining weights
     renormalized; the dropped mass is logged and kept on the ensemble.
     """
     rho0 = hermitianize(np.asarray(rho0, dtype=complex))
     w, v = np.linalg.eigh(rho0)
     order = np.argsort(w)[::-1]
     w, v = w[order], v[:, order]
-    keep = w > rank_tol
+    keep = w > RANK_TOL
     dropped = float(np.sum(w[~keep]))
     w = w[keep]
     if w.size == 0:
-        raise ValueError("state has no spectral weight above rank_tol")
+        raise ValueError(f"state has no spectral weight above {RANK_TOL}")
     if dropped:
         logger.info("decompose_state dropped %d terms with mass %.3e", int(np.sum(~keep)), dropped)
     return WeightedEnsemble(w / w.sum(), v[:, keep].T.copy(), cutoff=int(w.size), dropped_mass=dropped)
@@ -105,13 +107,13 @@ def _weighted_mass(kets: np.ndarray, weights: np.ndarray, step: int | None = Non
     return den
 
 
-def _feedback(kets: np.ndarray, weights: np.ndarray, ls: np.ndarray, step: int | None = None) -> np.ndarray:
+def _feedback(kets: np.ndarray, weights: np.ndarray, ls: np.ndarray) -> np.ndarray:
     """pi_j = sum_k p_k (e_k, (L_j + L_j†) e_k) / sum_k p_k ||e_k||^2, batched (..., n).
 
-    ``step`` only locates an abort.
+    A vanished weighted norm aborts without a step index; ``integrate`` adds it.
     """
     num = 2.0 * _weighted_forms(kets, weights, ls)
-    return num / _weighted_mass(kets, weights, step)[..., None]
+    return num / _weighted_mass(kets, weights)[..., None]
 
 
 def _kick_kets(
@@ -162,17 +164,12 @@ def run_ensemble(
     results are stored instead.  A trajectory whose weighted norm is not
     positive aborts with the step and the trajectory.
     """
-    increments = np.asarray(increments, dtype=float)
     weights = ens0.weights
     if reduce is None:
         def reduce(kets, k):
             return weighted_density(kets, weights, k)
 
-    def step(kets, k):
-        return _kick_kets(kets, weights, p, increments[..., k, :], k * p.dt)
+    def step(kets, p, db, t):
+        return _kick_kets(kets, weights, p, db, t)
 
-    kets0 = replicate(ens0.kets, increments.shape[:-2])
-    return integrate(
-        step, kets0, increments.shape[-2], checkpoint_stride,
-        lambda kets, k: reduce(p.to_schroedinger_frame(kets, k * p.dt), k),
-    )
+    return drive(step, ens0.kets, p.to_schroedinger_frame, p, increments, checkpoint_stride, reduce)

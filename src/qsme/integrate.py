@@ -1,13 +1,16 @@
 """The one time-stepping loop behind every trajectory driver and the Picard solver.
 
-A driver supplies a step closure ``step(x, k) -> x`` that advances the state
+``integrate`` takes a step closure ``step(x, k) -> x`` that advances the state
 over step ``k`` and a map ``observe(x, k)`` that turns the state after ``k``
-steps into what is stored.  The ``run_*`` drivers map the state to the
-Schroedinger frame and hand that frame to a per-checkpoint ``reduce(frame, k)``
-whose default, ``keep_frame``, stores the frame state itself; the CLI reduces
-it to observable values instead, so no run holds every checkpoint's states.
-For each mean-field Picard iteration ``observe`` is the Monte Carlo mean of
-the batch.
+steps into what is stored.  Every ``run_*`` driver is one call to ``drive``;
+the drivers differ only in the stepper, the prepared start state and the
+frame map they pass it.  ``drive`` replicates the start state over the batch
+of increments, steps with increment ``k`` at t = k dt, maps each
+checkpoint's state to the Schroedinger frame and hands that frame to a
+per-checkpoint ``reduce(frame, k)``.  The default reducer, ``keep_frame``,
+stores the frame state itself; the CLI reduces it to observable values
+instead, so no run holds every checkpoint's states.  For each mean-field Picard iteration
+``observe`` is the Monte Carlo mean of the batch.
 """
 
 from __future__ import annotations
@@ -50,3 +53,21 @@ def integrate(step, x0: np.ndarray, steps: int, stride: int, observe) -> np.ndar
         if (k + 1) % stride == 0:
             out[(k + 1) // stride] = observe(x, k + 1)
     return out
+
+
+def drive(stepper, x0: np.ndarray, frame, p, increments, checkpoint_stride: int, reduce) -> np.ndarray:
+    """Drive ``stepper(x, p, increments[..., k, :], k dt)`` from ``x0`` over every step of ``increments``.
+
+    ``increments`` has shape (..., steps, n) and ``x0`` is replicated over its
+    leading batch shape.  At t = 0 and every ``checkpoint_stride`` steps the
+    state is mapped by ``frame(x, t)`` and ``reduce(frame, k)`` is stored:
+    shape (steps // checkpoint_stride + 1, ...).
+    """
+    increments = np.asarray(increments, dtype=float)
+    return integrate(
+        lambda x, k: stepper(x, p, increments[..., k, :], k * p.dt),
+        replicate(x0, increments.shape[:-2]),
+        increments.shape[-2],
+        checkpoint_stride,
+        lambda x, k: reduce(frame(x, k * p.dt), k),
+    )

@@ -12,7 +12,8 @@ import numpy as np
 
 # Tolerances used across the package.
 HERMITICITY_TOL = 1e-12
-DEFAULT_POS_TOL = 1e-9
+DENSITY_POS_TOL = 1e-9  # most negative eigenvalue require_density accepts
+DENSITY_TRACE_TOL = 1e-10  # largest |tr rho - 1| require_density accepts
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -52,39 +53,35 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return hs_norm(a - dag(a)) <= tol * max(1.0, float(hs_norm(a)))
 
 
-def require_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "operator") -> np.ndarray:
+def require_hermitian(a: np.ndarray, name: str = "operator") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
-    if not is_hermitian(a, tol):
-        raise ValueError(f"{name} is not Hermitian within tolerance {tol}")
+    if not is_hermitian(a):
+        raise ValueError(f"{name} is not Hermitian within tolerance {HERMITICITY_TOL}")
     return a
 
 
-def require_density(
-    rho: np.ndarray,
-    pos_tol: float = DEFAULT_POS_TOL,
-    trace_tol: float = 1e-10,
-    name: str = "rho",
-) -> np.ndarray:
-    """Validate Hermitian, positive within pos_tol, unit trace within trace_tol."""
+def require_density(rho: np.ndarray, name: str = "rho") -> np.ndarray:
+    """Validate Hermitian, positive within DENSITY_POS_TOL, unit trace within DENSITY_TRACE_TOL."""
     rho = require_hermitian(rho, name=name)
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
         raise ValueError(f"{name} trace != 1 (got {tr!r})")
     wmin = float(np.linalg.eigvalsh(rho)[0])
-    if wmin < -pos_tol:
-        raise ValueError(f"{name} has eigenvalue {wmin!r} below -{pos_tol}")
+    if wmin < -DENSITY_POS_TOL:
+        raise ValueError(f"{name} has eigenvalue {wmin!r} below -{DENSITY_POS_TOL}")
     return rho
 
 
-def hermitian_spectrum(a: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_spectrum(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending, real) and orthonormal eigenvectors (columns) of a Hermitian matrix.
 
-    For degenerate eigenvalues any orthonormal basis of the eigenspace may be
-    returned; callers must not rely on the particular choice.
+    The input must be Hermitian within HERMITICITY_TOL.  For degenerate
+    eigenvalues any orthonormal basis of the eigenspace may be returned;
+    callers must not rely on the particular choice.
     """
-    a = require_hermitian(a, tol)
+    a = require_hermitian(a)
     w, v = np.linalg.eigh(a)
     return w, v
 
@@ -129,8 +126,8 @@ def random_operator(d: int, rng: np.random.Generator, scale: float = 1.0) -> np.
     return scale * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / np.sqrt(2 * d)
 
 
-def random_hermitian(d: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    return hermitianize(random_operator(d, rng, scale * np.sqrt(2)))
+def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
+    return hermitianize(random_operator(d, rng, np.sqrt(2)))
 
 
 def random_density(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:

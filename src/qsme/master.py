@@ -10,9 +10,10 @@ gives the normalized stepper: one Euler step of it is the linear update at
 dY = dB minus (m·dB) rho, so the drift lives only in the update both
 steppers share, with ``lindblad_generator`` as the dissipator.
 
-The deterministic (noise-averaged) Lindblad solver doubles as a test oracle:
-the innovation term of the normalized equation has zero mean under a Brownian
-driver, so the Monte Carlo mean of trajectories must track the ODE solution.
+The deterministic (noise-averaged) Lindblad path, integrated by RK4, doubles
+as a test oracle: the innovation term of the normalized equation has zero
+mean under a Brownian driver, so the Monte Carlo mean of trajectories must
+track it; its last checkpoint is the solution at the horizon.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TraceDeviation, TrajectoryAbort
-from .integrate import integrate, keep_frame, replicate
+from .integrate import drive, integrate, keep_frame
 from .linalg import dag, hermitianize, hs_norm
 from .pure import PureFilterParams
 
@@ -234,34 +235,17 @@ def run_linear_sme(
     p: SMEParams,
     increments: np.ndarray,
     checkpoint_stride: int = 1,
-    track_min_eig: bool = False,
     reduce=keep_frame,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Batched linear-equation driver; Schroedinger-frame states at checkpoints.
 
     ``increments`` has shape (..., steps, n); returns (K+1, ..., d, d), or
-    what the per-checkpoint ``reduce(frame, k)`` returns for each frame.  With
-    ``track_min_eig`` also returns the per-step minimum eigenvalue of the
-    evolving state, shape (steps+1, ...), for positivity monitoring.
+    what the per-checkpoint ``reduce(frame, k)`` returns for each frame.
     """
-    increments = np.asarray(increments, dtype=float)
-    x = replicate(hermitianize(np.asarray(gamma0, dtype=complex)), increments.shape[:-2])
-    mins = None
-    if track_min_eig:
-        mins = np.empty((increments.shape[-2] + 1,) + x.shape[:-2])
-        mins[0] = np.linalg.eigvalsh(x)[..., 0]
-
-    def step(x, k):
-        x = linear_sme_step(x, p, increments[..., k, :], k * p.dt)
-        if track_min_eig:
-            mins[k + 1] = np.linalg.eigvalsh(x)[..., 0]
-        return x
-
-    out = integrate(
-        step, x, increments.shape[-2], checkpoint_stride,
-        lambda x, k: reduce(p.to_schroedinger_frame_matrix(x, k * p.dt), k),
+    return drive(
+        linear_sme_step, hermitianize(np.asarray(gamma0, dtype=complex)), p.to_schroedinger_frame_matrix,
+        p, increments, checkpoint_stride, reduce,
     )
-    return (out, mins) if track_min_eig else out
 
 
 def run_nonlinear_sme(
@@ -272,15 +256,9 @@ def run_nonlinear_sme(
     reduce=keep_frame,
 ) -> np.ndarray:
     """Batched normalized-equation driver; Schroedinger-frame states (or ``reduce``) at checkpoints."""
-    increments = np.asarray(increments, dtype=float)
-
-    def step(x, k):
-        return nonlinear_sme_step(x, p, increments[..., k, :], k * p.dt)
-
-    x = replicate(hermitianize(np.asarray(rho0, dtype=complex)), increments.shape[:-2])
-    return integrate(
-        step, x, increments.shape[-2], checkpoint_stride,
-        lambda x, k: reduce(p.to_schroedinger_frame_matrix(x, k * p.dt), k),
+    return drive(
+        nonlinear_sme_step, hermitianize(np.asarray(rho0, dtype=complex)), p.to_schroedinger_frame_matrix,
+        p, increments, checkpoint_stride, reduce,
     )
 
 
@@ -288,27 +266,20 @@ def _lindblad_ode_rhs(eta: np.ndarray, p: SMEParams) -> np.ndarray:
     return -1j * (p.h @ eta - eta @ p.h) + lindblad_generator(eta, p.ls)
 
 
-def deterministic_lindblad_solve(
-    rho0: np.ndarray, p: SMEParams, t: float, steps: int | None = None
-) -> np.ndarray:
-    """Noise-averaged oracle: integrate d eta/dt = -i[H, eta] + Dissipator(eta).
-
-    Classic fixed-step RK4 (the dB term of the normalized equation has zero
-    mean under a Brownian driver, so trajectory means must match this).
-    Always integrates in the Schroedinger frame.
-    """
-    path = deterministic_lindblad_path(rho0, p, t, steps, checkpoint_stride=None)
-    return path[-1]
-
-
 def deterministic_lindblad_path(
     rho0: np.ndarray,
     p: SMEParams,
     t: float,
     steps: int | None = None,
-    checkpoint_stride: int | None = 1,
+    checkpoint_stride: int = 1,
 ) -> np.ndarray:
-    """RK4 path of the deterministic Lindblad equation; states at checkpoints."""
+    """Noise-averaged oracle: RK4 path of d eta/dt = -i[H, eta] + Dissipator(eta); states at checkpoints.
+
+    Classic fixed-step RK4 over [0, t] in ``steps`` steps (default t / dt),
+    always in the Schroedinger frame.  The dB term of the normalized
+    equation has zero mean under a Brownian driver, so trajectory means must
+    match this path; ``[-1]`` is the state at ``t``.
+    """
     if steps is None:
         steps = max(1, round(t / p.dt))
     h = t / steps
@@ -320,6 +291,5 @@ def deterministic_lindblad_path(
         k4 = _lindblad_ode_rhs(eta + h * k3, p)
         return hermitianize(eta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
-    stride = steps if checkpoint_stride is None else checkpoint_stride
     eta0 = hermitianize(np.asarray(rho0, dtype=complex))
-    return integrate(rk4, eta0, steps, stride, lambda eta, k: eta)
+    return integrate(rk4, eta0, steps, checkpoint_stride, lambda eta, k: eta)

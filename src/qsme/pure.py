@@ -9,8 +9,9 @@ Two equivalent descriptions are implemented:
 
 The drift lives in one place, ``PureFilterParams.linear_step_matrix``: the
 nonlinear step is the linear step at dY = dB + a dt, with the compensators
-a_j = Re<phi|L_j phi> / ||phi||^2 of ``ket_compensators``, minus a term along
-phi; the innovation-driven linear run feeds dY = dB + 2 a dt.
+a_j = Re<phi|L_j phi> / ||phi||^2 read off the L_j phi columns of that same
+step's GEMM, minus a term along phi.  The linear equation driven by
+innovations, dY = dB + 2 a dt, is the rank-one ensemble of ``qsme.ensemble``.
 
 All steppers are pure functions of (state, params, increments) and broadcast
 over leading batch axes, so Monte Carlo runs are vectorized over trajectories.
@@ -25,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .integrate import integrate, keep_frame, replicate
+from .integrate import drive, keep_frame
 from .linalg import Propagator, dag, require_hermitian
 
 PICTURES = ("schroedinger", "interaction")
@@ -143,15 +144,12 @@ def expectation(op: np.ndarray, phi: np.ndarray) -> complex | np.ndarray:
     return complex(val) if val.ndim == 0 else val
 
 
-def ket_compensators(phi: np.ndarray, ls: np.ndarray) -> np.ndarray:
-    """a_j = Re<phi|L_j phi> / ||phi||^2 = <L_Sj>, shape (..., n).
-
-    Half the density compensator m_j = tr(L_j rho + rho L_j†) at
-    rho = |phi><phi| / ||phi||^2.
-    """
-    nrm2 = np.sum(np.abs(phi) ** 2, axis=-1)
-    vals = np.einsum("...i,nij,...j->...n", np.conj(phi), ls, phi).real
-    return vals / nrm2[..., None]
+def _combine(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """(I + dt K) chi + sum_j dY_j L_j chi from the ``apply_stacked`` images y = [(I + dt K) chi, L_j chi]."""
+    out = y[..., 0, :]
+    for j in range(y.shape[-2] - 1):
+        out = out + dy[..., j, None] * y[..., j + 1, :]
+    return out
 
 
 def linear_pure_step(
@@ -166,43 +164,43 @@ def linear_pure_step(
     sum_j dY_j L_j chi.
     """
     chi = np.asarray(chi, dtype=complex)
-    dy = np.asarray(dy, dtype=float)
-    y = apply_stacked(p.linear_step_matrix(t), chi)  # (..., 1 + n, d): (I + dt K) chi, L_j chi
-    out = y[..., 0, :]
-    for j in range(p.n_channels):
-        out = out + dy[..., j, None] * y[..., j + 1, :]
-    return out
+    return _combine(apply_stacked(p.linear_step_matrix(t), chi), np.asarray(dy, dtype=float))
+
+
+def _nonlinear_pure_update(phi: np.ndarray, p: PureFilterParams, db: np.ndarray, t: float) -> np.ndarray:
+    """The Euler update of ``nonlinear_pure_step`` before renormalization.
+
+    One GEMM with ``p.linear_step_matrix(t)`` gives (I + dt K) phi and every
+    L_j phi; the compensators a_j = Re<phi|L_j phi> / ||phi||^2 come from the
+    same L_j phi columns, so the channels are dressed once per step.
+    """
+    phi = np.asarray(phi, dtype=complex)
+    nrm2 = np.sum(np.abs(phi) ** 2, axis=-1)
+    if np.any(nrm2 == 0.0):
+        raise ValueError("nonlinear step undefined for the zero vector")
+    db = np.asarray(db, dtype=float)
+    y = apply_stacked(p.linear_step_matrix(t), phi)  # (..., 1 + n, d): (I + dt K) phi, L_j phi
+    a = np.einsum("...i,...ni->...n", np.conj(phi), y[..., 1:, :]).real / nrm2[..., None]
+    out = _combine(y, db + a * p.dt)
+    return out - np.sum(a * db + 0.5 * p.dt * a**2, axis=-1)[..., None] * phi
 
 
 def nonlinear_pure_step(
-    phi: np.ndarray,
-    p: PureFilterParams,
-    db: np.ndarray,
-    t: float = 0.0,
-    renormalize: bool = True,
+    phi: np.ndarray, p: PureFilterParams, db: np.ndarray, t: float = 0.0
 ) -> np.ndarray:
     """One Euler update of the trace-preserving nonlinear filtering equation.
 
     d phi = -[i(H - sum_j a_j L_Aj) + (1/2) sum_j (L_j - a_j)†(L_j - a_j)] phi dt
             + sum_j (L_j - a_j) phi dB_j,
 
-    with a_j = <L_Sj> the normalized expectation of the symmetric part of L_j
-    (``ket_compensators``).  Expanded, this is the linear step at
-    dY = dB + a dt minus (a·dB + (1/2) dt |a|^2) phi, which is how it is
-    computed.  The continuous equation preserves the norm but Euler does not,
-    so the result is renormalized by default; pass ``renormalize=False`` to
-    observe the raw per-step norm defect.
+    with a_j = <L_Sj> = Re<phi|L_j phi> / ||phi||^2 the normalized
+    expectation of the symmetric part of L_j.  Expanded, this is the linear
+    step at dY = dB + a dt minus (a·dB + (1/2) dt |a|^2) phi, which is how it
+    is computed.  The continuous equation preserves the norm but Euler does
+    not, so the result is renormalized.
     """
-    phi = np.asarray(phi, dtype=complex)
-    if np.any(np.sum(np.abs(phi) ** 2, axis=-1) == 0.0):
-        raise ValueError("nonlinear step undefined for the zero vector")
-    db = np.asarray(db, dtype=float)
-    a = ket_compensators(phi, p.channel_ops(t))  # (..., n)
-    out = linear_pure_step(phi, p, db + a * p.dt, t)
-    out = out - np.sum(a * db + 0.5 * p.dt * a**2, axis=-1)[..., None] * phi
-    if renormalize:
-        out = out / np.linalg.norm(out, axis=-1, keepdims=True)
-    return out
+    out = _nonlinear_pure_update(phi, p, db, t)
+    return out / np.linalg.norm(out, axis=-1, keepdims=True)
 
 
 def mean_map(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -210,15 +208,16 @@ def mean_map(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return expectation(m, psi) * psi
 
 
-def jacobian_norm_estimate(m: np.ndarray, psi: np.ndarray, step: float = 1e-6) -> float:
+def jacobian_norm_estimate(m: np.ndarray, psi: np.ndarray) -> float:
     """Operator norm of the real-linear finite-difference Jacobian of mean_map at psi.
 
     psi and its conjugate are treated as independent real directions: the map
-    C^d -> C^d is flattened to R^{2d} -> R^{2d} and differentiated centrally.
+    C^d -> C^d is flattened to R^{2d} -> R^{2d} and differentiated centrally
+    with step 1e-6 max(1, ||psi||).
     """
     psi = np.asarray(psi, dtype=complex)
     d = psi.shape[-1]
-    h = step * max(1.0, float(np.linalg.norm(psi)))
+    h = 1e-6 * max(1.0, float(np.linalg.norm(psi)))
 
     def as_real(z):
         return np.concatenate([z.real, z.imag])
@@ -237,33 +236,19 @@ def run_linear(
     chi0: np.ndarray,
     p: PureFilterParams,
     increments: np.ndarray,
-    innovation_driven: bool = False,
     checkpoint_stride: int = 1,
     reduce=keep_frame,
 ) -> np.ndarray:
-    """Drive the linear stepper along given increments; states at checkpoints.
+    """Drive the linear stepper along output increments dY; states at checkpoints.
 
-    ``increments`` has shape (..., steps, n).  With ``innovation_driven`` the
-    given increments are innovations dB and the output is synthesized per step
-    as dY_j = dB_j + 2 a_j dt = dB_j + <L_j + L_j†> dt, with a from
-    ``ket_compensators``, i.e. the linear equation under the physical
-    measure.  Returns an array of shape (K+1, ..., d) of states in the
-    Schroedinger frame, where K = steps // checkpoint_stride; a per-checkpoint
-    ``reduce(frame, k)`` stores its result instead.
+    ``increments`` has shape (..., steps, n).  Returns an array of shape
+    (K+1, ..., d) of states in the Schroedinger frame, where
+    K = steps // checkpoint_stride; a per-checkpoint ``reduce(frame, k)``
+    stores its result instead.
     """
-    increments = np.asarray(increments, dtype=float)
-
-    def step(chi, k):
-        t = k * p.dt
-        dy = increments[..., k, :]
-        if innovation_driven:
-            dy = dy + 2.0 * ket_compensators(chi, p.channel_ops(t)) * p.dt
-        return linear_pure_step(chi, p, dy, t)
-
-    chi = replicate(np.asarray(chi0, dtype=complex), increments.shape[:-2])
-    return integrate(
-        step, chi, increments.shape[-2], checkpoint_stride,
-        lambda chi, k: reduce(p.to_schroedinger_frame(chi, k * p.dt), k),
+    return drive(
+        linear_pure_step, np.asarray(chi0, dtype=complex), p.to_schroedinger_frame,
+        p, increments, checkpoint_stride, reduce,
     )
 
 
@@ -275,13 +260,7 @@ def run_nonlinear(
     reduce=keep_frame,
 ) -> np.ndarray:
     """Drive the nonlinear stepper along innovation increments dB; states (or ``reduce``) at checkpoints."""
-    increments = np.asarray(increments, dtype=float)
-
-    def step(phi, k):
-        return nonlinear_pure_step(phi, p, increments[..., k, :], k * p.dt)
-
-    phi = replicate(np.asarray(phi0, dtype=complex), increments.shape[:-2])
-    return integrate(
-        step, phi, increments.shape[-2], checkpoint_stride,
-        lambda phi, k: reduce(p.to_schroedinger_frame(phi, k * p.dt), k),
+    return drive(
+        nonlinear_pure_step, np.asarray(phi0, dtype=complex), p.to_schroedinger_frame,
+        p, increments, checkpoint_stride, reduce,
     )

@@ -403,13 +403,20 @@ def _build_interaction(spec: dict, d: int) -> InteractionMap:
     return InteractionMap.from_kernel(kernel)
 
 
-def load_scenario(path: str) -> Scenario:
+def read_scenario(path: str) -> dict:
+    """The raw scenario object of a JSON file; invalid JSON or a non-object is a ScenarioError at /."""
     with open(path) as f:
         try:
             data = json.load(f)
         except json.JSONDecodeError as e:
             raise ScenarioError([("/", f"not valid JSON: {e}")])
-    return validate_scenario(data)
+    if not isinstance(data, dict):
+        raise ScenarioError([("/", f"the top level must be a JSON object, got {json.dumps(data)[:40]}")])
+    return data
+
+
+def load_scenario(path: str) -> Scenario:
+    return validate_scenario(read_scenario(path))
 
 
 def apply_overrides(data: dict, overrides: list[str]) -> dict:

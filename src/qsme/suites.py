@@ -101,8 +101,8 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _qubit_params(dt: float = 1e-3) -> SMEParams:
-    return SMEParams(0.5 * SIGMA_Z, SIGMA_X[None], dt)
+def _qubit_params() -> SMEParams:
+    return SMEParams(0.5 * SIGMA_Z, SIGMA_X[None], 1e-3)
 
 
 GAMMA0 = np.diag([0.7, 0.3]).astype(complex)

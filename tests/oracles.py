@@ -7,10 +7,11 @@ matrix-exponential form of ``Propagator``; ``ensemble_step``,
 ``WeightedEnsemble`` through the same helpers as ``run_ensemble``; and
 ``hermiticity_preserving_kernel`` draws random ``hs_kernel`` interactions.
 ``direct_nonlinear_pure_step``, ``direct_nonlinear_sme_step`` and
-``direct_innovation_output`` are the normalized steppers and the
-innovation-driven output of ``run_linear`` written out as their own drift and
-noise formulas; the package computes them as the linear step plus a
-compensator correction.
+``direct_innovation_output`` are the normalized steppers and the output that
+drives the innovation-driven linear ket filter, written out as their own
+drift and noise formulas; the package computes the steppers as the linear
+step plus a compensator correction and runs that filter as the rank-one
+ensemble, whose feedback is the output's drift.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def direct_nonlinear_pure_step(
 
 
 def direct_innovation_output(chi: np.ndarray, p: PureFilterParams, db: np.ndarray, t: float) -> np.ndarray:
-    """dY_j = dB_j + <L_j + L_j†> dt, the output an innovation-driven ``run_linear`` step feeds."""
+    """dY_j = dB_j + <L_j + L_j†> dt, the output that drives the linear ket filter under innovations."""
     ls_t = p.channel_ops(t)
     return db + 2.0 * _symmetric_expectations(0.5 * (ls_t + dag(ls_t)), chi) * p.dt
 

@@ -16,7 +16,6 @@ from qsme.linalg import (
     hermitianize,
     hs_norm,
     operator_norm,
-    random_hermitian,
     random_ket,
     random_operator,
 )
@@ -39,9 +38,9 @@ from qsme.suites import (
     bounds_suite,
     continuity_suite,
     equivalence_suite,
+    inequalities_suite,
     martingale_suite,
 )
-from qsme.validation import hermitian_trace_inequality_check, trace_inequality_check
 
 GAMMA0 = np.diag([0.7, 0.3]).astype(complex)
 
@@ -80,9 +79,7 @@ def test_criterion_02_positivity():
         dt = fine_dt * factor
         incr = coarsen_increments(fine, factor) if factor > 1 else fine
         p = SMEParams(h, l[None], dt)
-        _, mins = run_linear_sme(
-            GAMMA0, p, incr, checkpoint_stride=incr.shape[-2], track_min_eig=True
-        )
+        mins = run_linear_sme(GAMMA0, p, incr, reduce=lambda frame, k: np.linalg.eigvalsh(frame)[..., 0])
         worsts.append(float(np.maximum(0.0, -mins).max()))
         bounds.append(10 * dt * operator_norm(l) ** 2 * float(np.trace(GAMMA0).real))
     ok = worsts[0] <= bounds[0] and worsts[1] <= bounds[1] and worsts[1] <= worsts[0] / 1.5
@@ -167,14 +164,9 @@ def test_criterion_09_lipschitz_lemma():
 
 
 def test_criterion_10_appendix_inequalities():
+    # the inequalities suite: 1e4 draws at each d in {2, 4, 8, 16}, both inequalities
     t0 = time.time()
-    rng = np.random.default_rng(SEEDS["inequalities"])
-    ok = True
-    for d in (2, 4, 8, 16):
-        a = np.stack([random_hermitian(d, rng) for _ in range(10_000)])
-        b = np.stack([random_operator(d, rng) for _ in range(10_000)])
-        ok = ok and trace_inequality_check(a, b).ok
-        ok = ok and hermitian_trace_inequality_check(a, hermitianize(b))[2]
+    ok = all(r.passed for r in inequalities_suite())
     elapsed = time.time() - t0
     _report(10, "appendix trace inequalities", ok and elapsed <= 60.0, f"runtime={elapsed:.1f}s")
 

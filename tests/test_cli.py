@@ -419,6 +419,14 @@ class TestSimulate:
     def test_engine_table_covers_schema(self):
         assert set(cli.ENGINES) == set(scenario.ENGINES) - {"meanfield"}
 
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--set", "dt=0.1"]], ids=["seed", "set"])
+    @pytest.mark.parametrize("top", [[], "x", 3], ids=["array", "string", "number"])
+    def test_non_object_scenario_is_a_config_error(self, tmp_path, capsys, top, flag):
+        path = write_scenario(tmp_path, top)
+        assert main(["simulate", path, *flag, "--out", str(tmp_path / "out")]) == 2
+        assert "config error at /: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_json_only_format(self, tmp_path, capsys):
         path = write_scenario(tmp_path, minimal_scenario())
         assert main(["simulate", path, "--format", "json", "--out", str(tmp_path / "o")]) == 0

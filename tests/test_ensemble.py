@@ -50,13 +50,13 @@ class TestDecompose:
     def test_reconstruction_oracle(self):
         rng = np.random.default_rng(1)
         rho0 = random_density(8, rng)
-        ens = decompose_state(rho0, rank_tol=0.0)
+        ens = decompose_state(rho0)
         rebuilt = sum(p * np.outer(e, e.conj()) for p, e in zip(ens.weights, ens.kets))
         assert np.linalg.norm(rebuilt - rho0, "nuc") <= 1e-9
 
     def test_rank_tol_drops_mass(self):
         rho0 = np.diag([0.9, 0.1 - 1e-13, 1e-13]).astype(complex)
-        ens = decompose_state(rho0, rank_tol=1e-12)
+        ens = decompose_state(rho0)
         assert ens.weights.shape == (2,)
         assert ens.dropped_mass == pytest.approx(1e-13, rel=0.5)
         assert np.isclose(ens.weights.sum(), 1.0)
@@ -226,10 +226,12 @@ class TestAborts:
         assert (err.value.step, err.value.trajectory) == (1, 2)
 
     def test_feedback_names_first_vanished_trajectory(self):
-        kets = np.ones((5, 2, 2), dtype=complex)
-        kets[[2, 4]] = 0.0
-        with pytest.raises(TrajectoryAbort) as err:
-            _feedback(kets, np.array([0.5, 0.5]), SIGMA_Z[None].astype(complex), step=7)
+        # trajectories 2 and 4 vanish in step 6; with no checkpoint reduction
+        # in the way, the feedback of step 7 finds them and the run locates it
+        incr = np.zeros((5, 9, 1))
+        incr[[2, 4], 6, 0] = -1.75
+        with pytest.raises(TrajectoryAbort, match="weighted norm vanished") as err:
+            run_ensemble(self.ENS, self.P, incr, reduce=lambda kets, k: kets)
         assert (err.value.step, err.value.trajectory) == (7, 2)
 
 

@@ -16,7 +16,6 @@ from qsme.master import (
     SMEParams,
     TrajectoryRecord,
     deterministic_lindblad_path,
-    deterministic_lindblad_solve,
     lindblad_generator,
     linear_sme_step,
     nonlinear_sme_step,
@@ -304,13 +303,13 @@ class TestDeterministicSolver:
     def test_free_case(self):
         p = SMEParams(np.zeros((2, 2)), np.zeros((1, 2, 2)), 1e-2)
         rho0 = random_density(2, np.random.default_rng(18))
-        assert np.allclose(deterministic_lindblad_solve(rho0, p, 1.0), rho0, atol=1e-12)
+        assert np.allclose(deterministic_lindblad_path(rho0, p, 1.0)[-1], rho0, atol=1e-12)
 
     def test_dephasing_closed_form(self):
         # H = 0, L = sigma_z: off-diagonal decays as exp(-2t)
         p = SMEParams(np.zeros((2, 2)), SIGMA_Z[None], 1e-2)
         rho0 = np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]])
-        out = deterministic_lindblad_solve(rho0, p, 0.7, steps=200)
+        out = deterministic_lindblad_path(rho0, p, 0.7, steps=200)[-1]
         assert np.isclose(out[0, 1], (0.2 + 0.1j) * np.exp(-1.4), atol=1e-8)
         assert np.isclose(out[0, 0], 0.6, atol=1e-10)
 
@@ -318,7 +317,7 @@ class TestDeterministicSolver:
         rng = np.random.default_rng(19)
         for _ in range(5):
             p = moderate_qubit(rng, dt=1e-2)
-            out = deterministic_lindblad_solve(random_density(2, rng), p, 1.0, steps=100)
+            out = deterministic_lindblad_path(random_density(2, rng), p, 1.0, steps=100)[-1]
             assert abs(np.trace(out).real - 1.0) <= 1e-10
             assert np.min(np.linalg.eigvalsh(out)) >= -1e-9
 
@@ -340,9 +339,7 @@ class TestPositivity:
             dt = fine_dt * factor
             incr = coarsen_increments(fine, factor) if factor > 1 else fine
             p = SMEParams(h, l[None], dt)
-            _, mins = run_linear_sme(
-                gamma0, p, incr, checkpoint_stride=incr.shape[-2], track_min_eig=True
-            )
+            mins = run_linear_sme(gamma0, p, incr, reduce=lambda frame, k: np.linalg.eigvalsh(frame)[..., 0])
             worst = float(np.maximum(0.0, -mins).max())
             assert worst <= 10 * dt * operator_norm(l) ** 2 * 1.0
             worsts.append(worst)

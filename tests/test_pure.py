@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsme.ensemble import WeightedEnsemble, run_ensemble
 from qsme.linalg import (
     SIGMA_X,
     SIGMA_Z,
@@ -15,6 +16,7 @@ from qsme.noise import coarsen_increments, sample_wiener_batch
 from qsme.pure import (
     PICTURES,
     PureFilterParams,
+    _nonlinear_pure_update,
     expectation,
     jacobian_norm_estimate,
     linear_pure_step,
@@ -126,9 +128,16 @@ class TestLinearStepKernel:
         assert not np.allclose(pi.linear_step_matrix(0.0), pi.linear_step_matrix(0.5))
 
 
+def innovation_driven_run(chi0, p, incr, checkpoint_stride=1):
+    """The linear ket filter driven by dY = dB + 2 a dt: the rank-one ensemble's (unnormalized) ket."""
+    ens = WeightedEnsemble(np.ones(1), np.asarray(chi0, dtype=complex)[None], 1)
+    return run_ensemble(ens, p, incr, checkpoint_stride, reduce=lambda kets, k: kets[..., 0, :])
+
+
 class TestNormalizedStepKernel:
     """The normalized ket step, computed as the linear step at dB + a dt minus a term
-    along phi, and the innovation-driven output of ``run_linear``, against their
+    along phi (before renormalization: ``_nonlinear_pure_update``), and the
+    innovation-driven linear filter, run as the rank-one ensemble, against their
     own formulas (``tests/oracles.py``)."""
 
     @staticmethod
@@ -154,7 +163,7 @@ class TestNormalizedStepKernel:
     def test_matches_direct_formula(self, d, n, picture, renormalize):
         p, cases = self.params_and_cases(d, n, picture)
         for phi, db in cases:
-            out = nonlinear_pure_step(phi, p, db, 0.37, renormalize)
+            out = (nonlinear_pure_step if renormalize else _nonlinear_pure_update)(phi, p, db, 0.37)
             ref = direct_nonlinear_pure_step(phi, p, db, 0.37, renormalize)
             assert out.shape == ref.shape == phi.shape
             assert np.max(np.abs(out - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
@@ -168,7 +177,7 @@ class TestNormalizedStepKernel:
         rng = np.random.default_rng(7)
         for batch in [(), (5,), (5, 3)]:
             incr = rng.normal(0.0, 0.1, batch + (steps, n))
-            out = run_linear(chi0, p, incr, innovation_driven=True)
+            out = innovation_driven_run(chi0, p, incr)
             chi = np.broadcast_to(chi0, batch + chi0.shape)
             for k in range(steps):
                 t = k * p.dt
@@ -192,7 +201,7 @@ class TestNonlinearStep:
         l = random_hermitian(3, rng)
         p = PureFilterParams(h, l[None], 1e-3)
         phi = random_ket(3, rng)
-        out = nonlinear_pure_step(phi, p, np.zeros(1), renormalize=False)
+        out = _nonlinear_pure_update(phi, p, np.zeros(1), 0.0)
         a = expectation(l, phi).real
         shifted = l - a * np.eye(3)
         drift = -(1j * h + 0.5 * shifted @ shifted) @ phi
@@ -208,7 +217,7 @@ class TestNonlinearStep:
             d = int(rng.integers(2, 5))
             p = PureFilterParams(random_hermitian(d, rng), random_operator(d, rng)[None], dt)
             phi = random_ket(d, rng)
-            out = nonlinear_pure_step(phi, p, rng.normal(0, np.sqrt(dt), 1), renormalize=False)
+            out = _nonlinear_pure_update(phi, p, rng.normal(0, np.sqrt(dt), 1), 0.0)
             worst = max(worst, abs(float(np.sum(np.abs(out) ** 2)) - 1.0))
         assert worst <= 20 * dt
 
@@ -254,9 +263,7 @@ class TestGrowthBound:
         # E||chi(t)||^2 <= exp(4 t |L|^2) under the physical measure
         p = qubit_params(l=SIGMA_X, h=0.5 * SIGMA_Z)
         incr = sample_wiener_batch(1, 500, 1e-3, seed=37, n_traj=5000)
-        kets = run_linear(
-            np.array([1.0, 0.0], complex), p, incr, innovation_driven=True, checkpoint_stride=100
-        )
+        kets = innovation_driven_run(np.array([1.0, 0.0], complex), p, incr, checkpoint_stride=100)
         norms2 = np.sum(np.abs(kets) ** 2, axis=-1)
         lnorm2 = coupling_norm(p.ls) ** 2
         for k in range(norms2.shape[0]):
