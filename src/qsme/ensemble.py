@@ -108,10 +108,7 @@ def _weighted_mass(kets: np.ndarray, weights: np.ndarray, step: int | None = Non
 
 
 def _feedback(kets: np.ndarray, weights: np.ndarray, ls: np.ndarray) -> np.ndarray:
-    """pi_j = sum_k p_k (e_k, (L_j + L_j†) e_k) / sum_k p_k ||e_k||^2, batched (..., n).
-
-    A vanished weighted norm aborts without a step index; ``integrate`` adds it.
-    """
+    """pi_j = sum_k p_k (e_k, (L_j + L_j†) e_k) / sum_k p_k ||e_k||^2, batched (..., n)."""
     num = 2.0 * _weighted_forms(kets, weights, ls)
     return num / _weighted_mass(kets, weights)[..., None]
 
