@@ -2,7 +2,7 @@
 
 Exit codes: 0 ok, 1 validation-suite failure, 2 config error (including a
 duplicate output label or one that would break CSV rows, and a run whose
-estimated noise and checkpoint memory exceeds physical memory),
+estimated noise, checkpoint and working memory exceeds physical memory),
 3 runtime abort (trace collapse, a nonpositive sme_linear or linear-mode
 meanfield trace, a normalized density whose trace leaves 1 or whose purity
 tr rho^2 exceeds 2 as a diverging sme_nonlinear or meanfield run blows up, a
@@ -56,28 +56,52 @@ def _grid_stride(sc: Scenario) -> int:
     return math.gcd(*strides) if strides else sc.steps
 
 
-def memory_estimate(sc: Scenario) -> dict[str, int]:
-    """Bytes of the noise increments and of the checkpoint data a run allocates.
+# Upper bounds on what one value costs while run_scenario writes it, measured
+# with tracemalloc: a CSV row of one checkpoint's chunk (its template piece,
+# Python float, text and encoded copy), besides its label, and one float of
+# indented JSON text (its Python objects, the encoder's chunks and the text).
+CSV_ROW_BYTES = 320
+JSON_FLOAT_BYTES = 400
 
-    Noise is the (M, steps, n) float64 batch.  A trajectory run stores the
-    (K+1, n_obs, M) float64 observable values and keeps one complex working
-    state per trajectory: d entries for kets, rank * d for ensemble kets and
-    d^2 for densities.  A mean-field run stores its (steps+1, d, d) mean path.
+
+def memory_estimate(sc: Scenario) -> dict[str, int]:
+    """Bytes of the noise increments, the checkpoint data and the working set a run allocates.
+
+    Noise is the (M, steps, n) float64 batch.  A trajectory run keeps the
+    (K+1, n_obs, M) float64 observable values; a mean-field run keeps three
+    (steps+1, d, d) mean paths (the previous iterate, the new one and their
+    difference).  The working set is what is held only for a while, counted
+    for the M states in units of one state (d complex entries for kets,
+    rank * d for ensemble kets, d^2 for densities): a step holds at most
+    2n + 5 of them at once, the state with its stacked channel products,
+    their copy for the dissipator's GEMM, and temporaries.  After the run the
+    final-state mean forms up to four (M, d, d) arrays, the CSV is formatted
+    one checkpoint of one observable (M + 1 rows) at a time, and the config
+    hash and the summary are JSON text: the scenario's matrices, the
+    final-state mean, every checkpoint's mean and stderr, and for a
+    mean-field run its mean path.
     """
-    noise = sc.trajectories * sc.steps * sc.ls.shape[0] * 8
+    m, d, n, n_obs = sc.trajectories, sc.dim, sc.ls.shape[0], len(sc.outputs)
+    noise = m * sc.steps * n * 8
+    json_floats = (sc.steps // _grid_stride(sc) + 1) * (1 + 3 * n_obs) + 2 * d**2 * (3 + n + n_obs)
     if sc.engine == "meanfield":
-        checkpoints = (sc.steps + 1) * sc.dim**2 * 16
+        per_state = d**2
+        checkpoints = 3 * (sc.steps + 1) * d**2 * 16
+        json_floats += 2 * (sc.steps + 1) * d**2
+        output = 0
     else:
-        values = (sc.steps // _grid_stride(sc) + 1) * sc.trajectories * len(sc.outputs) * 8
         kind = ENGINES[sc.engine][1]
         if kind == "ket":
-            per_state = sc.dim
+            per_state = d
         elif kind == "ensemble":
-            per_state = decompose_state(sc.rho0).cutoff * sc.dim
+            per_state = decompose_state(sc.rho0).cutoff * d
         else:
-            per_state = sc.dim**2
-        checkpoints = values + sc.trajectories * per_state * 16
-    return {"noise_bytes": noise, "checkpoint_bytes": checkpoints}
+            per_state = d**2
+        checkpoints = (sc.steps // _grid_stride(sc) + 1) * m * n_obs * 8
+        label = max((len(lab) for lab, _, _ in sc.outputs), default=0)
+        output = 4 * m * d**2 * 16 + (m + 1) * (CSV_ROW_BYTES + 4 * label)
+    working = (2 * n + 5) * m * per_state * 16 + output + json_floats * JSON_FLOAT_BYTES
+    return {"noise_bytes": noise, "checkpoint_bytes": checkpoints, "working_bytes": working}
 
 
 def _check_memory(sc: Scenario) -> None:
@@ -87,7 +111,7 @@ def _check_memory(sc: Scenario) -> None:
     if need > have:
         raise ScenarioError([(
             "/",
-            f"noise and checkpoint buffers need an estimated {need} bytes, "
+            f"noise, checkpoint and working buffers need an estimated {need} bytes, "
             f"more than the {have} bytes of physical memory",
         )])
 

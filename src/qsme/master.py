@@ -8,12 +8,23 @@ realize the correspondence between the two at the discrete level, with
 left-point (Ito) evaluation of every coefficient.  The same correspondence
 gives the normalized stepper: one Euler step of it is the linear update at
 dY = dB minus (m·dB) rho, so the drift lives only in the update both
-steppers share, with ``lindblad_generator`` as the dissipator.
+steppers share.
+
+That update forms every L_j gamma once per step, in one BLAS GEMM over the
+stacked channels, and builds the step from those products: the sandwich
+sum_j (L_j gamma) L_j† of the dissipator (one more GEMM), the noise
+coefficients L_j gamma + (L_j gamma)†, and for the normalized step the
+compensators m_j = 2 Re tr(L_j gamma).  The noise coefficients equal
+L_j gamma + gamma L_j† because gamma is Hermitian, as every state the
+drivers step is.  The -i[H, gamma] - (1/2){sum_j L_j† L_j, gamma} terms are
+separate products with H and ``damping(t)``.
 
 The deterministic (noise-averaged) Lindblad path, integrated by RK4, doubles
 as a test oracle: the innovation term of the normalized equation has zero
 mean under a Brownian driver, so the Monte Carlo mean of trajectories must
-track it; its last checkpoint is the solution at the horizon.
+track it; its last checkpoint is the solution at the horizon.  It takes its
+dissipator from ``lindblad_generator``, channel-wise einsum contractions
+that share no kernel with the stepper.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ import numpy as np
 from .errors import TraceDeviation, TrajectoryAbort
 from .integrate import drive, integrate, keep_frame
 from .linalg import dag, hermitianize, hs_norm
-from .pure import PureFilterParams
+from .pure import PureFilterParams, apply_stacked, stacked_transpose
 
 RECORD_KINDS = ("linear", "normalized")
 STEP_TRACE_TOL = 1e-8  # largest |tr rho - 1| the normalized stepper accepts
@@ -43,11 +54,6 @@ class SMEParams(PureFilterParams):
         return u @ state @ dag(u)
 
 
-def _channel_left(ls: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """L_j x for every channel: (n, d, d) applied to (..., d, d) -> (n, ..., d, d)."""
-    return np.einsum("nij,...jk->n...ik", ls, x)
-
-
 def output_compensators(rho: np.ndarray, ls: np.ndarray) -> np.ndarray:
     """m_j = tr(L_j rho + rho L_j†) = 2 Re tr(L_j rho), shape (..., n)."""
     return 2.0 * np.einsum("nij,...ji->...n", ls, rho).real
@@ -57,31 +63,53 @@ def lindblad_generator(gamma: np.ndarray, ls: np.ndarray) -> np.ndarray:
     """Dissipator sum_j [L_j gamma L_j† - (1/2){L_j† L_j, gamma}]; traceless on all inputs."""
     if gamma.shape[-1] != ls.shape[-1]:
         raise ValueError(f"dimension mismatch: {gamma.shape} vs {ls.shape}")
-    lg = _channel_left(ls, gamma)
+    lg = np.einsum("nij,...jk->n...ik", ls, gamma)
     sandwich = np.einsum("n...ik,nlk->...il", lg, np.conj(ls))
     kap2 = np.einsum("nji,njk->ik", np.conj(ls), ls)  # sum_j L_j† L_j
     return sandwich - 0.5 * (kap2 @ gamma + gamma @ kap2)
 
 
-def _noise_coefficients(x: np.ndarray, ls: np.ndarray) -> np.ndarray:
-    """L_j x + x L_j† per channel, shape (n, ..., d, d)."""
-    lx = _channel_left(ls, x)
-    return lx + dag(lx)
-
-
 def _sme_update(
-    gamma: np.ndarray, p: SMEParams, ls_t: np.ndarray, dy: np.ndarray
-) -> np.ndarray:
-    """gamma + dt (-i[H, gamma] + Dissipator(gamma)) + sum_j (L_j gamma + gamma L_j†) dY_j, unsymmetrized.
+    gamma: np.ndarray, p: SMEParams, dy: np.ndarray, t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The unsymmetrized linear update at ``t`` and the compensators of gamma.
 
-    ``ls_t`` are the channels already dressed for the step; the commutator is
-    dropped in the interaction picture.
+    The update is gamma + dt (-i[H, gamma] + Dissipator(gamma))
+    + sum_j (L_j gamma + gamma L_j†) dY_j, the commutator dropped and the
+    channels dressed in the interaction picture.  Every L_j gamma comes from
+    one GEMM: column c of L_j gamma is L_j applied to column c of gamma, so
+    the rows of gamma^T meet all n channels in one (M d, d) @ (d, n d)
+    product, as kets do in ``apply_stacked``.  From those products come the
+    sandwich sum_j (L_j gamma) L_j† (one more GEMM over the stacked
+    channels), the noise coefficients L_j gamma + (L_j gamma)†, which are
+    L_j gamma + gamma L_j† for a Hermitian gamma, and the compensators
+    m_j = 2 Re tr(L_j gamma), shape (..., n).
     """
-    drift = lindblad_generator(gamma, ls_t)
+    ls_t = p.channel_ops(t)
+    d, n = gamma.shape[-1], ls_t.shape[0]
+    y = apply_stacked(stacked_transpose(ls_t), np.swapaxes(gamma, -1, -2))  # y[..., c, j, i] = (L_j gamma)[i, c]
+    rows = np.swapaxes(y, -3, -1).reshape(-1, n * d)  # row i of [L_1 gamma | ... | L_n gamma]
+    out = (rows @ dag(ls_t).reshape(n * d, d)).reshape(gamma.shape)  # sum_j (L_j gamma) L_j†
+    del rows
+    # The rest accumulates in place in out and one scratch array, so a step
+    # holds few state-sized temporaries at once.
+    damping = p.damping(t)
+    tmp = damping @ gamma
+    tmp += gamma @ damping
+    out -= tmp
     if p.picture == "schroedinger":
-        drift = drift - 1j * (p.h @ gamma - gamma @ p.h)
-    noise = np.einsum("n...ij,...n->...ij", _noise_coefficients(gamma, ls_t), dy)
-    return gamma + p.dt * drift + noise
+        np.matmul(p.h, gamma, out=tmp)
+        tmp -= gamma @ p.h
+        tmp *= 1j
+        out -= tmp
+    out *= p.dt
+    out += gamma
+    for j in range(n):
+        np.conj(y[..., j, :], out=tmp)  # (L_j gamma)†
+        tmp += y[..., j, :].swapaxes(-1, -2)
+        tmp *= dy[..., j, None, None]
+        out += tmp
+    return out, 2.0 * np.einsum("...iji->...j", y).real
 
 
 def linear_sme_step(
@@ -96,7 +124,7 @@ def linear_sme_step(
     gamma = np.asarray(gamma, dtype=complex)
     if gamma.shape[-1] != p.dim:
         raise ValueError(f"state dimension {gamma.shape[-1]} != params dimension {p.dim}")
-    return hermitianize(_sme_update(gamma, p, p.channel_ops(t), np.asarray(dy, dtype=float)))
+    return hermitianize(_sme_update(gamma, p, np.asarray(dy, dtype=float), t)[0])
 
 
 def nonlinear_sme_step(
@@ -108,8 +136,9 @@ def nonlinear_sme_step(
             + sum_j [L_j rho + rho L_j† - rho tr(L_j rho + rho L_j†)] dB_j,
 
     computed as the linear update at dY = dB minus (m·dB) rho, with
-    m = ``output_compensators(rho, L_t)``: rho = gamma / tr gamma and
-    dB = dY - m dt turn one equation into the other.  Drift and noise
+    m_j = tr(L_j rho + rho L_j†) read off the update's own L_j rho
+    products: rho = gamma / tr gamma and dB = dY - m dt turn one equation
+    into the other.  Drift and noise
     coefficients are traceless at unit trace, so the update preserves the
     trace to roundoff.  An input trace farther than ``STEP_TRACE_TOL`` from 1,
     or NaN, raises ``TraceDeviation``, and an output purity tr rho^2 above 2
@@ -120,10 +149,8 @@ def nonlinear_sme_step(
     ok = np.abs(np.einsum("...ii->...", rho).real - 1.0) <= STEP_TRACE_TOL  # False for NaN
     TraceDeviation.unless(ok, f"input trace deviates from 1 beyond {STEP_TRACE_TOL}")
     db = np.asarray(db, dtype=float)
-    ls_t = p.channel_ops(t)
-    m_db = np.einsum("...n,...n->...", output_compensators(rho, ls_t), db)
-    out = _sme_update(rho, p, ls_t, db)
-    out -= m_db[..., None, None] * rho
+    out, m = _sme_update(rho, p, db, t)
+    out -= np.einsum("...n,...n->...", m, db)[..., None, None] * rho
     out = hermitianize(out)
     purity = np.einsum("...ij,...ji->...", out, out).real
     TrajectoryAbort.unless(purity <= 2.0, "normalized density purity tr rho^2 exceeds 2")  # False for NaN

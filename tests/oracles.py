@@ -11,7 +11,9 @@ matrix-exponential form of ``Propagator``; ``ensemble_step``,
 drives the innovation-driven linear ket filter, written out as their own
 drift and noise formulas; the package computes the steppers as the linear
 step plus a compensator correction and runs that filter as the rank-one
-ensemble, whose feedback is the output's drift.
+ensemble, whose feedback is the output's drift.  ``direct_linear_sme_step``
+is the linear density step by channel-wise einsum contractions; the package
+takes every L_j gamma from one GEMM and builds the step from those products.
 """
 
 from __future__ import annotations
@@ -166,3 +168,23 @@ def direct_nonlinear_sme_step(
     drift, coef = nonlinear_sme_rhs(rho, p, t)
     noise = np.einsum("n...ij,...n->...ij", coef, db)
     return hermitianize(rho + p.dt * drift + noise)
+
+
+def direct_linear_sme_step(
+    gamma: np.ndarray, p: SMEParams, dy: np.ndarray, t: float = 0.0
+) -> np.ndarray:
+    """One Euler update of the linear stochastic master equation, by einsum.
+
+    gamma + dt (-i[H, gamma] + Dissipator(gamma)) + sum_j (L_j gamma + gamma L_j†) dY_j,
+    then symmetrized; the commutator is dropped and the channels dressed in
+    the interaction picture.
+    """
+    gamma = np.asarray(gamma, dtype=complex)
+    dy = np.asarray(dy, dtype=float)
+    ls_t = p.channel_ops(t)
+    drift = lindblad_generator(gamma, ls_t)
+    if p.picture == "schroedinger":
+        drift = drift - 1j * (p.h @ gamma - gamma @ p.h)
+    lx = np.einsum("nij,...jk->n...ik", ls_t, gamma)
+    noise = np.einsum("n...ij,...n->...ij", lx + dag(lx), dy)
+    return hermitianize(gamma + p.dt * drift + noise)

@@ -11,7 +11,7 @@ GONE = [
     "norm_process_step", "trace_process_step", "evolution_factor", "dress", "ensemble_step",
     "shared_feedback", "reconstruct_density", "hermiticity_preserving_kernel",
     "nonlinear_sme_rhs", "_symmetric_expectations", "_channel_mv", "deterministic_lindblad_solve",
-    "ket_compensators",
+    "ket_compensators", "_channel_left", "_noise_coefficients",
 ]
 SUBMODULES = [importlib.import_module(f"qsme.{m.name}") for m in pkgutil.iter_modules(qsme.__path__)]
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -54,9 +55,11 @@ class TestValidateConfig:
         assert "trace != 1" in capsys.readouterr().err
 
     def test_memory_estimate_reported(self, tmp_path, capsys):
-        # 20 trajectories, 50 steps, 1 channel, one observable checkpointed
-        # every 10 steps at d = 2: (K+1) M n_obs float64 values plus one
-        # complex working state per trajectory
+        # 20 trajectories, 50 steps, 1 channel, one observable "pauli_z"
+        # checkpointed every 10 steps at d = 2: (K+1) M n_obs float64 values
+        # kept; working set of 2n + 5 = 7 states per trajectory in a step,
+        # four (M, d, d) arrays for the final mean, one 21-row CSV chunk, and
+        # 6 (1 + 3) + 2 d^2 (3 + n + n_obs) = 64 JSON floats
         for engine, extra, per_state in (
             ("sme_nonlinear", {}, 4),
             ("sme_linear", {}, 4),
@@ -67,7 +70,45 @@ class TestValidateConfig:
             assert main(["validate-config", path]) == 0
             out = json.loads(capsys.readouterr().out)
             assert out["noise_bytes"] == 20 * 50 * 1 * 8
-            assert out["checkpoint_bytes"] == 6 * 20 * 1 * 8 + 20 * per_state * 16
+            assert out["checkpoint_bytes"] == 6 * 20 * 1 * 8
+            assert out["working_bytes"] == (
+                7 * 20 * per_state * 16 + 4 * 20 * 4 * 16 + 21 * (cli.CSV_ROW_BYTES + 4 * 7)
+                + 64 * cli.JSON_FLOAT_BYTES
+            )
+
+    @pytest.mark.parametrize("engine", ["pure_linear", "pure_nonlinear", "sme_linear", "sme_nonlinear",
+                                        "ensemble", "meanfield"])
+    def test_memory_estimate_bounds_traced_peak(self, tmp_path, engine):
+        # d = 8, three channels, 300 trajectories, two observables written:
+        # every array and string run_scenario allocates, numpy's included,
+        # peaks below the estimate (a first run keeps one-time imports out)
+        d = 8
+        rng = np.random.default_rng(41)
+        entries = lambda a: [[[z.real, z.imag] for z in row] for row in a]  # noqa: E731
+        data = minimal_scenario(
+            dim=d,
+            hamiltonian={"entries": entries(random_hermitian(d, rng))},
+            channels=[{"entries": entries(0.5 * random_operator(d, rng))} for _ in range(3)],
+            rho0={"pure": [[1.0, 0.0]] * d} if engine.startswith("pure") else
+            {"entries": entries(random_density(d, rng))},
+            horizon=0.01,
+            trajectories=300,
+            engine=engine,
+            outputs=[{"observable": "number", "stride": 2, "label": "n"},
+                     {"observable": "identity", "stride": 5, "label": "identity"}],
+            **({"meanfield": {"interaction": {"variant": "potential", "table": np.eye(d).tolist()},
+                              "picard_tol": 1e-2}} if engine == "meanfield" else {}),
+        )
+        sc = validate_scenario(data)
+        cli.run_scenario(sc, str(tmp_path))
+        tracemalloc.start()
+        try:
+            cli.run_scenario(sc, str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        estimate = sum(cli.memory_estimate(sc).values())
+        assert peak <= estimate, (peak, cli.memory_estimate(sc))
 
     def test_non_hermitian_h_rejected(self, tmp_path, capsys):
         h = {"entries": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}

@@ -15,11 +15,13 @@ from qsme.linalg import (
 from qsme.master import (
     SMEParams,
     TrajectoryRecord,
+    _sme_update,
     deterministic_lindblad_path,
     lindblad_generator,
     linear_sme_step,
     nonlinear_sme_step,
     normalize_path,
+    output_compensators,
     reconstruct_path,
     run_linear_sme,
     run_nonlinear_sme,
@@ -28,7 +30,7 @@ from qsme.master import (
 from qsme.noise import coarsen_increments, sample_wiener_batch
 from qsme.pure import PureFilterParams, run_linear, run_nonlinear
 
-from oracles import direct_nonlinear_sme_step
+from oracles import direct_linear_sme_step, direct_nonlinear_sme_step
 
 
 def moderate_qubit(rng, dt=1e-3):
@@ -183,29 +185,63 @@ class TestNonlinearStep:
         assert np.array_equal(out, out.conj().T)
 
 
+def kernel_cases(d, n, picture):
+    """Params and (state, noise) pairs on an unbatched, an (M,) and an (M, r) batch, (M, 1, n) noise last."""
+    rng = np.random.default_rng(100 * d + n)
+    ls = np.stack([random_operator(d, rng) for _ in range(n)])
+    p = SMEParams(random_hermitian(d, rng), ls, 0.01, picture)
+    m, r = 5, 3
+    cases = [
+        (random_density(d, rng), rng.normal(0.0, 0.1, n)),
+        (np.stack([random_density(d, rng) for _ in range(m)]), rng.normal(0.0, 0.1, (m, n))),
+        (
+            np.stack([[random_density(d, rng) for _ in range(r)] for _ in range(m)]),
+            rng.normal(0.0, 0.1, (m, 1, n)),
+        ),
+    ]
+    return p, cases
+
+
+class TestLinearStepKernel:
+    """The linear density step, every L_j gamma from one GEMM, against channel-wise
+    einsum contractions (``tests/oracles.py``)."""
+
+    @pytest.mark.parametrize("picture", ["schroedinger", "interaction"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 16])
+    def test_matches_direct_formula(self, d, n, picture):
+        p, cases = kernel_cases(d, n, picture)
+        for gamma, dy in cases:
+            out = linear_sme_step(gamma, p, dy, 0.37)
+            ref = direct_linear_sme_step(gamma, p, dy, 0.37)
+            assert out.shape == ref.shape == gamma.shape
+            assert np.max(np.abs(out - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("picture", ["schroedinger", "interaction"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 16])
+    def test_compensators_from_products(self, d, n, picture):
+        # m_j = 2 Re tr(L_j gamma) read off the step's own L_j gamma products
+        p, cases = kernel_cases(d, n, picture)
+        for gamma, dy in cases:
+            m = _sme_update(gamma, p, dy, 0.37)[1]
+            ref = output_compensators(gamma, p.channel_ops(0.37))
+            assert m.shape == ref.shape == gamma.shape[:-2] + (n,)
+            assert np.max(np.abs(m - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
 class TestNormalizedStepKernel:
     """The normalized step, computed as the linear update at dY = dB minus (m·dB) rho,
     against its own drift and noise formula (``tests/oracles.py``)."""
 
     @pytest.mark.parametrize("picture", ["schroedinger", "interaction"])
-    @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
     def test_matches_direct_formula(self, d, n, picture):
-        rng = np.random.default_rng(100 * d + n)
-        ls = np.stack([random_operator(d, rng) for _ in range(n)])
-        p = SMEParams(random_hermitian(d, rng), ls, 0.01, picture)
-        m, r, t = 5, 3, 0.37
-        cases = [
-            (random_density(d, rng), rng.normal(0.0, 0.1, n)),
-            (np.stack([random_density(d, rng) for _ in range(m)]), rng.normal(0.0, 0.1, (m, n))),
-            (
-                np.stack([[random_density(d, rng) for _ in range(r)] for _ in range(m)]),
-                rng.normal(0.0, 0.1, (m, 1, n)),
-            ),
-        ]
+        p, cases = kernel_cases(d, n, picture)
         for rho, db in cases:
-            out = nonlinear_sme_step(rho, p, db, t)
-            ref = direct_nonlinear_sme_step(rho, p, db, t)
+            out = nonlinear_sme_step(rho, p, db, 0.37)
+            ref = direct_nonlinear_sme_step(rho, p, db, 0.37)
             assert out.shape == ref.shape == rho.shape
             assert np.max(np.abs(out - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
