@@ -5,6 +5,16 @@ state), the discretization and Monte Carlo budget, the engine, and the
 requested observable outputs.  Complex numbers are [re, im] pairs.  Every
 violation is reported with a JSON-pointer-style path so config errors are
 fixable in one pass.
+
+``SCENARIO_SCHEMA`` is a JSON Schema (draft 2020-12) dict, checked by a
+small walker (``_schema_errors``) that implements exactly the keywords the
+schema uses: ``type``, ``enum`` (of strings), ``minimum``, ``maximum``,
+``exclusiveMinimum``, ``minLength``, ``minItems``, ``maxItems``, ``items``,
+``properties``, ``required``, ``additionalProperties: false``, ``oneOf`` and
+local ``$ref``.  Its messages are jsonschema's.  One difference is
+deliberate: ``integer`` means a JSON integer (a Python ``int``, not a
+``bool``), so ``2.0`` is not an integer.  Any other keyword in the schema is
+a ``KeyError`` on the first validation.
 """
 
 from __future__ import annotations
@@ -13,7 +23,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, is_hermitian, operator_norm
 from .meanfield import InteractionMap
@@ -128,7 +137,7 @@ SCENARIO_SCHEMA = {
         "horizon": {"type": "number", "exclusiveMinimum": 0},
         "dt": {"type": "number", "exclusiveMinimum": 0},
         "trajectories": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "engine": {"type": "string", "enum": list(ENGINES)},
         "picture": {"type": "string", "enum": ["schroedinger", "interaction", "auto"]},
         "meanfield": {
@@ -170,6 +179,80 @@ SCENARIO_SCHEMA = {
     ],
     "additionalProperties": False,
 }
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": _is_number,
+    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
+}
+
+
+def _resolve(ref: str) -> dict:
+    """The subschema at a local ``#/...`` reference."""
+    node = SCENARIO_SCHEMA
+    for part in ref.removeprefix("#/").split("/"):
+        node = node[part]
+    return node
+
+
+def _one_of(x, branches, path):
+    valid = [b for b in branches if next(_schema_errors(x, b, path), None) is None]
+    if not valid:
+        yield path, f"{x!r} is not valid under any of the given schemas"
+    elif len(valid) > 1:
+        yield path, f"{x!r} is valid under each of {', '.join(map(repr, valid[1:] + valid[:1]))}"
+
+
+def _too_few(x, n):
+    return f"{x!r} {'should be non-empty' if n == 1 else 'is too short'}"
+
+
+def _no_extras(x, schema, path):
+    extras = sorted((k for k in x if k not in schema.get("properties", {})), key=str) if isinstance(x, dict) else []
+    if extras:
+        names, verb = ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were"
+        yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+
+
+# keyword -> (instance, keyword value, enclosing schema, path) -> iterable of (path, message)
+_KEYWORDS = {
+    "$schema": lambda x, v, s, p: (),
+    "$defs": lambda x, v, s, p: (),
+    "$ref": lambda x, v, s, p: _schema_errors(x, _resolve(v), p),
+    "type": lambda x, v, s, p: () if _TYPES[v](x) else [(p, f"{x!r} is not of type {v!r}")],
+    "enum": lambda x, v, s, p: () if isinstance(x, str) and x in v else [(p, f"{x!r} is not one of {v!r}")],
+    "minimum": lambda x, v, s, p: (
+        [(p, f"{x!r} is less than the minimum of {v!r}")] if _is_number(x) and x < v else ()),
+    "maximum": lambda x, v, s, p: (
+        [(p, f"{x!r} is greater than the maximum of {v!r}")] if _is_number(x) and x > v else ()),
+    "exclusiveMinimum": lambda x, v, s, p: (
+        [(p, f"{x!r} is less than or equal to the minimum of {v!r}")] if _is_number(x) and x <= v else ()),
+    "minLength": lambda x, v, s, p: [(p, _too_few(x, v))] if isinstance(x, str) and len(x) < v else (),
+    "minItems": lambda x, v, s, p: [(p, _too_few(x, v))] if isinstance(x, list) and len(x) < v else (),
+    "maxItems": lambda x, v, s, p: [(p, f"{x!r} is too long")] if isinstance(x, list) and len(x) > v else (),
+    "items": lambda x, v, s, p: (
+        (e for i, item in enumerate(x) for e in _schema_errors(item, v, p + (i,))) if isinstance(x, list) else ()),
+    "properties": lambda x, v, s, p: (
+        (e for k, sub in v.items() if k in x for e in _schema_errors(x[k], sub, p + (k,)))
+        if isinstance(x, dict) else ()),
+    "required": lambda x, v, s, p: (
+        [(p, f"{k!r} is a required property") for k in v if k not in x] if isinstance(x, dict) else ()),
+    "additionalProperties": lambda x, v, s, p: _no_extras(x, s, p),  # the schema only ever sets it to false
+    "oneOf": lambda x, v, s, p: _one_of(x, v, p),
+}
+
+
+def _schema_errors(x, schema: dict, path: tuple = ()):
+    """Yield (path tuple, message) for every violation of ``schema`` by ``x``, keyword by keyword."""
+    for key, value in schema.items():
+        yield from _KEYWORDS[key](x, value, schema, path)
 
 
 class ScenarioError(Exception):
@@ -281,11 +364,8 @@ def resolve_picture(requested: str, h: np.ndarray, dt: float) -> str:
 
 def validate_scenario(data: dict) -> Scenario:
     """Full schema plus semantic validation; raises ScenarioError listing every violation."""
-    errors: list[tuple[str, str]] = []
-    validator = Draft202012Validator(SCENARIO_SCHEMA)
-    for err in sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path)):
-        path = "/" + "/".join(str(p) for p in err.absolute_path)
-        errors.append((path, err.message))
+    errors = [("/" + "/".join(map(str, path)), message)
+              for path, message in sorted(_schema_errors(data, SCENARIO_SCHEMA), key=lambda e: e[0])]
     if errors:
         raise ScenarioError(errors)
 

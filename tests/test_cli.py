@@ -121,6 +121,33 @@ class TestValidateConfig:
         assert main(["validate-config", path]) == 2
         assert "/engine" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, where", [
+        ({"dim": 2.0}, "/dim"),
+        ({"trajectories": 20.0}, "/trajectories"),
+        ({"seed": 7.0}, "/seed"),
+        ({"outputs": [{"observable": "pauli_z", "stride": 10.0, "label": "pauli_z"}]}, "/outputs/0/stride"),
+        ({"engine": "meanfield", "meanfield": {"interaction": {"variant": "zero"}, "picard_max_iter": 3.0}},
+         "/meanfield/picard_max_iter"),
+        ({"rho0": {"pure": {"basis": 1.0}}}, "/rho0"),
+    ], ids=["dim", "trajectories", "seed", "stride", "picard_max_iter", "basis"])
+    def test_integer_field_given_as_float_exits_2(self, tmp_path, capsys, overrides, where):
+        path = write_scenario(tmp_path, minimal_scenario(**overrides))
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 2
+        assert f"config error at {where}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed, flag, where", [
+        (-1, [], "/seed"),
+        (7, ["--seed", "-1"], "/seed"),
+        (7, ["--set", "seed=-1"], "/seed"),
+        (7, ["--set", "trajectories=1e3"], "/trajectories"),
+    ], ids=["file", "seed_flag", "set_seed", "set_trajectories"])
+    def test_out_of_schema_value_from_any_source_exits_2(self, tmp_path, capsys, seed, flag, where):
+        path = write_scenario(tmp_path, minimal_scenario(seed=seed))
+        assert main(["simulate", path, *flag, "--out", str(tmp_path / "out")]) == 2
+        assert f"config error at {where}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file(self, capsys):
         assert main(["validate-config", "/nonexistent/s.json"]) == 2
 
