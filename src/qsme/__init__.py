@@ -30,7 +30,6 @@ from .pure import (
 )
 from .master import (
     SMEParams,
-    TrajectoryRecord,
     deterministic_lindblad_path,
     lindblad_generator,
     linear_sme_step,
@@ -70,7 +69,7 @@ __all__ = [
     "sample_wiener_batch",
     "PureFilterParams", "expectation", "jacobian_norm_estimate", "linear_pure_step", "mean_map",
     "nonlinear_pure_step", "run_linear", "run_nonlinear",
-    "SMEParams", "TrajectoryRecord", "deterministic_lindblad_path", "lindblad_generator",
+    "SMEParams", "deterministic_lindblad_path", "lindblad_generator",
     "linear_sme_step", "nonlinear_sme_step", "normalize_path", "reconstruct_path",
     "run_linear_sme", "run_nonlinear_sme",
     "WeightedEnsemble", "decompose_state", "run_ensemble",

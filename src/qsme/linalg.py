@@ -62,15 +62,15 @@ def require_hermitian(a: np.ndarray, name: str = "operator") -> np.ndarray:
     return a
 
 
-def require_density(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    """Validate Hermitian, positive within DENSITY_POS_TOL, unit trace within DENSITY_TRACE_TOL."""
-    rho = require_hermitian(rho, name=name)
+def require_density(rho: np.ndarray) -> np.ndarray:
+    """Validate an initial state rho0: Hermitian, positive within DENSITY_POS_TOL, unit trace within DENSITY_TRACE_TOL."""
+    rho = require_hermitian(rho, name="rho0")
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > DENSITY_TRACE_TOL:
-        raise ValueError(f"{name} trace != 1 (got {tr!r})")
+        raise ValueError(f"rho0 trace != 1 (got {tr!r})")
     wmin = float(np.linalg.eigvalsh(rho)[0])
     if wmin < -DENSITY_POS_TOL:
-        raise ValueError(f"{name} has eigenvalue {wmin!r} below -{DENSITY_POS_TOL}")
+        raise ValueError(f"rho0 has eigenvalue {wmin!r} below -{DENSITY_POS_TOL}")
     return rho
 
 
@@ -115,11 +115,6 @@ class Propagator:
         """exp(iHt) L exp(-iHt) for a stack of channel operators of shape (n, d, d)."""
         u = self.factor(t)
         return dag(u)[None] @ ls @ u[None] if ls.ndim == 3 else dag(u) @ ls @ u
-
-
-def random_ket(d: int, rng: np.random.Generator, unit: bool = True) -> np.ndarray:
-    x = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return x / np.linalg.norm(x) if unit else x
 
 
 def random_operator(d: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

@@ -5,7 +5,9 @@ output process Y; its trace is the likelihood weight.  The normalized
 equation evolves a density operator rho driven by the innovation process B
 and preserves the trace exactly.  ``normalize_path`` / ``reconstruct_path``
 realize the correspondence between the two at the discrete level, with
-left-point (Ito) evaluation of every coefficient.  The same correspondence
+left-point (Ito) evaluation of every coefficient, for a whole batch of paths
+at once: states in the (K+1, ..., d, d) layout ``run_linear_sme`` returns,
+increments in the (..., K, n) layout the drivers take.  The same correspondence
 gives the normalized stepper: one Euler step of it is the linear update at
 dY = dB minus (m·dB) rho, so the drift lives only in the update both
 steppers share.
@@ -35,10 +37,9 @@ import numpy as np
 
 from .errors import TraceDeviation, TrajectoryAbort
 from .integrate import drive, integrate, keep_frame
-from .linalg import dag, hermitianize, hs_norm
+from .linalg import dag, hermitianize
 from .pure import PureFilterParams, apply_stacked, stacked_transpose
 
-RECORD_KINDS = ("linear", "normalized")
 STEP_TRACE_TOL = 1e-8  # largest |tr rho - 1| the normalized stepper accepts
 
 
@@ -157,104 +158,55 @@ def nonlinear_sme_step(
     return out
 
 
-@dataclass
-class TrajectoryRecord:
-    """One full trajectory of a mixed-state equation on a uniform grid.
-
-    ``noise`` holds the driving increments per step (dY for ``linear``, dB
-    for ``normalized``); ``trace`` holds the likelihood process T(t), which
-    for a linear record equals the actual state traces.  Positivity of the
-    stored states is a monitored property (Euler paths dip below zero at
-    O(dt)), not checked at construction.
-    """
-
-    times: np.ndarray
-    states: np.ndarray  # (steps+1, d, d)
-    noise: np.ndarray  # (steps, n)
-    trace: np.ndarray  # (steps+1,)
-    kind: str
-    params: SMEParams
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.states = np.asarray(self.states, dtype=complex)
-        self.noise = np.asarray(self.noise, dtype=float)
-        self.trace = np.asarray(self.trace, dtype=float)
-        if self.kind not in RECORD_KINDS:
-            raise ValueError(f"kind must be one of {RECORD_KINDS}")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
-        if self.states.shape[0] != self.times.shape[0] or self.noise.shape[0] != self.times.shape[0] - 1:
-            raise ValueError("times/states/noise lengths are inconsistent")
-        herm_defect = hs_norm(self.states - dag(self.states)).max()
-        if herm_defect > 1e-10 * max(1.0, float(hs_norm(self.states).max())):
-            raise ValueError("stored states are not Hermitian")
-        if self.kind == "normalized":
-            tr = np.einsum("kii->k", self.states).real
-            if np.max(np.abs(tr - 1.0)) > 1e-8:
-                raise ValueError("normalized record requires unit-trace states")
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-
-def simulate_linear_record(
-    gamma0: np.ndarray, p: SMEParams, increments: np.ndarray
-) -> TrajectoryRecord:
-    """Integrate the linear equation along one noise path, storing every step.
-
-    States are recorded in the Schroedinger frame even when stepping in the
-    interaction picture.
-    """
-    increments = np.asarray(increments, dtype=float)
-    states = run_linear_sme(gamma0, p, increments)
-    times = p.dt * np.arange(states.shape[0])
-    trace = np.einsum("kii->k", states).real
-    return TrajectoryRecord(times, states, increments, trace, "linear", p)
-
-
-def normalize_path(rec: TrajectoryRecord) -> TrajectoryRecord:
-    """Map a linear record to the normalized one: rho = gamma / tr gamma, dB = dY - m dt.
-
-    The compensator m is always evaluated at the normalized state of the same
-    step (left-point rule).  Aborts with the step index if a nonpositive
-    trace is encountered.
-    """
-    if rec.kind != "linear":
-        raise ValueError("normalize_path expects a linear record")
-    traces = np.einsum("kii->k", rec.states).real
-    bad = np.nonzero(traces <= 0.0)[0]
+def _abort_at_first_step(ok: np.ndarray, reason: str) -> None:
+    """Raise ``TrajectoryAbort`` at the first index of axis 0 where ``ok`` fails, naming the first trajectory there."""
+    bad = np.flatnonzero(~np.all(ok, axis=tuple(range(1, ok.ndim))))
     if bad.size:
-        raise TrajectoryAbort("nonpositive trace in linear path", step=int(bad[0]))
-    rhos = rec.states / traces[:, None, None]
-    m = output_compensators(rhos[:-1], rec.params.ls)
-    db = rec.noise - m * rec.dt
-    return TrajectoryRecord(rec.times, rhos, db, traces, "normalized", rec.params)
+        TrajectoryAbort.unless(ok[bad[0]], reason, step=int(bad[0]))
 
 
-def reconstruct_path(rec: TrajectoryRecord, t0: float = 1.0) -> TrajectoryRecord:
-    """Inverse of :func:`normalize_path` at the discrete level.
+def _path_compensators(states: np.ndarray, noise: np.ndarray, ls: np.ndarray) -> np.ndarray:
+    """Compensators m at every state but the last, in the layout of ``noise``: (..., K, n)."""
+    if states.shape[0] != noise.shape[-2] + 1 or states.shape[1:-2] != noise.shape[:-2]:
+        raise ValueError(f"states/noise lengths are inconsistent: {states.shape} vs {noise.shape}")
+    return np.moveaxis(output_compensators(states[:-1], ls), 0, -2)
 
-    Rebuilds the trace process from the inverse-trace dynamics driven by dB,
-    then gamma = T rho and dY = dB + m dt.
+
+def normalize_path(
+    states: np.ndarray, noise: np.ndarray, ls: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map linear paths to normalized ones: rho = gamma / tr gamma, dB = dY - m dt.
+
+    ``states`` are linear states in the layout ``run_linear_sme`` returns,
+    (K+1, ..., d, d), and ``noise`` the output increments dY that drove them,
+    (..., K, n); returns the densities and the innovations dB in the same
+    layouts.  The compensator m is evaluated at the normalized state of the
+    same step (left-point rule).  A nonpositive (or NaN) trace aborts with the
+    step and, for a batch, the trajectory.
     """
-    if rec.kind != "normalized":
-        raise ValueError("reconstruct_path expects a normalized record")
-    if t0 <= 0.0:
-        raise ValueError("initial trace must be positive")
-    steps = rec.noise.shape[0]
-    m = output_compensators(rec.states[:-1], rec.params.ls)
-    dy = rec.noise + m * rec.dt
-    trace = np.empty(steps + 1)
-    trace[0] = t0
-    for k in range(steps):
-        nxt = trace[k] * (1.0 + float(np.dot(m[k], dy[k])))
-        if nxt <= 0.0:
-            raise TrajectoryAbort("reconstructed trace driven nonpositive", step=k)
-        trace[k + 1] = nxt
-    gammas = rec.states * trace[:, None, None]
-    return TrajectoryRecord(rec.times, gammas, dy, trace, "linear", rec.params)
+    traces = np.einsum("...ii->...", states).real
+    _abort_at_first_step(traces > 0.0, "nonpositive trace in linear path")
+    rhos = states / traces[..., None, None]
+    return rhos, noise - _path_compensators(rhos, noise, ls) * dt
+
+
+def reconstruct_path(
+    rhos: np.ndarray, db: np.ndarray, ls: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`normalize_path` at the discrete level, from unit initial trace.
+
+    Rebuilds the trace process T_{k+1} = T_k (1 + m_k·dY_k), T_0 = 1, from
+    dY = dB + m dt, and returns gamma = T rho and dY in the layouts
+    ``normalize_path`` takes.  A trace driven nonpositive (or NaN) aborts
+    naming the step that drove it there.
+    """
+    m = _path_compensators(rhos, db, ls)
+    dy = db + m * dt
+    growth = 1.0 + np.einsum("...kn,...kn->...k", m, dy)
+    trace = np.cumprod(np.moveaxis(growth, -1, 0), axis=0)  # trace[k] = T_{k+1}
+    _abort_at_first_step(trace > 0.0, "reconstructed trace driven nonpositive")
+    trace = np.concatenate([np.ones((1,) + trace.shape[1:]), trace])
+    return rhos * trace[..., None, None], dy
 
 
 def run_linear_sme(

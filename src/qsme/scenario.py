@@ -401,7 +401,7 @@ def validate_scenario(data: dict) -> Scenario:
         errors.append(("/rho0", f"engine {engine} requires a pure initial state ({{'pure': ...}})"))
 
     steps = data["horizon"] / data["dt"]
-    if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
+    if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
         errors.append(("/horizon", "horizon must be a positive whole number of dt steps"))
 
     interaction = None
@@ -430,7 +430,7 @@ def validate_scenario(data: dict) -> Scenario:
         try:
             op = build_matrix(out["observable"], d)
             stride = out.get("stride", 1)
-            if round(steps) % stride:
+            if np.isfinite(steps) and round(steps) % stride:
                 errors.append((f"/outputs/{i}/stride", f"stride {stride} does not divide {round(steps)} steps"))
             outputs.append((out["label"], op, stride))
         except ValueError as e:

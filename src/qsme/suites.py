@@ -32,7 +32,6 @@ from .master import (
     reconstruct_path,
     run_linear_sme,
     run_nonlinear_sme,
-    simulate_linear_record,
 )
 from .noise import coarsen_increments, sample_wiener_batch
 from .pure import run_linear
@@ -288,13 +287,15 @@ def continuity_suite(fast: bool = False) -> list[CheckOutcome]:
     return out
 
 
-def _residual_max(rec) -> float:
-    """Max one-step residual of a normalized record against the nonlinear equation."""
-    p = rec.params
-    worst = 0.0
-    for k in range(rec.noise.shape[0]):
-        predicted = nonlinear_sme_step(rec.states[k], p, rec.noise[k], k * p.dt)
-        worst = max(worst, float(hs_norm(rec.states[k + 1] - predicted)))
+def _residual_max(rhos: np.ndarray, db: np.ndarray, p: SMEParams) -> np.ndarray:
+    """Per-path max one-step residual of normalized paths against the nonlinear equation.
+
+    ``rhos`` is (K+1, M, d, d) and ``db`` is (M, K, n), as ``normalize_path`` returns them.
+    """
+    worst = np.zeros(rhos.shape[1])
+    for k in range(db.shape[-2]):
+        predicted = nonlinear_sme_step(rhos[k], p, db[:, k], k * p.dt)
+        worst = np.maximum(worst, hs_norm(rhos[k + 1] - predicted))
     return worst
 
 
@@ -321,11 +322,9 @@ def equivalence_suite(fast: bool = False) -> list[CheckOutcome]:
     gamma0 = random_density(d, rng)
     p = SMEParams(random_hermitian(d, rng), random_operator(d, rng)[None], 1e-3, "schroedinger")
     incr = sample_wiener_batch(1, round(0.5 / p.dt), p.dt, seed, 1)[0]
-    rec = simulate_linear_record(gamma0, p, incr)
-    back = reconstruct_path(normalize_path(rec), t0=float(np.trace(gamma0).real))
-    rel = float(
-        np.max(hs_norm(back.states - rec.states)) / np.max(hs_norm(rec.states))
-    )
+    gammas = run_linear_sme(gamma0, p, incr)
+    back, _ = reconstruct_path(*normalize_path(gammas, incr, p.ls, p.dt), p.ls, p.dt)
+    rel = float(np.max(hs_norm(back - gammas)) / np.max(hs_norm(gammas)))
     out.append(
         CheckOutcome(
             "linear_normalized_round_trip",
@@ -346,15 +345,14 @@ def equivalence_suite(fast: bool = False) -> list[CheckOutcome]:
     rng = np.random.default_rng(seed)
     gamma0, h, l = _scaled_draw(rng, 2)
     n_paths = 8 if fast else 64
-    sums = {4: 0.0, 2: 0.0, 1: 0.0}
-    for traj in range(n_paths):
-        fine = sample_wiener_batch(1, fine_steps, fine_dt, seed, 1, offset=traj)[0]
-        for factor in (4, 2, 1):
-            dt = fine_dt * factor
-            incr = coarsen_increments(fine, factor) if factor > 1 else fine
-            pd = SMEParams(h, l[None], dt, "schroedinger")
-            sums[factor] += _residual_max(normalize_path(simulate_linear_record(gamma0, pd, incr)))
-    residuals = [sums[f] / n_paths for f in (4, 2, 1)]
+    fines = sample_wiener_batch(1, fine_steps, fine_dt, seed, n_paths)
+    residuals = []
+    for factor in (4, 2, 1):
+        dt = fine_dt * factor
+        incr = coarsen_increments(fines, factor) if factor > 1 else fines
+        pd = SMEParams(h, l[None], dt, "schroedinger")
+        rhos, db = normalize_path(run_linear_sme(gamma0, pd, incr), incr, pd.ls, dt)
+        residuals.append(float(_residual_max(rhos, db, pd).mean()))
     ratios = [residuals[i + 1] / residuals[i] for i in range(2)]
     out.append(
         CheckOutcome(

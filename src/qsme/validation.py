@@ -65,7 +65,7 @@ class MartingaleTestResult:
         return self.max_abs_z <= 3.0
 
 
-def martingale_test(samples: np.ndarray, times: np.ndarray | None = None) -> MartingaleTestResult:
+def martingale_test(samples: np.ndarray, times: np.ndarray) -> MartingaleTestResult:
     """Z-scores of the sample mean of a scalar process against its initial value.
 
     ``samples`` has shape (M, K+1): M trajectories observed at K+1 times.
@@ -76,8 +76,6 @@ def martingale_test(samples: np.ndarray, times: np.ndarray | None = None) -> Mar
     m = samples.shape[0]
     if m < 30:
         raise ValueError("martingale test needs at least 30 trajectories")
-    if times is None:
-        times = np.arange(samples.shape[1], dtype=float)
     means = samples.mean(axis=0)
     stderrs = samples.std(axis=0, ddof=1) / np.sqrt(m)
     dev = means - means[0]
@@ -178,11 +176,14 @@ class InequalityCheck:
     ok: bool
 
 
-def trace_inequality_check(a: np.ndarray, b: np.ndarray, slack: float = 1e-10) -> InequalityCheck:
+INEQUALITY_SLACK = 1e-10  # relative tolerance of trace_inequality_check
+
+
+def trace_inequality_check(a: np.ndarray, b: np.ndarray) -> InequalityCheck:
     """Direct evaluation of the trace inequalities for self-adjoint A, bounded B.
 
     2|tr(ABAB†)| <= tr[A^2(BB† + B†B)] and |tr(ABAB + AB†AB†)| <= same right
-    side, each within ``slack`` relative tolerance.  Broadcasts over leading
+    side, each within ``INEQUALITY_SLACK`` relative tolerance.  Broadcasts over leading
     batch axes.
     """
     a = np.asarray(a, dtype=complex)
@@ -194,7 +195,7 @@ def trace_inequality_check(a: np.ndarray, b: np.ndarray, slack: float = 1e-10) -
     lhs2 = np.abs(
         np.einsum("...ij,...ji->...", ab, ab) + np.einsum("...ij,...ji->...", abd, abd)
     )
-    tol = slack * np.maximum(1.0, np.abs(rhs))
+    tol = INEQUALITY_SLACK * np.maximum(1.0, np.abs(rhs))
     ok = bool(np.all(lhs1 <= rhs + tol) and np.all(lhs2 <= rhs + tol))
     return InequalityCheck(lhs1, rhs, lhs2, rhs.copy(), ok)
 

@@ -14,6 +14,7 @@ step plus a compensator correction and runs that filter as the rank-one
 ensemble, whose feedback is the output's drift.  ``direct_linear_sme_step``
 is the linear density step by channel-wise einsum contractions; the package
 takes every L_j gamma from one GEMM and builds the step from those products.
+``random_ket`` draws the random kets the tests start from.
 """
 
 from __future__ import annotations
@@ -25,6 +26,12 @@ from qsme.errors import TraceDeviation
 from qsme.linalg import dag, hermitian_spectrum, hermitianize, operator_norm
 from qsme.master import STEP_TRACE_TOL, SMEParams, lindblad_generator, output_compensators
 from qsme.pure import PureFilterParams
+
+
+def random_ket(d: int, rng: np.random.Generator, unit: bool = True) -> np.ndarray:
+    """Complex Gaussian ket of dimension ``d``, normalized unless ``unit`` is False."""
+    x = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return x / np.linalg.norm(x) if unit else x
 
 
 def evolution_factor(h: np.ndarray, t: float) -> np.ndarray:

@@ -16,7 +16,6 @@ from qsme.linalg import (
     hermitianize,
     hs_norm,
     operator_norm,
-    random_ket,
     random_operator,
 )
 from qsme.master import (
@@ -41,6 +40,8 @@ from qsme.suites import (
     inequalities_suite,
     martingale_suite,
 )
+
+from oracles import random_ket
 
 GAMMA0 = np.diag([0.7, 0.3]).astype(complex)
 

@@ -12,6 +12,7 @@ GONE = [
     "shared_feedback", "reconstruct_density", "hermiticity_preserving_kernel",
     "nonlinear_sme_rhs", "_symmetric_expectations", "_channel_mv", "deterministic_lindblad_solve",
     "ket_compensators", "_channel_left", "_noise_coefficients",
+    "TrajectoryRecord", "simulate_linear_record", "RECORD_KINDS", "random_ket",
 ]
 SUBMODULES = [importlib.import_module(f"qsme.{m.name}") for m in pkgutil.iter_modules(qsme.__path__)]
 

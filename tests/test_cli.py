@@ -11,11 +11,13 @@ import pytest
 
 from qsme import cli, master, scenario
 from qsme.cli import main
-from qsme.linalg import random_density, random_hermitian, random_ket, random_operator
+from qsme.linalg import random_density, random_hermitian, random_operator
 from qsme.master import SMEParams, linear_sme_step, run_linear_sme, run_nonlinear_sme
 from qsme.noise import sample_wiener_batch
 from qsme.pure import run_linear
 from qsme.scenario import ScenarioError, apply_overrides, validate_scenario
+
+from oracles import random_ket
 
 
 def minimal_scenario(**overrides):
@@ -147,6 +149,14 @@ class TestValidateConfig:
         assert main(["simulate", path, *flag, "--out", str(tmp_path / "out")]) == 2
         assert f"config error at {where}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_overflowing_step_count_is_a_horizon_error(self, tmp_path, capsys):
+        # horizon / dt overflows to inf, which has no whole number of steps
+        path = write_scenario(tmp_path, minimal_scenario(horizon=1e308, dt=1e-308))
+        assert main(["validate-config", path]) == 2
+        assert "config error at /horizon: horizon must be a positive whole number of dt steps" in (
+            capsys.readouterr().err
+        )
 
     def test_missing_file(self, capsys):
         assert main(["validate-config", "/nonexistent/s.json"]) == 2

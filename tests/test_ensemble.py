@@ -17,14 +17,13 @@ from qsme.linalg import (
     operator_norm,
     random_density,
     random_hermitian,
-    random_ket,
     random_operator,
 )
 from qsme.master import SMEParams, output_compensators
 from qsme.noise import sample_wiener_batch
 from qsme.pure import linear_pure_step
 
-from oracles import ensemble_step, reconstruct_density, shared_feedback
+from oracles import ensemble_step, random_ket, reconstruct_density, shared_feedback
 
 
 def moderate_params(rng, d=4, dt=1e-3):

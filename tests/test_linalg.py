@@ -13,12 +13,11 @@ from qsme.linalg import (
     positive_parts,
     random_density,
     random_hermitian,
-    random_ket,
     random_operator,
     require_density,
 )
 
-from oracles import dress, evolution_factor
+from oracles import dress, evolution_factor, random_ket
 
 
 class TestSpectrum:

@@ -9,12 +9,10 @@ from qsme.linalg import (
     operator_norm,
     random_density,
     random_hermitian,
-    random_ket,
     random_operator,
 )
 from qsme.master import (
     SMEParams,
-    TrajectoryRecord,
     _sme_update,
     deterministic_lindblad_path,
     lindblad_generator,
@@ -25,12 +23,11 @@ from qsme.master import (
     reconstruct_path,
     run_linear_sme,
     run_nonlinear_sme,
-    simulate_linear_record,
 )
 from qsme.noise import coarsen_increments, sample_wiener_batch
 from qsme.pure import PureFilterParams, run_linear, run_nonlinear
 
-from oracles import direct_linear_sme_step, direct_nonlinear_sme_step
+from oracles import direct_linear_sme_step, direct_nonlinear_sme_step, random_ket
 
 
 def moderate_qubit(rng, dt=1e-3):
@@ -247,35 +244,39 @@ class TestNormalizedStepKernel:
 
 
 class TestTraceProcess:
-    """The trace process T(t) as ``reconstruct_path`` rebuilds it from a normalized record.
+    """The trace process T(t) as ``reconstruct_path`` rebuilds it from normalized paths.
 
-    T_{k+1} = T_k (1 + sum_j m_j dY_j), m_j = tr(L_j rho + rho L_j†) at rho_k.
+    T_{k+1} = T_k (1 + sum_j m_j dY_j), T_0 = 1, m_j = tr(L_j rho + rho L_j†) at rho_k.
     """
 
     @staticmethod
-    def normalized(rho, l, db, dt=1e-3):
-        rho = np.asarray(rho, complex)
-        steps = len(db)
-        return TrajectoryRecord(
-            dt * np.arange(steps + 1), np.stack([rho] * (steps + 1)), np.asarray(db, float)[:, None],
-            np.ones(steps + 1), "normalized", SMEParams(np.zeros((2, 2)), np.asarray(l, complex)[None], dt),
-        )
+    def constant_path(rho, steps):
+        return np.stack([np.asarray(rho, complex)] * (steps + 1))
 
     def test_traceless_compensator_is_constant(self):
-        rec = self.normalized(0.5 * np.eye(2), SIGMA_Z, [0.3, -0.2, 0.1])  # m = tr(sigma_z) = 0
-        assert np.all(reconstruct_path(rec, t0=2.5).trace == 2.5)
-
-    def test_rejects_nonpositive_value(self):
-        rec = self.normalized(0.5 * np.eye(2), SIGMA_Z, [0.0])
-        with pytest.raises(ValueError):
-            reconstruct_path(rec, t0=-1.0)
+        rhos = self.constant_path(0.5 * np.eye(2), 3)
+        db = np.array([[0.3], [-0.2], [0.1]])
+        gammas, dy = reconstruct_path(rhos, db, SIGMA_Z[None], 1e-3)  # m = tr(sigma_z) = 0
+        assert np.array_equal(gammas, rhos)
+        assert np.array_equal(dy, db)
 
     def test_abort_on_sign_loss(self):
         # m = 2 tr(sigma_z rho) = 2, so dY = -0.6 + 2 dt takes T through zero at step 1
-        rec = self.normalized(np.diag([1.0, 0.0]), SIGMA_Z, [0.01, -0.6])
+        rhos = self.constant_path(np.diag([1.0, 0.0]), 2)
         with pytest.raises(TrajectoryAbort) as exc:
-            reconstruct_path(rec)
+            reconstruct_path(rhos, np.array([[0.01], [-0.6]]), SIGMA_Z[None], 1e-3)
         assert exc.value.step == 1
+        assert exc.value.trajectory is None
+
+    def test_abort_on_sign_loss_names_the_trajectory(self):
+        # paths 3, 4 and 5 take T through zero at steps 2, 1 and 1: the earliest
+        # step is named, with the first path that fails there
+        rhos = np.broadcast_to(self.constant_path(np.diag([1.0, 0.0]), 3)[:, None], (4, 6, 2, 2))
+        db = np.full((6, 3, 1), 0.01)
+        db[3, 2] = db[4, 1] = db[5, 1] = -0.6
+        with pytest.raises(TrajectoryAbort) as exc:
+            reconstruct_path(rhos, db, SIGMA_Z[None], 1e-3)
+        assert (exc.value.step, exc.value.trajectory) == (1, 4)
 
     def test_trace_martingale(self):
         rng = np.random.default_rng(9)
@@ -290,49 +291,64 @@ class TestTraceProcess:
 
 
 class TestPathTransforms:
-    def _record(self, seed=12, steps=300, dt=1e-3):
+    def _paths(self, seed=12, steps=300, dt=1e-3, batch=()):
+        """Linear states (K+1, *batch, d, d), their output increments (*batch, K, 1) and the channels."""
         rng = np.random.default_rng(seed)
         p = moderate_qubit(rng, dt)
         gamma0 = random_density(2, rng)
-        incr = sample_wiener_batch(1, steps, dt, seed + 1, 1)[0]
-        return simulate_linear_record(gamma0, p, incr)
+        n_traj = int(np.prod(batch))
+        incr = sample_wiener_batch(1, steps, dt, seed + 1, n_traj).reshape(batch + (steps, 1))
+        return run_linear_sme(gamma0, p, incr), incr, p.ls, dt
 
     def test_constant_trace_path_normalizes_trivially(self):
         # L = 0: trace is constant, rho = gamma, B = Y
         p = SMEParams(0.4 * SIGMA_X, np.zeros((1, 2, 2)), 1e-3)
         incr = sample_wiener_batch(1, 50, 1e-3, 13, 1)[0]
-        rec = simulate_linear_record(random_density(2, np.random.default_rng(13)), p, incr)
-        norm = normalize_path(rec)
-        assert np.allclose(norm.states, rec.states, atol=1e-12)
-        assert np.array_equal(norm.noise, rec.noise)
+        states = run_linear_sme(random_density(2, np.random.default_rng(13)), p, incr)
+        rhos, db = normalize_path(states, incr, p.ls, p.dt)
+        assert np.allclose(rhos, states, atol=1e-12)
+        assert np.array_equal(db, incr)
 
     def test_round_trip_reconstruct_normalize(self):
-        rec = self._record()
-        t0 = float(np.trace(rec.states[0]).real)
-        back = reconstruct_path(normalize_path(rec), t0=t0)
-        rel = np.max(hs_norm(back.states - rec.states)) / np.max(hs_norm(rec.states))
+        states, incr, ls, dt = self._paths()
+        back, dy = reconstruct_path(*normalize_path(states, incr, ls, dt), ls, dt)
+        rel = np.max(hs_norm(back - states)) / np.max(hs_norm(states))
         assert rel <= 1e-9
-        assert np.max(np.abs(back.noise - rec.noise)) <= 1e-9
+        assert np.max(np.abs(dy - incr)) <= 1e-9
 
     def test_round_trip_normalize_reconstruct(self):
-        norm = normalize_path(self._record(seed=14))
-        again = normalize_path(reconstruct_path(norm, t0=2.0))
-        assert np.max(hs_norm(again.states - norm.states)) <= 1e-9
-        assert np.max(np.abs(again.noise - norm.noise)) <= 1e-9
+        states, incr, ls, dt = self._paths(seed=14)
+        rhos, db = normalize_path(states, incr, ls, dt)
+        again, db2 = normalize_path(*reconstruct_path(rhos, db, ls, dt), ls, dt)
+        assert np.max(hs_norm(again - rhos)) <= 1e-9
+        assert np.max(np.abs(db2 - db)) <= 1e-9
+
+    def test_batched_normalize_matches_each_path(self):
+        states, incr, ls, dt = self._paths(seed=15, steps=100, batch=(2, 3))
+        rhos, db = normalize_path(states, incr, ls, dt)
+        assert rhos.shape == states.shape and db.shape == incr.shape
+        for i in np.ndindex(2, 3):
+            rho_i, db_i = normalize_path(states[(slice(None),) + i], incr[i], ls, dt)
+            assert np.max(np.abs(rhos[(slice(None),) + i] - rho_i)) <= 1e-15
+            assert np.max(np.abs(db[i] - db_i)) <= 1e-15
 
     def test_abort_on_nonpositive_trace(self):
-        rec = self._record(seed=17, steps=10)
-        doctored = TrajectoryRecord(
-            rec.times,
-            np.concatenate([rec.states[:5], -rec.states[5:]]),
-            rec.noise,
-            rec.trace,
-            "linear",
-            rec.params,
-        )
+        states, incr, ls, dt = self._paths(seed=17, steps=10)
+        doctored = np.concatenate([states[:5], -states[5:]])
         with pytest.raises(TrajectoryAbort) as exc:
-            normalize_path(doctored)
+            normalize_path(doctored, incr, ls, dt)
         assert exc.value.step == 5
+        assert exc.value.trajectory is None
+
+    def test_abort_on_nonpositive_trace_names_the_trajectory(self):
+        # path 3 turns nonpositive at step 5, path 1 only at step 8
+        states, incr, ls, dt = self._paths(seed=17, steps=10, batch=(5,))
+        doctored = states.copy()
+        doctored[5:, 3] *= -1.0
+        doctored[8:, 1] *= -1.0
+        with pytest.raises(TrajectoryAbort) as exc:
+            normalize_path(doctored, incr, ls, dt)
+        assert (exc.value.step, exc.value.trajectory) == (5, 3)
 
 
 class TestDeterministicSolver:
@@ -419,18 +435,3 @@ class TestRankOneNonlinearConsistency:
         gaps = np.array([sums[f] / n_paths for f in (4, 2, 1)])
         rate = np.polyfit(np.log([2e-3, 1e-3, 5e-4]), np.log(gaps), 1)[0]
         assert rate >= 0.4
-
-
-class TestRecordSerialization:
-    def _record(self):
-        rng = np.random.default_rng(27)
-        p = moderate_qubit(rng)
-        incr = sample_wiener_batch(1, 20, 1e-3, 28, 1)[0]
-        return simulate_linear_record(random_density(2, rng), p, incr)
-
-    def test_record_validation(self):
-        rec = self._record()
-        with pytest.raises(ValueError, match="strictly increasing"):
-            TrajectoryRecord(rec.times[::-1], rec.states, rec.noise, rec.trace, "linear", rec.params)
-        with pytest.raises(ValueError, match="unit-trace"):
-            TrajectoryRecord(rec.times, 2 * rec.states, rec.noise, rec.trace, "normalized", rec.params)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsme.linalg import SIGMA_X, SIGMA_Z, random_density, random_operator
-from qsme.master import SMEParams, TrajectoryRecord, normalize_path, reconstruct_path, simulate_linear_record
+from qsme.master import SMEParams, normalize_path, reconstruct_path, run_linear_sme
 from qsme.noise import coarsen_increments, sample_wiener_batch, trajectory_seed
 
 
@@ -66,41 +66,43 @@ class TestConvertNoise:
     """
 
     @staticmethod
-    def record(l, gamma0, steps=200, dt=1e-3, seed=1, h=None):
+    def path(l, gamma0, steps=200, dt=1e-3, seed=1, h=None):
+        """Linear states along one output path, the path's increments dY, the channels and dt."""
         p = SMEParams(np.zeros((2, 2)) if h is None else h, np.asarray(l, complex)[None], dt)
         incr = sample_wiener_batch(1, steps, dt, seed, n_traj=1)[0]
-        return simulate_linear_record(np.asarray(gamma0, complex), p, incr)
+        return run_linear_sme(np.asarray(gamma0, complex), p, incr), incr, p.ls, dt
 
     def test_zero_compensator_is_bitwise_identity(self):
         # an anti-Hermitian channel has m = 2 Re tr(L rho) = 0 at every state
-        rec = self.record(0.5j * SIGMA_Z, np.diag([0.6, 0.4]), h=0.3 * SIGMA_X)
-        norm = normalize_path(rec)
-        assert np.array_equal(norm.noise, rec.noise)
-        assert np.array_equal(reconstruct_path(norm).noise, rec.noise)
+        states, dy, ls, dt = self.path(0.5j * SIGMA_Z, np.diag([0.6, 0.4]), h=0.3 * SIGMA_X)
+        rhos, db = normalize_path(states, dy, ls, dt)
+        assert np.array_equal(db, dy)
+        assert np.array_equal(reconstruct_path(rhos, db, ls, dt)[1], dy)
 
     def test_eigenstate_compensator_value(self):
         # rho = |0><0| stays put under L = sigma_z with compensator 2<L_S> = 2,
         # so dB = dY - 2 dt
-        dt = 0.01
-        rec = self.record(SIGMA_Z, np.diag([1.0, 0.0]), steps=20, dt=dt)
-        assert np.allclose(normalize_path(rec).noise, rec.noise - 2 * dt, rtol=0, atol=1e-15)
+        states, dy, ls, dt = self.path(SIGMA_Z, np.diag([1.0, 0.0]), steps=20, dt=0.01)
+        assert np.allclose(normalize_path(states, dy, ls, dt)[1], dy - 2 * dt, rtol=0, atol=1e-15)
 
     def test_length_mismatch_rejected(self):
-        rec = self.record(SIGMA_Z, np.diag([0.6, 0.4]), steps=5)
+        states, dy, ls, dt = self.path(SIGMA_Z, np.diag([0.6, 0.4]), steps=5)
         with pytest.raises(ValueError, match="lengths"):
-            TrajectoryRecord(rec.times, rec.states, rec.noise[:-1], rec.trace, "linear", rec.params)
+            normalize_path(states, dy[:-1], ls, dt)
+        with pytest.raises(ValueError, match="lengths"):
+            reconstruct_path(states, dy[:-1], ls, dt)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 2.0))
     def test_round_trip_within_rounding(self, seed, scale):
         # floating-point subtraction is lossy, so the algebraic inverse is
         # exact only up to one rounding per direction
-        dt = 1e-3
         rng = np.random.default_rng(seed)
-        rec = self.record(scale * random_operator(2, rng), random_density(2, rng), steps=64, seed=seed)
-        m_dt = np.abs(rec.noise - normalize_path(rec).noise)
-        y2 = reconstruct_path(normalize_path(rec), t0=rec.trace[0]).noise
-        assert np.all(np.abs(y2 - rec.noise) <= 2 * np.spacing(np.abs(rec.noise) + m_dt))
+        states, dy, ls, dt = self.path(scale * random_operator(2, rng), random_density(2, rng), steps=64, seed=seed)
+        rhos, db = normalize_path(states, dy, ls, dt)
+        m_dt = np.abs(dy - db)
+        y2 = reconstruct_path(rhos, db, ls, dt)[1]
+        assert np.all(np.abs(y2 - dy) <= 2 * np.spacing(np.abs(dy) + m_dt))
 
 
 class TestRefinement:

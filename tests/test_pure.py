@@ -9,7 +9,6 @@ from qsme.linalg import (
     SIGMA_Z,
     coupling_norm,
     random_hermitian,
-    random_ket,
     random_operator,
 )
 from qsme.noise import coarsen_increments, sample_wiener_batch
@@ -26,7 +25,7 @@ from qsme.pure import (
     run_nonlinear,
 )
 
-from oracles import direct_innovation_output, direct_nonlinear_pure_step
+from oracles import direct_innovation_output, direct_nonlinear_pure_step, random_ket
 
 
 def qubit_params(l=SIGMA_Z, h=None, dt=1e-3, picture="schroedinger"):

@@ -8,6 +8,7 @@ from qsme.linalg import (
     random_hermitian,
     random_operator,
 )
+from qsme import validation
 from qsme.master import SMEParams
 from qsme.validation import (
     MonteCarloConfig,
@@ -29,7 +30,7 @@ def qubit_cfg(m=500, l=SIGMA_X, initial=GAMMA0, horizon=0.5, seed=1, stride=100,
 
 class TestMartingaleTest:
     def test_constant_series_scores_zero(self):
-        res = martingale_test(np.full((50, 6), 2.5))
+        res = martingale_test(np.full((50, 6), 2.5), np.arange(6.0))
         assert np.allclose(res.zscores, 0.0)
         assert res.passed()
 
@@ -43,7 +44,7 @@ class TestMartingaleTest:
 
     def test_requires_enough_trajectories(self):
         with pytest.raises(ValueError):
-            martingale_test(np.ones((10, 5)))
+            martingale_test(np.ones((10, 5)), np.arange(5.0))
 
 
 class TestMomentBounds:
@@ -102,11 +103,12 @@ class TestTraceInequalities:
             _, _, ok = hermitian_trace_inequality_check(a, hermitianize(b))
             assert ok
 
-    def test_violated_inequality_detected(self):
+    def test_violated_inequality_detected(self, monkeypatch):
         # doctored numbers: lhs exceeds rhs when B is scaled asymmetrically
         res = trace_inequality_check(SIGMA_Z, SIGMA_X)
         assert not (res.lhs1 > res.rhs1 * 1.0000001)  # sanity: equality case
-        bad = trace_inequality_check(SIGMA_Z, SIGMA_X, slack=-1e-3)
+        monkeypatch.setattr(validation, "INEQUALITY_SLACK", -1e-3)
+        bad = trace_inequality_check(SIGMA_Z, SIGMA_X)
         assert not bad.ok  # negative slack turns equality into failure
 
 
