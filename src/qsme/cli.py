@@ -73,10 +73,14 @@ def memory_estimate(sc: Scenario) -> dict[str, int]:
     difference).  The working set is what is held only for a while, counted
     for the M states in units of one state (d complex entries for kets,
     rank * d for ensemble kets, d^2 for densities): a step holds at most
-    2n + 5 of them at once, the state with its stacked channel products,
-    their copy for the dissipator's GEMM, and temporaries.  After the run the
-    final-state mean forms up to four (M, d, d) arrays, the CSV is formatted
-    one checkpoint of one observable (M + 1 rows) at a time, and the config
+    2n + 5 of them at once.  For a density that is the state, the workspace
+    its params keep (the n stacked channel products, their row copy for the
+    dissipator's GEMM, which also serves as scratch, and the update: 2n + 1,
+    or 4 for n = 1) and the symmetrized result with at most one temporary;
+    the run drops the params, and with them the workspace, when integration
+    ends.  After the run the final-state mean forms up to four (M, d, d)
+    arrays, the CSV is formatted one checkpoint of one observable (M + 1
+    rows) at a time, and the config
     hash and the summary are JSON text: the scenario's matrices, the
     final-state mean, every checkpoint's mean and stderr, and for a
     mean-field run its mean path.
@@ -265,6 +269,7 @@ def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both") -> RunArtifacts:
             seed=sc.seed,
         )
         report = mckean_vlasov_solve(cfg)
+        del cfg  # its params hold the step's workspace
         if not report.converged:
             raise TrajectoryAbort(
                 "Picard iteration did not converge: distances "
@@ -295,7 +300,9 @@ def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both") -> RunArtifacts:
 
         incr = sample_wiener_batch(params.n_channels, sc.steps, sc.dt, sc.seed, sc.trajectories)
         checkpoint_values = run(sc, params, incr, stride, reduce)  # (K+1, n_obs, M)
-        del incr  # not needed past integration; the CSV is the memory peak
+        # Neither is needed past integration (the params hold the density
+        # step's workspace); the CSV is the memory peak.
+        del incr, params
         mean_final = final(last[0])
         for i, (label, op, ostride) in enumerate(sc.outputs):
             vals = checkpoint_values[:: ostride // stride, i]  # (K'+1, M)

@@ -19,7 +19,13 @@ coefficients L_j gamma + (L_j gamma)†, and for the normalized step the
 compensators m_j = 2 Re tr(L_j gamma).  The noise coefficients equal
 L_j gamma + gamma L_j† because gamma is Hermitian, as every state the
 drivers step is.  The -i[H, gamma] - (1/2){sum_j L_j† L_j, gamma} terms are
-separate products with H and ``damping(t)``.
+separate products with H and ``damping(t)``.  The update writes all its
+state-sized arrays into a workspace that the params object keeps for the
+batch shape it last stepped, and so does the interaction-picture frame map.
+A step therefore allocates no state-sized array except the symmetrized one
+it returns (plus, for a batch under numpy's 256 KiB temporary-elision size,
+the temporaries of ``hermitianize``).  Because of the workspace, one params
+object must not be stepped from two threads at once.
 
 The deterministic (noise-averaged) Lindblad path, integrated by RK4, doubles
 as a test oracle: the innovation term of the normalized equation has zero
@@ -31,28 +37,69 @@ that share no kernel with the stepper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import TraceDeviation, TrajectoryAbort
 from .integrate import drive, integrate, keep_frame
 from .linalg import dag, hermitianize
-from .pure import PureFilterParams, apply_stacked, stacked_transpose
+from .pure import PureFilterParams, stacked_transpose
 
 STEP_TRACE_TOL = 1e-8  # largest |tr rho - 1| the normalized stepper accepts
 
 
+class _Workspace(NamedTuple):
+    """The state-sized arrays of one ``_sme_update`` batch shape; see ``SMEParams._workspace``."""
+
+    products: np.ndarray  # (..., d, n, d): products[..., c, j, i] = (L_j gamma)[i, c]
+    rows: np.ndarray  # (..., d, n, d): rows[..., i, j, c] = (L_j gamma)[i, c]
+    tmp: np.ndarray  # (..., d, d), in the space of rows
+    scratch: np.ndarray  # (..., d, d), in the space of rows
+    out: np.ndarray  # (..., d, d): the update
+
+
 @dataclass
 class SMEParams(PureFilterParams):
-    """Coefficients of the stochastic master equations; contract as PureFilterParams."""
+    """Coefficients of the stochastic master equations; contract as PureFilterParams.
+
+    The density steppers and the frame map keep their scratch arrays here
+    (``_workspace``), so one params object must not be stepped from two
+    threads at once.
+    """
+
+    _ws: _Workspace | None = field(init=False, repr=False, compare=False, default=None)
+
+    def _workspace(self, shape: tuple) -> _Workspace:
+        """Arrays for states of ``shape`` (..., d, d), kept until a call with another shape.
+
+        ``tmp`` and ``scratch`` are the first two states' worth of the space
+        of ``rows`` (which has room for at least two), so they are free
+        whenever ``rows`` is not being read.  The workspace holds 2n + 1
+        states (4 for n = 1).
+        """
+        if self._ws is None or self._ws.out.shape != shape:
+            self._ws = None  # the old arrays go before the new ones come
+            size, n, d = math.prod(shape), self.n_channels, self.dim
+            space = np.empty(max(n, 2) * size, complex)
+            stacked = shape[:-2] + (d, n, d)
+            self._ws = _Workspace(
+                np.empty(stacked, complex), space[: n * size].reshape(stacked), space[:size].reshape(shape),
+                space[size : 2 * size].reshape(shape), np.empty(shape, complex),
+            )
+        return self._ws
 
     def to_schroedinger_frame_matrix(self, state: np.ndarray, t: float) -> np.ndarray:
-        """Map an interaction-picture operator back: gamma = exp(-iHt) nu exp(iHt)."""
+        """Map an interaction-picture operator back: gamma = exp(-iHt) nu exp(iHt).
+
+        The product exp(-iHt) nu is formed in the workspace; the result is a fresh array.
+        """
         if self.picture == "schroedinger" or t == 0.0:
             return state
         u = self._prop.factor(t)
-        return u @ state @ dag(u)
+        return np.matmul(u, state, out=self._workspace(state.shape).scratch) @ dag(u)
 
 
 def output_compensators(rho: np.ndarray, ls: np.ndarray) -> np.ndarray:
@@ -85,22 +132,30 @@ def _sme_update(
     channels), the noise coefficients L_j gamma + (L_j gamma)†, which are
     L_j gamma + gamma L_j† for a Hermitian gamma, and the compensators
     m_j = 2 Re tr(L_j gamma), shape (..., n).
+
+    Every state-sized array lives in ``p._workspace(gamma.shape)``: the
+    returned update is the workspace's ``out``, which the next call on ``p``
+    overwrites, so a caller copies it (the steppers' ``hermitianize`` does)
+    before it steps ``p`` again.  Besides gamma, a step holds the 2n + 1
+    states of the workspace (4 for n = 1): the products, their row-major
+    copy and the update.  The copy of gamma^T that the first GEMM reads, and
+    the later scratch, take the space of the row copy while it is not in use.
     """
     ls_t = p.channel_ops(t)
     d, n = gamma.shape[-1], ls_t.shape[0]
-    y = apply_stacked(stacked_transpose(ls_t), np.swapaxes(gamma, -1, -2))  # y[..., c, j, i] = (L_j gamma)[i, c]
-    rows = np.swapaxes(y, -3, -1).reshape(-1, n * d)  # row i of [L_1 gamma | ... | L_n gamma]
-    out = (rows @ dag(ls_t).reshape(n * d, d)).reshape(gamma.shape)  # sum_j (L_j gamma) L_j†
-    del rows
-    # The rest accumulates in place in out and one scratch array, so a step
-    # holds few state-sized temporaries at once.
+    y, rows, tmp, scratch, out = p._workspace(gamma.shape)
+    np.copyto(scratch, np.swapaxes(gamma, -1, -2))  # gamma^T, read before rows is written
+    # y[..., c, j, i] = (L_j gamma)[i, c]
+    np.matmul(scratch.reshape(-1, d), stacked_transpose(ls_t), out=y.reshape(-1, n * d))
+    np.copyto(rows, np.swapaxes(y, -3, -1))  # row i of [L_1 gamma | ... | L_n gamma]
+    np.matmul(rows.reshape(-1, n * d), dag(ls_t).reshape(n * d, d), out=out.reshape(-1, d))  # sum_j (L_j gamma) L_j†
     damping = p.damping(t)
-    tmp = damping @ gamma
-    tmp += gamma @ damping
+    np.matmul(damping, gamma, out=tmp)
+    tmp += np.matmul(gamma, damping, out=scratch)
     out -= tmp
     if p.picture == "schroedinger":
         np.matmul(p.h, gamma, out=tmp)
-        tmp -= gamma @ p.h
+        tmp -= np.matmul(gamma, p.h, out=scratch)
         tmp *= 1j
         out -= tmp
     out *= p.dt
@@ -151,7 +206,7 @@ def nonlinear_sme_step(
     TraceDeviation.unless(ok, f"input trace deviates from 1 beyond {STEP_TRACE_TOL}")
     db = np.asarray(db, dtype=float)
     out, m = _sme_update(rho, p, db, t)
-    out -= np.einsum("...n,...n->...", m, db)[..., None, None] * rho
+    out -= np.multiply(np.einsum("...n,...n->...", m, db)[..., None, None], rho, out=p._workspace(rho.shape).scratch)
     out = hermitianize(out)
     purity = np.einsum("...ij,...ji->...", out, out).real
     TrajectoryAbort.unless(purity <= 2.0, "normalized density purity tr rho^2 exceeds 2")  # False for NaN

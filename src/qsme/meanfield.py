@@ -132,7 +132,7 @@ class MeanFieldConfig:
             raise ValueError("the mean-field solver integrates in the Schroedinger picture")
         self.rho0 = require_density(np.asarray(self.rho0, dtype=complex))
         steps = self.horizon / self.params.dt
-        if abs(steps - round(steps)) > 1e-9:
+        if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
             raise ValueError("horizon must be a whole number of dt steps")
 
     @property

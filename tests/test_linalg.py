@@ -176,3 +176,38 @@ class TestValidators:
         a = random_operator(5, rng)
         h = hermitianize(a)
         assert np.array_equal(h, h.conj().T)
+
+
+def _hermitianize_cases():
+    """Complex and real batches, small and past numpy's 256 KiB temporary-elision size, with
+    signed zeros, as arrays and as non-contiguous views."""
+    rng = np.random.default_rng(32)
+    z = rng.normal(size=(300, 16, 16)) + 1j * rng.normal(size=(300, 16, 16))  # 1.2 MB
+    z[:, 2, 3], z[:, 3, 2], z[:, 4, 4] = complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)
+    r = rng.normal(size=(5, 4, 4))
+    r[:, 0, 1] = r[:, 1, 0] = r[:, 2, 2] = -0.0
+    return {
+        "complex_large": z,
+        "complex_small": z[:4].copy(),
+        "complex_single": z[7].copy(),
+        "complex_strided_view": z[::2, ::3, ::3],
+        "complex_transposed_view": np.swapaxes(z, -1, -2),
+        "real": r,
+        "real_reversed_view": r[..., ::-1],
+    }
+
+
+@pytest.mark.parametrize("name", list(_hermitianize_cases()))
+def test_hermitianize_is_the_half_sum_bit_for_bit(name):
+    # the density steppers' outputs, and so every reduction of them, rest on
+    # hermitianize being 0.5 * (A + A†) in its values, signed zeros included,
+    # and in its memory order
+    a = _hermitianize_cases()[name]
+    h = hermitianize(a)
+    ref = 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))  # outside an assert, whose rewrite would hold the temporaries
+    assert h.dtype == ref.dtype and h.strides == ref.strides
+    assert np.array_equal(h, ref)
+    assert np.array_equal(np.signbit(h.real), np.signbit(ref.real))
+    assert np.array_equal(np.signbit(h.imag), np.signbit(ref.imag))
+    assert np.array_equal(h, np.conj(np.swapaxes(h, -1, -2)))
+    assert not np.shares_memory(h, a)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +10,7 @@ from qsme.errors import TraceDeviation, TrajectoryAbort
 from qsme.linalg import (
     SIGMA_X,
     SIGMA_Z,
+    dag,
     hs_norm,
     operator_norm,
     random_density,
@@ -28,6 +34,8 @@ from qsme.noise import coarsen_increments, sample_wiener_batch
 from qsme.pure import PureFilterParams, run_linear, run_nonlinear
 
 from oracles import direct_linear_sme_step, direct_nonlinear_sme_step, random_ket
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def moderate_qubit(rng, dt=1e-3):
@@ -241,6 +249,83 @@ class TestNormalizedStepKernel:
             ref = direct_nonlinear_sme_step(rho, p, db, 0.37)
             assert out.shape == ref.shape == rho.shape
             assert np.max(np.abs(out - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+class TestStepWorkspace:
+    """The steps write their state-sized arrays into a workspace kept on the params
+    object; every stepper output is still a fresh array that later steps leave alone."""
+
+    @pytest.mark.parametrize("picture", ["schroedinger", "interaction"])
+    @pytest.mark.parametrize("stepper", [linear_sme_step, nonlinear_sme_step])
+    def test_successive_outputs_share_no_memory(self, stepper, picture):
+        # batch shapes (), (M,) and (M, r) on one params object, so the
+        # workspace is also rebuilt between shapes
+        p, cases = kernel_cases(3, 2, picture)
+        for state, noise in cases:
+            first = stepper(state, p, noise, 0.37)
+            kept = first.copy()
+            second = stepper(first, p, noise, 0.38)
+            assert not np.shares_memory(first, second)
+            assert not any(np.shares_memory(first, buf) or np.shares_memory(second, buf) for buf in p._ws)
+            assert np.array_equal(first, kept)
+            # a reused workspace gives the bits of a fresh one
+            fresh = SMEParams(p.h, p.ls, p.dt, p.picture)
+            assert np.array_equal(second, stepper(first, fresh, noise, 0.38))
+
+    @pytest.mark.parametrize("m", [4, 300])
+    @pytest.mark.parametrize("stepper", [linear_sme_step, nonlinear_sme_step])
+    def test_output_keeps_the_memory_order_of_the_half_sum(self, stepper, m):
+        # einsum reductions of a state (the CLI's observable values) sum in
+        # memory order, so a state's layout is part of the bits a run writes;
+        # the step returns it in the layout 0.5 * (A + A†) gives a C-ordered
+        # update A, which numpy's temporary elision makes the transposed one
+        # for arrays of 256 KiB and more (d = 16, M = 300 is 1.2 MB)
+        rng = np.random.default_rng(30)
+        d, n = 16, 2
+        ls = np.stack([0.5 * random_operator(d, rng) for _ in range(n)])
+        p = SMEParams(random_hermitian(d, rng), ls, 1e-4)
+        x = np.broadcast_to(random_density(d, rng), (m, d, d)).copy()
+        out = stepper(x, p, rng.normal(0.0, 1e-2, (m, n)))
+        a = np.zeros((m, d, d), complex)
+        half_sum = 0.5 * (a + dag(a))  # outside the assert, whose rewrite would hold the temporaries
+        assert out.strides == half_sum.strides
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
+    @pytest.mark.parametrize("picture", ["schroedinger", "interaction"])
+    @pytest.mark.parametrize("stepper", ["linear_sme_step", "nonlinear_sme_step"])
+    def test_steady_steps_fault_in_no_pages(self, stepper, picture):
+        # d = 16, n = 2, M = 120: each state-sized array is 480 KiB, and one
+        # that is allocated and freed every step has its pages faulted in
+        # again (345-571 minor faults a step when every temporary was
+        # fresh).  Measured in a fresh interpreter with one BLAS thread, as
+        # the benchmark runs: a threaded GEMM's own buffers fault too.
+        code = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from qsme import master\n"
+            "from qsme.linalg import random_density, random_hermitian, random_operator\n"
+            "rng = np.random.default_rng(16)\n"
+            "d, n, m = 16, 2, 120\n"
+            "ls = np.stack([0.5 * random_operator(d, rng) for _ in range(n)])\n"
+            f"p = master.SMEParams(random_hermitian(d, rng), ls, 1e-4, {picture!r})\n"
+            f"step = master.{stepper}\n"
+            "x = np.broadcast_to(random_density(d, rng), (m, d, d)).copy()\n"
+            "noise = rng.normal(0.0, 1e-2, (60, m, n))\n"
+            "for k in range(10):\n"
+            "    x = step(x, p, noise[k], k * p.dt)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for k in range(10, 60):\n"
+            "    x = step(x, p, noise[k], k * p.dt)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]),
+        }
+        run = subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True, text=True)
+        faults = int(run.stdout)
+        assert faults <= 5 * 50, faults
 
 
 class TestTraceProcess:

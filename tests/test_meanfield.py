@@ -125,6 +125,15 @@ class TestFrozenFieldStep:
         assert np.allclose(frozen_field_step(rho, eta, cfg, db), hermitianize(expected), atol=1e-14)
 
 
+class TestMeanFieldConfig:
+    @pytest.mark.parametrize("horizon, dt", [(1e308, 1e-308), (float("nan"), 1e-3)])
+    def test_step_count_without_a_whole_value_is_a_horizon_error(self, horizon, dt):
+        # horizon / dt is inf or NaN, which round() cannot turn into a step count
+        p = SMEParams(0.5 * SIGMA_Z, SIGMA_X, dt)
+        with pytest.raises(ValueError, match="horizon must be a whole number of dt steps"):
+            MeanFieldConfig(p, InteractionMap.zero(2), 0.5 * np.eye(2), 10, horizon)
+
+
 class TestPicard:
     def test_zero_interaction_converges_immediately(self):
         cfg = base_config(InteractionMap.zero(2))
