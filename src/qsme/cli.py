@@ -67,8 +67,10 @@ JSON_FLOAT_BYTES = 400
 def memory_estimate(sc: Scenario) -> dict[str, int]:
     """Bytes of the noise increments, the checkpoint data and the working set a run allocates.
 
-    Noise is the (M, steps, n) float64 batch.  A trajectory run keeps the
-    (K+1, n_obs, M) float64 observable values; a mean-field run keeps three
+    Noise is the (M, steps, n) float64 batch.  A trajectory run keeps one
+    (steps // stride + 1, M) float64 array of values per output, at that
+    output's own stride, and integration lets go of the replicated start
+    state after the first step; a mean-field run keeps three
     (steps+1, d, d) mean paths (the previous iterate, the new one and their
     difference).  The working set is what is held only for a while, counted
     for the M states in units of one state (d complex entries for kets,
@@ -101,7 +103,7 @@ def memory_estimate(sc: Scenario) -> dict[str, int]:
             per_state = decompose_state(sc.rho0).cutoff * d
         else:
             per_state = d**2
-        checkpoints = (sc.steps // _grid_stride(sc) + 1) * m * n_obs * 8
+        checkpoints = sum(sc.steps // stride + 1 for _, _, stride in sc.outputs) * m * 8
         label = max((len(lab) for lab, _, _ in sc.outputs), default=0)
         output = 4 * m * d**2 * 16 + (m + 1) * (CSV_ROW_BYTES + 4 * label)
     working = (2 * n + 5) * m * per_state * 16 + output + json_floats * JSON_FLOAT_BYTES
@@ -135,6 +137,9 @@ def _ket_final(frame: np.ndarray) -> np.ndarray:
 
 
 def _density_values(frame: np.ndarray, ops: list) -> np.ndarray:
+    # einsum sums in memory order: reduce a C-ordered frame, so the values
+    # depend on the states alone and not on how a step laid them out
+    frame = np.ascontiguousarray(frame)
     out = np.empty((len(ops), frame.shape[0]))
     for i, op in enumerate(ops):
         out[i] = np.einsum("ij,mji->m", op, frame).real
@@ -147,6 +152,7 @@ def _traces(states: np.ndarray) -> np.ndarray:
 
 
 def _unnormalized_values(frame: np.ndarray, ops: list) -> np.ndarray:
+    frame = np.ascontiguousarray(frame)
     return _density_values(frame, ops) / _traces(frame)
 
 
@@ -192,9 +198,9 @@ def _run_ensemble(sc: Scenario, p: SMEParams, incr: np.ndarray, stride: int, red
 
 
 # Trajectory engine -> (runner (scenario, params, increments, stride,
-# per-checkpoint reduce) -> what reduce returned at each checkpoint, state
-# kind).  ``meanfield`` is not here: it yields a mean path, not
-# per-trajectory states.
+# per-checkpoint reduce) -> what reduce returned at each checkpoint, stacked,
+# or None for a reduce that returns None; state kind).  ``meanfield`` is not
+# here: it yields a mean path, not per-trajectory states.
 ENGINES = {
     "pure_linear": (
         lambda sc, p, incr, stride, reduce: run_linear(
@@ -288,24 +294,31 @@ def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both") -> RunArtifacts:
         run, kind = ENGINES[sc.engine]
         values, final = REDUCERS[kind]
         ops = [op for _, op, _ in sc.outputs]
+        strides = [ostride for _, _, ostride in sc.outputs]
+        # one (steps // stride + 1, M) array per output, filled at its own checkpoints
+        kept = [np.empty((sc.steps // ostride + 1, sc.trajectories)) for ostride in strides]
         last = []  # the final checkpoint's states, for the final-state reducer
 
         def reduce(frame, k):
+            due = [i for i, ostride in enumerate(strides) if k % ostride == 0]
+            # where no output is due every value is computed anyway, so that
+            # a non-finite state aborts at the first grid checkpoint it reaches
+            checked = due or range(len(ops))
             with np.errstate(divide="ignore", invalid="ignore"):  # non-finite values abort below
-                vals = values(frame, ops)  # (n_obs, M)
+                vals = values(frame, [ops[i] for i in checked])  # (len(checked), M)
             TrajectoryAbort.unless(np.isfinite(vals).all(axis=0), "non-finite observable value", k)
+            for i, v in zip(due, vals):
+                kept[i][k // strides[i]] = v
             if k == sc.steps:
                 last.append(frame)
-            return vals
 
         incr = sample_wiener_batch(params.n_channels, sc.steps, sc.dt, sc.seed, sc.trajectories)
-        checkpoint_values = run(sc, params, incr, stride, reduce)  # (K+1, n_obs, M)
+        run(sc, params, incr, stride, reduce)
         # Neither is needed past integration (the params hold the density
         # step's workspace); the CSV is the memory peak.
         del incr, params
         mean_final = final(last[0])
-        for i, (label, op, ostride) in enumerate(sc.outputs):
-            vals = checkpoint_values[:: ostride // stride, i]  # (K'+1, M)
+        for (label, _, ostride), vals in zip(sc.outputs, kept):
             per_traj[label] = vals
             means[label] = vals.mean(axis=1)
             stderrs[label] = (

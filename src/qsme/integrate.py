@@ -8,9 +8,12 @@ frame map they pass it.  ``drive`` replicates the start state over the batch
 of increments, steps with increment ``k`` at t = k dt, maps each
 checkpoint's state to the Schroedinger frame and hands that frame to a
 per-checkpoint ``reduce(frame, k)``.  The default reducer, ``keep_frame``,
-stores the frame state itself; the CLI reduces it to observable values
-instead, so no run holds every checkpoint's states.  For each mean-field Picard iteration
-``observe`` is the Monte Carlo mean of the batch.
+stores the frame state itself.  The CLI's reducer stores each observable's
+values in its own array and returns None, so ``integrate`` stacks nothing
+and no run holds every checkpoint's states.  For each mean-field Picard
+iteration ``observe`` is the Monte Carlo mean of the batch.  ``integrate``
+lets go of its start state after step 0, so a replicated (M, ...) start
+state is not kept for the whole run.
 """
 
 from __future__ import annotations
@@ -30,19 +33,24 @@ def keep_frame(frame, k: int):
     return frame
 
 
-def integrate(step, x0: np.ndarray, steps: int, stride: int, observe) -> np.ndarray:
+def integrate(step, x0: np.ndarray, steps: int, stride: int, observe) -> np.ndarray | None:
     """Run ``steps`` steps from ``x0``; ``observe`` at t = 0 and every ``stride`` steps.
 
     Returns shape (steps // stride + 1, ...): entry i is ``observe(x, i * stride)``.
-    A ``TrajectoryAbort`` that ``step(x, k)`` raises without a step index is
+    An ``observe`` that returns None at t = 0 keeps what it needs itself:
+    nothing is stacked and the result is None.  Once ``step(x0, 0)`` has
+    returned, ``integrate`` holds no reference to ``x0``.  A
+    ``TrajectoryAbort`` that ``step(x, k)`` raises without a step index is
     located at ``k``, the number of steps ``x`` has taken.
     """
     if steps % stride:
         raise ValueError("step count must be a multiple of checkpoint_stride")
     first = observe(x0, 0)
-    out = np.empty((steps // stride + 1,) + first.shape, dtype=first.dtype)
-    out[0] = first
-    x = x0
+    out = None
+    if first is not None:
+        out = np.empty((steps // stride + 1,) + first.shape, dtype=first.dtype)
+        out[0] = first
+    x, x0, first = x0, None, None  # x is the only reference to the start state
     for k in range(steps):
         try:
             x = step(x, k)
@@ -51,17 +59,21 @@ def integrate(step, x0: np.ndarray, steps: int, stride: int, observe) -> np.ndar
                 raise
             raise TrajectoryAbort(e.reason, step=k, trajectory=e.trajectory) from e
         if (k + 1) % stride == 0:
-            out[(k + 1) // stride] = observe(x, k + 1)
+            if out is None:
+                observe(x, k + 1)
+            else:
+                out[(k + 1) // stride] = observe(x, k + 1)
     return out
 
 
-def drive(stepper, x0: np.ndarray, frame, p, increments, checkpoint_stride: int, reduce) -> np.ndarray:
+def drive(stepper, x0: np.ndarray, frame, p, increments, checkpoint_stride: int, reduce) -> np.ndarray | None:
     """Drive ``stepper(x, p, increments[..., k, :], k dt)`` from ``x0`` over every step of ``increments``.
 
     ``increments`` has shape (..., steps, n) and ``x0`` is replicated over its
     leading batch shape.  At t = 0 and every ``checkpoint_stride`` steps the
     state is mapped by ``frame(x, t)`` and ``reduce(frame, k)`` is stored:
-    shape (steps // checkpoint_stride + 1, ...).
+    shape (steps // checkpoint_stride + 1, ...), or None for a ``reduce``
+    that returns None.
     """
     increments = np.asarray(increments, dtype=float)
     return integrate(

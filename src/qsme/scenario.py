@@ -407,6 +407,9 @@ def validate_scenario(data: dict) -> Scenario:
     interaction = None
     mf = data.get("meanfield")
     if engine == "meanfield":
+        if data.get("picture") == "interaction":
+            errors.append(("/picture", "engine meanfield integrates in the Schroedinger picture; "
+                                       "use \"auto\" or \"schroedinger\""))
         if mf is None:
             errors.append(("/meanfield", "engine meanfield requires a meanfield block"))
         else:

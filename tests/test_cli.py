@@ -5,11 +5,12 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from qsme import cli, master, scenario
+from qsme import cli, ensemble, master, pure, scenario
 from qsme.cli import main
 from qsme.linalg import random_density, random_hermitian, random_operator
 from qsme.master import SMEParams, linear_sme_step, run_linear_sme, run_nonlinear_sme
@@ -204,6 +205,21 @@ class TestValidateConfig:
         assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 2
         assert "config error at /outputs/1/label" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_interaction_picture_meanfield_rejected(self, tmp_path, capsys):
+        # the mean-field solver integrates in the Schroedinger picture; an
+        # explicit "interaction" is refused rather than silently replaced
+        mf = {"interaction": {"variant": "zero"}}
+        path = write_scenario(tmp_path, minimal_scenario(engine="meanfield", meanfield=mf, picture="interaction"))
+        assert main(["validate-config", path]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error at /picture:")
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        for picture in ("auto", "schroedinger"):
+            path = write_scenario(tmp_path, minimal_scenario(engine="meanfield", meanfield=mf, picture=picture))
+            assert main(["validate-config", path]) == 0
+            assert json.loads(capsys.readouterr().out)["picture"] == "schroedinger"
 
 
 class TestSimulate:
@@ -565,6 +581,24 @@ class TestReducers:
                 assert np.array_equal(vals[::stride, i], old_values(states[::stride], op)), kind
             assert np.array_equal(final(states[-1]), old_final(states)), kind
 
+    @pytest.mark.parametrize("kind", ["density", "unnormalized"])
+    @pytest.mark.parametrize("d", [2, 5, 16])
+    def test_density_values_do_not_depend_on_memory_order(self, kind, d):
+        # equal states laid out in C and in transposed order give the same
+        # bits, and a C-ordered frame is reduced as it is, not copied
+        rng = np.random.default_rng(60 + d)
+        states = np.stack([random_density(d, rng) for _ in range(40)])
+        states[::3] *= 1.7  # unnormalized traces for the linear equation's reducer
+        transposed = np.ascontiguousarray(np.swapaxes(states, -1, -2)).swapaxes(-1, -2)
+        assert np.array_equal(transposed, states) and not transposed.flags.c_contiguous
+        ops = [random_operator(d, rng), random_hermitian(d, rng), np.eye(d)]
+        values = cli.REDUCERS[kind][0]
+        assert np.array_equal(values(transposed, ops), values(states, ops))
+        old = np.stack([self.old_density_values(states[None], op)[0] for op in ops])
+        if kind == "unnormalized":
+            old = old / np.einsum("mii->m", states).real
+        assert np.array_equal(values(states, ops), old)
+
     def test_ensemble_run_keeps_no_checkpoint_states(self, tmp_path):
         # d = 4 rank-4 kets at M = 2000 over 500 steps with stride 1: the
         # (K+1, M, d, d) density buffer would be 256 MB on its own; the run
@@ -580,23 +614,182 @@ class TestReducers:
             outputs=[{"observable": "number", "stride": 1, "label": "n"}],
         )
         assert (501 * 2000 * 4 * 4 * 16) / 2**20 > 240
-        script = (
-            "import json, sys\n"
-            "from qsme.cli import run_scenario\n"
-            "from qsme.scenario import validate_scenario\n"
-            "run_scenario(validate_scenario(json.loads(sys.argv[1])), sys.argv[2], fmt='json')\n"
-            "status = open('/proc/self/status').read().split('\\n')\n"
-            "print([l for l in status if l.startswith('VmHWM')][0].split()[1])\n"
-        )
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-        out = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(data), str(tmp_path)],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        peak_mb = int(out.stdout.strip()) / 1024
+        peak_mb = peak_rss_mb(data, tmp_path)
         assert peak_mb < 120, f"VmHWM {peak_mb:.1f} MB"
+
+
+def peak_rss_mb(data, out_dir):
+    """VmHWM of a fresh interpreter (one BLAS thread) that runs ``data`` with --format json."""
+    script = (
+        "import json, sys\n"
+        "from qsme.cli import run_scenario\n"
+        "from qsme.scenario import validate_scenario\n"
+        "run_scenario(validate_scenario(json.loads(sys.argv[1])), sys.argv[2], fmt='json')\n"
+        "status = open('/proc/self/status').read().split('\\n')\n"
+        "print([l for l in status if l.startswith('VmHWM')][0].split()[1])\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    out = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(data), str(out_dir)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return int(out.stdout.strip()) / 1024
+
+
+TRAJECTORY_ENGINES = ["pure_linear", "pure_nonlinear", "sme_linear", "sme_nonlinear", "ensemble"]
+
+
+def strided_scenario(engine, strides, **overrides):
+    """A minimal scenario of ``engine`` (24 steps unless overridden) with one output per stride."""
+    extra = {"pure_linear": {"rho0": {"pure": {"basis": 0}}}, "pure_nonlinear": {"rho0": {"pure": {"basis": 0}}},
+             "ensemble": {"rho0": {"diag": [0.7, 0.3]}}}.get(engine, {})
+    observables = ["pauli_z", "pauli_x", "identity", "pauli_y", "number", "zero"]
+    outputs = [{"observable": obs, "stride": stride, "label": f"{obs}/{stride}"}
+               for obs, stride in zip(observables, strides)]
+    return minimal_scenario(engine=engine, outputs=outputs, **{"horizon": 0.024, **extra, **overrides})
+
+
+def gcd_grid_run(sc):
+    """Every output's values from one (K+1, n_obs, M) buffer on the gcd grid of the strides.
+
+    Returns the CSV body, the summary's ``observables`` and the final-state
+    mean as a run that evaluates every observable at every grid checkpoint
+    and slices each output's rows out of the buffer gives them.
+    """
+    params = cli._params(sc)
+    run, kind = cli.ENGINES[sc.engine]
+    values, final = cli.REDUCERS[kind]
+    ops = [op for _, op, _ in sc.outputs]
+    grid = cli._grid_stride(sc)
+    last = []
+
+    def reduce(frame, k):
+        if k == sc.steps:
+            last.append(frame)
+        return values(frame, ops)
+
+    incr = sample_wiener_batch(params.n_channels, sc.steps, sc.dt, sc.seed, sc.trajectories)
+    buf = run(sc, params, incr, grid, reduce)
+    per_traj, means, times, observables = {}, {}, {}, {}
+    for i, (label, _, stride) in enumerate(sc.outputs):
+        vals = buf[:: stride // grid, i]
+        per_traj[label], means[label] = vals, vals.mean(axis=1)
+        times[label] = sc.dt * stride * np.arange(vals.shape[0])
+        observables[label] = {
+            "times": times[label].tolist(),
+            "mean": means[label].tolist(),
+            "stderr": (vals.std(axis=1, ddof=1) / np.sqrt(vals.shape[1])).tolist(),
+        }
+    body = "".join(cli._csv_chunks(sc.outputs, times, per_traj, means))
+    return body, observables, final(last[0])
+
+
+class TestPerOutputStorage:
+    """A trajectory run keeps each output at its own stride and evaluates only what is due."""
+
+    @pytest.mark.parametrize("strides", [(1, 2), (4, 6)])
+    @pytest.mark.parametrize("engine", TRAJECTORY_ENGINES)
+    def test_bytes_equal_to_gcd_grid_buffer(self, tmp_path, engine, strides):
+        sc = validate_scenario(strided_scenario(engine, strides))
+        art = cli.run_scenario(sc, str(tmp_path))
+        body, observables, final_mean = gcd_grid_run(sc)
+        with open(art.csv_path) as f:
+            assert f.readline().startswith("# generated=")
+            assert f.read() == body
+        assert art.digest == hashlib.sha256(body.encode()).hexdigest()
+        with open(art.json_path) as f:
+            text = f.read()
+        expected = dict(json.loads(text), observables=observables,
+                        final_state_mean=[[[z.real, z.imag] for z in row] for row in final_mean])
+        assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("engine", TRAJECTORY_ENGINES)
+    def test_each_observable_evaluated_only_at_its_checkpoints(self, tmp_path, engine, monkeypatch):
+        # strides (4, 6) over 24 steps: grid checkpoints every 2 steps; at
+        # 2, 10, 14 and 22 no output is due, so both are evaluated there
+        sc = validate_scenario(strided_scenario(engine, (4, 6)))
+        index = {id(op): i for i, (_, op, _) in enumerate(sc.outputs)}
+        kind = cli.ENGINES[engine][1]
+        values, final = cli.REDUCERS[kind]
+        calls = []
+
+        def spy(frame, ops):
+            calls.append(tuple(index[id(op)] for op in ops))
+            return values(frame, ops)
+
+        monkeypatch.setitem(cli.REDUCERS, kind, (spy, final))
+        cli.run_scenario(sc, str(tmp_path))
+        expected = []
+        for k in range(0, 25, 2):
+            due = tuple(i for i, stride in enumerate((4, 6)) if k % stride == 0)
+            expected.append(due or (0, 1))
+        assert calls == expected
+        assert calls[1] == (0, 1) and calls[2] == (0,) and calls[3] == (1,) and calls[6] == (0, 1)
+
+    @pytest.mark.parametrize("poisoned_step", [3, 1])
+    @pytest.mark.parametrize("engine", TRAJECTORY_ENGINES)
+    def test_non_finite_state_between_grid_checkpoints_aborts_at_next_one(self, tmp_path, capsys, engine,
+                                                                          poisoned_step, monkeypatch):
+        # strides (4, 6), grid checkpoints every 2 steps: trajectory 5 turns
+        # NaN in step 3, and checkpoint 4, where only the stride-4 output is
+        # due, aborts with step 4 and trajectory 5, as the whole-grid check
+        # did; turned NaN in step 1, it aborts at checkpoint 2, where no
+        # output is due
+        module, name = {"pure_linear": (pure, "linear_pure_step"), "pure_nonlinear": (pure, "nonlinear_pure_step"),
+                        "sme_linear": (master, "linear_sme_step"), "sme_nonlinear": (master, "nonlinear_sme_step"),
+                        "ensemble": (ensemble, "_kick_kets")}[engine]
+        step = getattr(module, name)
+        dt = 1e-3
+
+        def poisoned(*args):
+            out = step(*args)
+            if round(args[-1] / dt) == poisoned_step:
+                out = out.copy()
+                out[5] = np.nan
+            return out
+
+        monkeypatch.setattr(module, name, poisoned)
+        path = write_scenario(tmp_path, strided_scenario(engine, (4, 6), dt=dt))
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 3
+        report = json.loads(capsys.readouterr().err)
+        assert (report["step"], report["trajectory"]) == (poisoned_step + 1, 5)
+        assert report["reason"] == ("nonpositive trace in a linear-equation trajectory" if engine == "sme_linear"
+                                    else "non-finite observable value")
+
+    @pytest.mark.parametrize("engine", TRAJECTORY_ENGINES)
+    def test_integration_keeps_no_reference_to_start_state(self, engine):
+        # the replicated start state is the frame at t = 0; once step 0 has
+        # returned nothing holds it
+        sc = validate_scenario(strided_scenario(engine, (2,)))
+        run, kind = cli.ENGINES[engine]
+        refs = []
+
+        def reduce(frame, k):
+            states = frame[0] if kind == "ensemble" else frame
+            if k == 0:
+                refs.append(weakref.ref(states))
+            else:
+                refs.append(refs[0]() is None)
+
+        params = cli._params(sc)
+        assert run(sc, params, sample_wiener_batch(1, sc.steps, sc.dt, 1, sc.trajectories), 2, reduce) is None
+        assert refs[0]() is None and len(refs) == 13
+        assert refs[1:] == [True] * 12
+
+    def test_mixed_stride_run_peaks_below_gcd_grid_buffer(self, tmp_path):
+        # six outputs at strides 6, 10 and 15 over 600 steps at M = 4000: on
+        # their gcd grid (every step) the values alone would take 115 MB;
+        # per output they take 13 MB, and the whole run peaks below the 115
+        strides = (6, 10, 15, 6, 10, 15)
+        data = strided_scenario("pure_linear", strides, horizon=0.6, trajectories=4000)
+        sc = validate_scenario(data)
+        grid_mb = (sc.steps + 1) * len(strides) * sc.trajectories * 8 / 2**20
+        assert cli._grid_stride(sc) == 1 and grid_mb > 110
+        assert cli.memory_estimate(sc)["checkpoint_bytes"] == sum(600 // s + 1 for s in strides) * 4000 * 8
+        peak_mb = peak_rss_mb(data, tmp_path)
+        assert peak_mb < grid_mb, f"VmHWM {peak_mb:.1f} MB"
 
 
 class TestCsvChunks:

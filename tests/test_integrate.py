@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,28 @@ def test_checkpoints_observe_every_stride_from_zero():
     assert np.array_equal(out[:, 0], [0.0, 22.0, 44.0, 66.0])
     with pytest.raises(ValueError, match="multiple of checkpoint_stride"):
         integrate(lambda x, k: x, np.zeros(2), 7, 2, lambda x, k: x)
+
+
+def test_observe_returning_none_stacks_nothing():
+    seen = []
+    out = integrate(lambda x, k: x + 1.0, np.zeros(2), 6, 2, lambda x, k: seen.append((k, x[0])))
+    assert out is None and seen == [(0, 0.0), (2, 2.0), (4, 4.0), (6, 6.0)]
+
+
+def test_start_state_is_released_after_the_first_step():
+    # observe returns the state itself, as keep_frame does at t = 0
+    refs = []
+
+    def step(x, k):
+        if k == 0:
+            refs.append(weakref.ref(x))
+        else:
+            refs.append(refs[0]() is None)
+        return x + 1.0
+
+    out = integrate(step, np.zeros(2), 4, 1, lambda x, k: x)
+    assert np.array_equal(out[:, 0], [0.0, 1.0, 2.0, 3.0, 4.0])
+    assert refs[1:] == [True] * 3
 
 
 def _params():
