@@ -14,6 +14,7 @@ from qsme import cli, ensemble, master, pure, scenario
 from qsme.cli import main
 from qsme.linalg import random_density, random_hermitian, random_operator
 from qsme.master import SMEParams, linear_sme_step, run_linear_sme, run_nonlinear_sme
+from qsme.meanfield import MeanFieldConfig, mckean_vlasov_solve
 from qsme.noise import sample_wiener_batch
 from qsme.pure import run_linear
 from qsme.scenario import ScenarioError, apply_overrides, validate_scenario
@@ -327,6 +328,47 @@ class TestSimulate:
         info = json.loads(capsys.readouterr().out)
         summary = json.load(open(info["summary"]))
         assert summary["engine_details"]["picard"]["converged"]
+
+    @pytest.mark.parametrize("mode", ["normalized", "linear"])
+    def test_meanfield_output_is_the_solver_path(self, tmp_path, mode):
+        # a run writes the converged mean path of a separate solve of the same
+        # config, bit for bit: tr(O eta(t)) at each output's own stride with
+        # zero stderr, only mean rows in the CSV, and eta at the horizon as
+        # the final-state mean
+        data = minimal_scenario(
+            trajectories=30,
+            rho0={"diag": [0.7, 0.3]},
+            engine="meanfield",
+            meanfield={"interaction": {"variant": "potential", "table": [[1.0, -1.0], [-1.0, 1.0]]}, "mode": mode},
+            outputs=[{"observable": obs, "stride": stride, "label": f"{obs}/{stride}"}
+                     for obs, stride in (("pauli_z", 1), ("pauli_x", 5), ("pauli_y", 10))],
+        )
+        sc = validate_scenario(data)
+        art = cli.run_scenario(sc, str(tmp_path))
+        report = mckean_vlasov_solve(MeanFieldConfig(
+            params=cli._params(sc), interaction=sc.interaction, rho0=sc.rho0, trajectories=sc.trajectories,
+            horizon=sc.horizon, picard_max_iter=sc.picard_max_iter, picard_tol=sc.picard_tol,
+            mode=sc.meanfield_mode, seed=sc.seed,
+        ))
+        assert report.converged
+        path = report.mean_field_path
+        with open(art.json_path) as f:
+            summary = json.load(f)
+        with open(art.csv_path) as f:
+            assert f.readline().startswith("# generated=")
+            assert f.readline() == "t,traj_id,observable,value\n"
+            rows = [line.rstrip("\n").split(",") for line in f]
+        assert {traj for _, traj, _, _ in rows} == {"mean"}
+        for label, op, stride in sc.outputs:
+            expected = np.einsum("ij,kji->k", op, path[::stride]).real
+            observed = summary["observables"][label]
+            assert np.array_equal(observed["mean"], expected)
+            assert observed["stderr"] == [0.0] * expected.size
+            assert observed["times"] == (sc.dt * stride * np.arange(expected.size)).tolist()
+            assert np.array_equal([float(v) for _, _, lab, v in rows if lab == label], expected)
+        assert len(rows) == sum(sc.steps // stride + 1 for _, _, stride in sc.outputs)
+        final = np.asarray(summary["final_state_mean"])
+        assert np.array_equal(final[..., 0] + 1j * final[..., 1], path[-1])
 
     def test_meanfield_non_convergence_exits_3(self, tmp_path, capsys):
         mf = minimal_scenario(
