@@ -1,13 +1,17 @@
 """Command-line entry point: scenario runs, config validation, check suites.
 
+Every engine, the mean-field solver included, is one row of ``ENGINES``, and
+``run_scenario`` reduces, checks and summarizes the checkpoints of all of
+them through one path.
+
 Exit codes: 0 ok, 1 validation-suite failure, 2 config error (including a
 duplicate output label or one that would break CSV rows, and a run whose
 estimated noise, checkpoint and working memory exceeds physical memory),
 3 runtime abort (trace collapse, a nonpositive sme_linear or linear-mode
 meanfield trace, a normalized density whose trace leaves 1 or whose purity
 tr rho^2 exceeds 2 as a diverging sme_nonlinear or meanfield run blows up, a
-vanished ensemble norm, a non-finite observable value, Picard
-non-convergence), 4 I/O failure.
+vanished ensemble norm, a non-finite observable value of any engine,
+Picard non-convergence), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from . import suites
 @dataclass
 class RunArtifacts:
     csv_path: str | None
-    json_path: str
+    json_path: str | None
     config_hash: str
     seed: int
     digest: str  # sha256 of the deterministic CSV body (or of the summary JSON)
@@ -90,19 +94,18 @@ def memory_estimate(sc: Scenario) -> dict[str, int]:
     m, d, n, n_obs = sc.trajectories, sc.dim, sc.ls.shape[0], len(sc.outputs)
     noise = m * sc.steps * n * 8
     json_floats = (sc.steps // _grid_stride(sc) + 1) * (1 + 3 * n_obs) + 2 * d**2 * (3 + n + n_obs)
-    if sc.engine == "meanfield":
+    kind = ENGINES[sc.engine][1]
+    if kind == "ket":
+        per_state = d
+    elif kind == "ensemble":
+        per_state = decompose_state(sc.rho0).cutoff * d
+    else:
         per_state = d**2
+    if sc.engine == "meanfield":
         checkpoints = 3 * (sc.steps + 1) * d**2 * 16
         json_floats += 2 * (sc.steps + 1) * d**2
         output = 0
     else:
-        kind = ENGINES[sc.engine][1]
-        if kind == "ket":
-            per_state = d
-        elif kind == "ensemble":
-            per_state = decompose_state(sc.rho0).cutoff * d
-        else:
-            per_state = d**2
         checkpoints = sum(sc.steps // stride + 1 for _, _, stride in sc.outputs) * m * 8
         label = max((len(lab) for lab, _, _ in sc.outputs), default=0)
         output = 4 * m * d**2 * 16 + (m + 1) * (CSV_ROW_BYTES + 4 * label)
@@ -175,7 +178,12 @@ REDUCERS = {
 }
 
 
-def _run_sme_linear(sc: Scenario, p: SMEParams, incr: np.ndarray, stride: int, reduce) -> np.ndarray:
+def _noise(sc: Scenario, p: SMEParams) -> np.ndarray:
+    """The run's (M, steps, n) Wiener increments."""
+    return sample_wiener_batch(p.n_channels, sc.steps, sc.dt, sc.seed, sc.trajectories)
+
+
+def _run_sme_linear(sc: Scenario, p: SMEParams, stride: int, reduce) -> np.ndarray | None:
     """``run_linear_sme``, aborting at the first checkpoint with a nonpositive or NaN trace.
 
     The check is not in ``run_linear_sme`` itself: the ``bounds`` suite runs
@@ -186,42 +194,63 @@ def _run_sme_linear(sc: Scenario, p: SMEParams, incr: np.ndarray, stride: int, r
         TrajectoryAbort.unless(_traces(frame) > 0.0, "nonpositive trace in a linear-equation trajectory", k)
         return reduce(frame, k)
 
-    return run_linear_sme(sc.rho0, p, incr, checkpoint_stride=stride, reduce=checked)
+    return run_linear_sme(sc.rho0, p, _noise(sc, p), checkpoint_stride=stride, reduce=checked)
 
 
-def _run_ensemble(sc: Scenario, p: SMEParams, incr: np.ndarray, stride: int, reduce) -> np.ndarray:
+def _run_ensemble(sc: Scenario, p: SMEParams, stride: int, reduce) -> np.ndarray | None:
     """``run_ensemble`` from the spectral decomposition of rho0; ``reduce`` sees (kets, weights)."""
+    incr = _noise(sc, p)
     ens = decompose_state(sc.rho0)
     return run_ensemble(
         ens, p, incr, checkpoint_stride=stride, reduce=lambda kets, k: reduce((kets, ens.weights), k)
     )
 
 
-# Trajectory engine -> (runner (scenario, params, increments, stride,
-# per-checkpoint reduce) -> what reduce returned at each checkpoint, stacked,
-# or None for a reduce that returns None; state kind).  ``meanfield`` is not
-# here: it yields a mean path, not per-trajectory states.
+def _run_meanfield(sc: Scenario, p: SMEParams, stride: int, reduce) -> dict:
+    """``mckean_vlasov_solve``; ``reduce`` sees the converged mean path, one state per checkpoint."""
+    report = mckean_vlasov_solve(MeanFieldConfig(
+        params=p, interaction=sc.interaction, rho0=sc.rho0, trajectories=sc.trajectories, horizon=sc.horizon,
+        picard_max_iter=sc.picard_max_iter, picard_tol=sc.picard_tol, mode=sc.meanfield_mode, seed=sc.seed,
+    ))
+    if not report.converged:
+        raise TrajectoryAbort(
+            "Picard iteration did not converge: distances "
+            + ", ".join(f"{d:.3e}" for d in report.iteration_distances)
+        )
+    for k in range(0, sc.steps + 1, stride):
+        reduce(report.mean_field_path[k][None], k)
+    return {"picard": report.to_json()}
+
+
+# Engine -> (runner, state kind).  A runner (scenario, params, stride,
+# per-checkpoint reduce) draws its noise through this module's
+# ``sample_wiener_batch`` (the Picard solver through its own) and passes
+# reduce the Schroedinger-frame states at k = 0, stride, ..., steps: the M
+# trajectories' states, or for ``meanfield`` the mean path's one state.  It
+# returns what reduce returned, stacked (None for a reduce that returns
+# None), or for ``meanfield`` the summary's engine details.
 ENGINES = {
     "pure_linear": (
-        lambda sc, p, incr, stride, reduce: run_linear(
-            sc.chi0, p, incr, checkpoint_stride=stride, reduce=reduce
+        lambda sc, p, stride, reduce: run_linear(
+            sc.chi0, p, _noise(sc, p), checkpoint_stride=stride, reduce=reduce
         ),
         "ket",
     ),
     "pure_nonlinear": (
-        lambda sc, p, incr, stride, reduce: run_nonlinear(
-            sc.chi0, p, incr, checkpoint_stride=stride, reduce=reduce
+        lambda sc, p, stride, reduce: run_nonlinear(
+            sc.chi0, p, _noise(sc, p), checkpoint_stride=stride, reduce=reduce
         ),
         "ket",
     ),
     "sme_linear": (_run_sme_linear, "unnormalized"),
     "sme_nonlinear": (
-        lambda sc, p, incr, stride, reduce: run_nonlinear_sme(
-            sc.rho0, p, incr, checkpoint_stride=stride, reduce=reduce
+        lambda sc, p, stride, reduce: run_nonlinear_sme(
+            sc.rho0, p, _noise(sc, p), checkpoint_stride=stride, reduce=reduce
         ),
         "density",
     ),
     "ensemble": (_run_ensemble, "ensemble"),
+    "meanfield": (_run_meanfield, "density"),
 }
 
 
@@ -256,75 +285,41 @@ def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both") -> RunArtifacts:
     stride = _grid_stride(sc)
     grid_times = sc.dt * stride * np.arange(sc.steps // stride + 1)
 
-    engine_details: dict = {}
-    per_traj: dict[str, np.ndarray] = {}
-    means: dict[str, np.ndarray] = {}
-    stderrs: dict[str, np.ndarray] = {}
-    out_times: dict[str, np.ndarray] = {}
+    params = _params(sc)
+    run, kind = ENGINES[sc.engine]
+    values, final = REDUCERS[kind]
+    ops = [op for _, op, _ in sc.outputs]
+    strides = [ostride for _, _, ostride in sc.outputs]
+    # one (steps // stride + 1, width) array per output, filled at its own
+    # checkpoints; a mean-field run reduces one state, its mean path, and
+    # writes only mean rows
+    mean_only = sc.engine == "meanfield"
+    kept = [np.empty((sc.steps // ostride + 1, 1 if mean_only else sc.trajectories)) for ostride in strides]
+    last = []  # the final checkpoint's states, for the final-state reducer
 
-    if sc.engine == "meanfield":
-        cfg = MeanFieldConfig(
-            params=_params(sc),
-            interaction=sc.interaction,
-            rho0=sc.rho0,
-            trajectories=sc.trajectories,
-            horizon=sc.horizon,
-            picard_max_iter=sc.picard_max_iter,
-            picard_tol=sc.picard_tol,
-            mode=sc.meanfield_mode,
-            seed=sc.seed,
-        )
-        report = mckean_vlasov_solve(cfg)
-        del cfg  # its params hold the step's workspace
-        if not report.converged:
-            raise TrajectoryAbort(
-                "Picard iteration did not converge: distances "
-                + ", ".join(f"{d:.3e}" for d in report.iteration_distances)
-            )
-        engine_details["picard"] = report.to_json()
-        mean_final = report.mean_field_path[-1]
-        for label, op, ostride in sc.outputs:
-            sel = report.mean_field_path[:: ostride]
-            vals = np.einsum("ij,kji->k", op, sel).real
-            means[label] = vals
-            stderrs[label] = np.zeros_like(vals)
-            out_times[label] = sc.dt * ostride * np.arange(vals.size)
-    else:
-        params = _params(sc)
-        run, kind = ENGINES[sc.engine]
-        values, final = REDUCERS[kind]
-        ops = [op for _, op, _ in sc.outputs]
-        strides = [ostride for _, _, ostride in sc.outputs]
-        # one (steps // stride + 1, M) array per output, filled at its own checkpoints
-        kept = [np.empty((sc.steps // ostride + 1, sc.trajectories)) for ostride in strides]
-        last = []  # the final checkpoint's states, for the final-state reducer
+    def reduce(frame, k):
+        due = [i for i, ostride in enumerate(strides) if k % ostride == 0]
+        # where no output is due every value is computed anyway, so that
+        # a non-finite state aborts at the first grid checkpoint it reaches
+        checked = due or range(len(ops))
+        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite values abort below
+            vals = values(frame, [ops[i] for i in checked])  # (len(checked), width)
+        TrajectoryAbort.unless(np.isfinite(vals).all(axis=0), "non-finite observable value", k)
+        for i, v in zip(due, vals):
+            kept[i][k // strides[i]] = v
+        if k == sc.steps:
+            last.append(frame)
 
-        def reduce(frame, k):
-            due = [i for i, ostride in enumerate(strides) if k % ostride == 0]
-            # where no output is due every value is computed anyway, so that
-            # a non-finite state aborts at the first grid checkpoint it reaches
-            checked = due or range(len(ops))
-            with np.errstate(divide="ignore", invalid="ignore"):  # non-finite values abort below
-                vals = values(frame, [ops[i] for i in checked])  # (len(checked), M)
-            TrajectoryAbort.unless(np.isfinite(vals).all(axis=0), "non-finite observable value", k)
-            for i, v in zip(due, vals):
-                kept[i][k // strides[i]] = v
-            if k == sc.steps:
-                last.append(frame)
-
-        incr = sample_wiener_batch(params.n_channels, sc.steps, sc.dt, sc.seed, sc.trajectories)
-        run(sc, params, incr, stride, reduce)
-        # Neither is needed past integration (the params hold the density
-        # step's workspace); the CSV is the memory peak.
-        del incr, params
-        mean_final = final(last[0])
-        for (label, _, ostride), vals in zip(sc.outputs, kept):
-            per_traj[label] = vals
-            means[label] = vals.mean(axis=1)
-            stderrs[label] = (
-                vals.std(axis=1, ddof=1) / np.sqrt(vals.shape[1]) if vals.shape[1] > 1 else np.zeros(vals.shape[0])
-            )
-            out_times[label] = sc.dt * ostride * np.arange(vals.shape[0])
+    engine_details = run(sc, params, stride, reduce) or {}
+    del params  # it holds the density step's workspace; the CSV is the memory peak
+    mean_final = final(last[0])
+    per_traj = dict(zip([label for label, _, _ in sc.outputs], kept))
+    means = {label: vals.mean(axis=1) for label, vals in per_traj.items()}
+    stderrs = {
+        label: vals.std(axis=1, ddof=1) / np.sqrt(vals.shape[1]) if vals.shape[1] > 1 else np.zeros(vals.shape[0])
+        for label, vals in per_traj.items()
+    }
+    out_times = {label: sc.dt * ostride * np.arange(sc.steps // ostride + 1) for label, _, ostride in sc.outputs}
 
     safe_name = "".join(c if c.isalnum() or c in "-_." else "_" for c in sc.name)
     summary = {
@@ -359,15 +354,16 @@ def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both") -> RunArtifacts:
         if f is not None:
             stamp = datetime.now(timezone.utc).isoformat()
             f.write(f"# generated={stamp} scenario={safe_name} seed={sc.seed} config={cfg_hash}\n".encode())
-        for chunk in _csv_chunks(sc.outputs, out_times, per_traj, means):
+        for chunk in _csv_chunks(sc.outputs, out_times, {} if mean_only else per_traj, means):
             data = chunk.encode()
             digest.update(data)
             if f is not None:
                 f.write(data)
     if not sc.outputs:
         digest.update(summary_blob.encode())
-    json_path = os.path.join(out_dir, f"{safe_name}.summary.json")
+    json_path = None
     if fmt in ("json", "both") or not sc.outputs:
+        json_path = os.path.join(out_dir, f"{safe_name}.summary.json")
         with open(json_path, "w") as f:
             f.write(summary_blob + "\n")
     return RunArtifacts(csv_path, json_path, cfg_hash, sc.seed, digest.hexdigest())

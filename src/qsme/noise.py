@@ -5,11 +5,12 @@ steppers consume increments directly and cumulative sums lose precision.
 
 Reproducibility: paths are drawn from numpy's PCG64 generator (ziggurat
 normal sampling), which is stream-stable for a fixed numpy version on a given
-platform.  Trajectory ``k`` of a run seeded with ``seed`` uses the
-counter-derived child ``SeedSequence(entropy=seed, spawn_key=(k,))``, so
-disjoint trajectories never share a stream and the same (seed, k) always
-reproduces the same path, which is what the common-random-numbers reuse in
-the mean-field Picard loop relies on.
+platform.  Trajectory ``k`` of a run seeded with ``seed`` is row ``k`` of
+its batch and uses the counter-derived child
+``SeedSequence(entropy=seed, spawn_key=(k,))``, so disjoint trajectories
+never share a stream, a batch is a prefix of every larger batch of the same
+seed, and the same (seed, k) always reproduces the same path, which is what
+the common-random-numbers reuse in the mean-field Picard loop relies on.
 """
 
 from __future__ import annotations
@@ -22,14 +23,12 @@ def trajectory_seed(seed: int, index: int = 0) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(index,))
 
 
-def sample_wiener_batch(
-    n_channels: int, step_count: int, dt: float, seed: int, n_traj: int, offset: int = 0
-) -> np.ndarray:
+def sample_wiener_batch(n_channels: int, step_count: int, dt: float, seed: int, n_traj: int) -> np.ndarray:
     """Stack of ``n_traj`` per-trajectory paths, shape (n_traj, step_count, n_channels).
 
     Row ``m`` holds i.i.d. Normal(0, dt) increments drawn from the generator
-    of ``trajectory_seed(seed, offset + m)`` alone, so it is bitwise the
-    single row ``sample_wiener_batch(..., 1, offset=offset + m)[0]``.
+    of ``trajectory_seed(seed, m)`` alone, so a smaller batch is bitwise a
+    prefix of a larger one.
     """
     if n_channels < 1 or step_count < 1:
         raise ValueError("n_channels and step_count must be positive")
@@ -38,7 +37,7 @@ def sample_wiener_batch(
     out = np.empty((n_traj, step_count, n_channels))
     scale = np.sqrt(dt)
     for m in range(n_traj):
-        rng = np.random.default_rng(trajectory_seed(seed, offset + m))
+        rng = np.random.default_rng(trajectory_seed(seed, m))
         out[m] = rng.normal(0.0, scale, size=(step_count, n_channels))
     return out
 

@@ -553,7 +553,7 @@ class TestSimulate:
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_engine_table_covers_schema(self):
-        assert set(cli.ENGINES) == set(scenario.ENGINES) - {"meanfield"}
+        assert set(cli.ENGINES) == set(scenario.ENGINES)
 
     @pytest.mark.parametrize("flag", [["--seed", "3"], ["--set", "dt=0.1"]], ids=["seed", "set"])
     @pytest.mark.parametrize("top", [[], "x", 3], ids=["array", "string", "number"])
@@ -568,6 +568,14 @@ class TestSimulate:
         assert main(["simulate", path, "--format", "json", "--out", str(tmp_path / "o")]) == 0
         info = json.loads(capsys.readouterr().out)
         assert info["csv"] is None
+        assert os.listdir(tmp_path / "o") == [os.path.basename(info["summary"])]
+
+    def test_csv_only_format(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, minimal_scenario())
+        assert main(["simulate", path, "--format", "csv", "--out", str(tmp_path / "o")]) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert info["summary"] is None
+        assert os.listdir(tmp_path / "o") == [os.path.basename(info["csv"])]
 
 
 class TestReducers:
@@ -686,7 +694,8 @@ TRAJECTORY_ENGINES = ["pure_linear", "pure_nonlinear", "sme_linear", "sme_nonlin
 def strided_scenario(engine, strides, **overrides):
     """A minimal scenario of ``engine`` (24 steps unless overridden) with one output per stride."""
     extra = {"pure_linear": {"rho0": {"pure": {"basis": 0}}}, "pure_nonlinear": {"rho0": {"pure": {"basis": 0}}},
-             "ensemble": {"rho0": {"diag": [0.7, 0.3]}}}.get(engine, {})
+             "ensemble": {"rho0": {"diag": [0.7, 0.3]}},
+             "meanfield": {"meanfield": {"interaction": {"variant": "zero"}}}}.get(engine, {})
     observables = ["pauli_z", "pauli_x", "identity", "pauli_y", "number", "zero"]
     outputs = [{"observable": obs, "stride": stride, "label": f"{obs}/{stride}"}
                for obs, stride in zip(observables, strides)]
@@ -712,8 +721,7 @@ def gcd_grid_run(sc):
             last.append(frame)
         return values(frame, ops)
 
-    incr = sample_wiener_batch(params.n_channels, sc.steps, sc.dt, sc.seed, sc.trajectories)
-    buf = run(sc, params, incr, grid, reduce)
+    buf = run(sc, params, grid, reduce)
     per_traj, means, times, observables = {}, {}, {}, {}
     for i, (label, _, stride) in enumerate(sc.outputs):
         vals = buf[:: stride // grid, i]
@@ -729,7 +737,7 @@ def gcd_grid_run(sc):
 
 
 class TestPerOutputStorage:
-    """A trajectory run keeps each output at its own stride and evaluates only what is due."""
+    """A run keeps each output at its own stride and evaluates only what is due."""
 
     @pytest.mark.parametrize("strides", [(1, 2), (4, 6)])
     @pytest.mark.parametrize("engine", TRAJECTORY_ENGINES)
@@ -747,7 +755,7 @@ class TestPerOutputStorage:
                         final_state_mean=[[[z.real, z.imag] for z in row] for row in final_mean])
         assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
-    @pytest.mark.parametrize("engine", TRAJECTORY_ENGINES)
+    @pytest.mark.parametrize("engine", TRAJECTORY_ENGINES + ["meanfield"])
     def test_each_observable_evaluated_only_at_its_checkpoints(self, tmp_path, engine, monkeypatch):
         # strides (4, 6) over 24 steps: grid checkpoints every 2 steps; at
         # 2, 10, 14 and 22 no output is due, so both are evaluated there
@@ -816,7 +824,7 @@ class TestPerOutputStorage:
                 refs.append(refs[0]() is None)
 
         params = cli._params(sc)
-        assert run(sc, params, sample_wiener_batch(1, sc.steps, sc.dt, 1, sc.trajectories), 2, reduce) is None
+        assert run(sc, params, 2, reduce) is None
         assert refs[0]() is None and len(refs) == 13
         assert refs[1:] == [True] * 12
 

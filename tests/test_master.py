@@ -96,8 +96,8 @@ class TestLinearStep:
         fine_dt = 5e-4
         sums = {4: 0.0, 2: 0.0, 1: 0.0}
         n_paths = 16
-        for traj in range(n_paths):
-            fine = sample_wiener_batch(1, round(0.5 / fine_dt), fine_dt, 89, 1, offset=traj)[0]
+        fines = sample_wiener_batch(1, round(0.5 / fine_dt), fine_dt, 89, n_paths)
+        for fine in fines:
             for factor in (4, 2, 1):
                 dt = fine_dt * factor
                 incr = coarsen_increments(fine, factor) if factor > 1 else fine
@@ -506,8 +506,8 @@ class TestRankOneNonlinearConsistency:
         fine_dt = 5e-4
         sums = {4: 0.0, 2: 0.0, 1: 0.0}
         n_paths = 16
-        for traj in range(n_paths):
-            fine = sample_wiener_batch(1, round(0.5 / fine_dt), fine_dt, 90, 1, offset=traj)[0]
+        fines = sample_wiener_batch(1, round(0.5 / fine_dt), fine_dt, 90, n_paths)
+        for fine in fines:
             for factor in (4, 2, 1):
                 dt = fine_dt * factor
                 incr = coarsen_increments(fine, factor) if factor > 1 else fine

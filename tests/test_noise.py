@@ -15,18 +15,20 @@ class TestSampling:
         assert np.array_equal(a, b)
 
     def test_distinct_trajectories_differ(self):
-        a = sample_wiener_batch(1, 50, 1e-3, seed=123, n_traj=1, offset=0)
-        b = sample_wiener_batch(1, 50, 1e-3, seed=123, n_traj=1, offset=1)
-        assert not np.array_equal(a, b)
+        batch = sample_wiener_batch(1, 50, 1e-3, seed=123, n_traj=2)
+        assert not np.array_equal(batch[0], batch[1])
 
     def test_batch_matches_individual(self):
-        # row m of an offset-o batch is bitwise the single-row batch at offset o + m
-        for offset, n_traj in [(0, 4), (3, 5), (17, 3)]:
-            batch = sample_wiener_batch(2, 30, 1e-2, seed=9, n_traj=n_traj, offset=offset)
-            assert batch.shape == (n_traj, 30, 2)
-            for m in range(n_traj):
-                one = sample_wiener_batch(2, 30, 1e-2, seed=9, n_traj=1, offset=offset + m)
-                assert np.array_equal(batch[m], one[0])
+        # row m is bitwise trajectory m's own stream, so a smaller batch is
+        # a prefix of a larger one
+        steps, n, dt = 30, 2, 1e-2
+        batch = sample_wiener_batch(n, steps, dt, seed=9, n_traj=6)
+        assert batch.shape == (6, steps, n)
+        for m in range(6):
+            rng = np.random.default_rng(trajectory_seed(9, m))
+            assert np.array_equal(batch[m], rng.normal(0.0, np.sqrt(dt), (steps, n)))
+        for n_traj in (1, 4):
+            assert np.array_equal(sample_wiener_batch(n, steps, dt, seed=9, n_traj=n_traj), batch[:n_traj])
 
     def test_moments(self):
         dt = 1e-3
