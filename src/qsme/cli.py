@@ -78,13 +78,13 @@ def memory_estimate(sc: Scenario) -> dict[str, int]:
     (steps+1, d, d) mean paths (the previous iterate, the new one and their
     difference).  The working set is what is held only for a while, counted
     for the M states in units of one state (d complex entries for kets,
-    rank * d for ensemble kets, d^2 for densities): a step holds at most
-    2n + 5 of them at once.  For a density that is the state, the workspace
-    its params keep (the n stacked channel products, their row copy for the
-    dissipator's GEMM, which also serves as scratch, and the update: 2n + 1,
-    or 4 for n = 1) and the symmetrized result with at most one temporary;
-    the run drops the params, and with them the workspace, when integration
-    ends.  After the run the final-state mean forms up to four (M, d, d)
+    rank * d for ensemble kets, d^2 for densities): the count is 2n + 5, an
+    upper bound for every engine's step.  A density step holds 2n + 3 (6 for
+    n = 1): the state, the workspace its params keep (the n channel
+    products, their row copy for the dissipator's GEMM, which also serves
+    as scratch, and the half X of the update: 2n + 1, or 4 for n = 1) and
+    the update X + X† it returns; the run drops the params, and with them
+    the workspace, when integration ends.  After the run the final-state mean forms up to four (M, d, d)
     arrays, the CSV is formatted one checkpoint of one observable (M + 1
     rows) at a time, and the config
     hash and the summary are JSON text: the scenario's matrices, the

@@ -115,9 +115,9 @@ class Propagator:
         return (v * np.exp(-1j * self.eigenvalues * t)) @ dag(v)
 
     def dress(self, ls: np.ndarray, t: float) -> np.ndarray:
-        """exp(iHt) L exp(-iHt) for a stack of channel operators of shape (n, d, d)."""
+        """exp(iHt) L exp(-iHt) for a stack of operators of shape (n, d, d), or one (d, d)."""
         u = self.factor(t)
-        return dag(u)[None] @ ls @ u[None] if ls.ndim == 3 else dag(u) @ ls @ u
+        return dag(u) @ ls @ u
 
 
 def random_operator(d: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

@@ -12,20 +12,23 @@ gives the normalized stepper: one Euler step of it is the linear update at
 dY = dB minus (m·dB) rho, so the drift lives only in the update both
 steppers share.
 
-That update forms every L_j gamma once per step, in one BLAS GEMM over the
-stacked channels, and builds the step from those products: the sandwich
-sum_j (L_j gamma) L_j† of the dissipator (one more GEMM), the noise
-coefficients L_j gamma + (L_j gamma)†, and for the normalized step the
-compensators m_j = 2 Re tr(L_j gamma).  The noise coefficients equal
-L_j gamma + gamma L_j† because gamma is Hermitian, as every state the
-drivers step is.  The -i[H, gamma] - (1/2){sum_j L_j† L_j, gamma} terms are
-separate products with H and ``damping(t)``.  The update writes all its
-state-sized arrays into a workspace that the params object keeps for the
-batch shape it last stepped, and so does the interaction-picture frame map.
-A step therefore allocates no state-sized array except the symmetrized one
-it returns (plus, for a batch under numpy's 256 KiB temporary-elision size,
-the temporaries of ``hermitianize``).  Because of the workspace, one params
-object must not be stepped from two threads at once.
+That update is assembled as X + X†: the drift is a Hermitian map, so half
+of it, half of gamma (times 1 - m·dB for the normalized step) and the
+products gamma L_j† weighted by dY_j make an X whose sum with its adjoint is
+the whole step, exactly Hermitian by construction and with no separate
+symmetrization.  Every gamma L_j† comes
+from a BLAS GEMM of the rows of gamma, once per step.  From those products
+come the noise term of X, the compensators m_j = 2 Re tr(gamma L_j†) of the
+normalized step and, through their adjoints L_j gamma, the sandwich
+sum_j (L_j gamma) L_j† of the dissipator (one more GEMM over the stacked
+channels).  The -i[H, gamma] - (1/2){sum_j L_j† L_j, gamma} terms are
+separate products with H and the damping, which the interaction picture
+dresses together with the channels from one exp(-iHt).  The update writes
+all its state-sized arrays into a workspace that the params object keeps
+for the batch shape it last stepped, and so does the interaction-picture
+frame map.  A step therefore allocates one state-sized array: the C-ordered
+update it returns.  Because of the workspace, one params object must not be
+stepped from two threads at once.
 
 The deterministic (noise-averaged) Lindblad path, integrated by RK4, doubles
 as a test oracle: the innovation term of the normalized equation has zero
@@ -46,7 +49,7 @@ import numpy as np
 from .errors import TraceDeviation, TrajectoryAbort
 from .integrate import drive, integrate, keep_frame
 from .linalg import dag, hermitianize
-from .pure import PureFilterParams, stacked_transpose
+from .pure import PureFilterParams
 
 STEP_TRACE_TOL = 1e-8  # largest |tr rho - 1| the normalized stepper accepts
 
@@ -54,11 +57,11 @@ STEP_TRACE_TOL = 1e-8  # largest |tr rho - 1| the normalized stepper accepts
 class _Workspace(NamedTuple):
     """The state-sized arrays of one ``_sme_update`` batch shape; see ``SMEParams._workspace``."""
 
-    products: np.ndarray  # (..., d, n, d): products[..., c, j, i] = (L_j gamma)[i, c]
+    products: np.ndarray  # (n, ..., d, d): products[j] = gamma L_j†
     rows: np.ndarray  # (..., d, n, d): rows[..., i, j, c] = (L_j gamma)[i, c]
     tmp: np.ndarray  # (..., d, d), in the space of rows
     scratch: np.ndarray  # (..., d, d), in the space of rows
-    out: np.ndarray  # (..., d, d): the update
+    out: np.ndarray  # (..., d, d): X, the half of the update that _sme_update adds to its adjoint
 
 
 @dataclass
@@ -84,10 +87,9 @@ class SMEParams(PureFilterParams):
             self._ws = None  # the old arrays go before the new ones come
             size, n, d = math.prod(shape), self.n_channels, self.dim
             space = np.empty(max(n, 2) * size, complex)
-            stacked = shape[:-2] + (d, n, d)
             self._ws = _Workspace(
-                np.empty(stacked, complex), space[: n * size].reshape(stacked), space[:size].reshape(shape),
-                space[size : 2 * size].reshape(shape), np.empty(shape, complex),
+                np.empty((n,) + shape, complex), space[: n * size].reshape(shape[:-2] + (d, n, d)),
+                space[:size].reshape(shape), space[size : 2 * size].reshape(shape), np.empty(shape, complex),
             )
         return self._ws
 
@@ -118,54 +120,62 @@ def lindblad_generator(gamma: np.ndarray, ls: np.ndarray) -> np.ndarray:
 
 
 def _sme_update(
-    gamma: np.ndarray, p: SMEParams, dy: np.ndarray, t: float
+    gamma: np.ndarray, p: SMEParams, dy: np.ndarray, t: float, normalized: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The unsymmetrized linear update at ``t`` and the compensators of gamma.
+    """The Euler update at ``t``, assembled as X + X†, and the compensators of gamma.
 
-    The update is gamma + dt (-i[H, gamma] + Dissipator(gamma))
+    The linear update is gamma + dt (-i[H, gamma] + Dissipator(gamma))
     + sum_j (L_j gamma + gamma L_j†) dY_j, the commutator dropped and the
-    channels dressed in the interaction picture.  Every L_j gamma comes from
-    one GEMM: column c of L_j gamma is L_j applied to column c of gamma, so
-    the rows of gamma^T meet all n channels in one (M d, d) @ (d, n d)
-    product, as kets do in ``apply_stacked``.  From those products come the
-    sandwich sum_j (L_j gamma) L_j† (one more GEMM over the stacked
-    channels), the noise coefficients L_j gamma + (L_j gamma)†, which are
-    L_j gamma + gamma L_j† for a Hermitian gamma, and the compensators
-    m_j = 2 Re tr(L_j gamma), shape (..., n).
+    channels dressed in the interaction picture; the ``normalized`` one
+    subtracts (m·dY) gamma.  Both are X + X† for
 
-    Every state-sized array lives in ``p._workspace(gamma.shape)``: the
-    returned update is the workspace's ``out``, which the next call on ``p``
-    overwrites, so a caller copies it (the steppers' ``hermitianize`` does)
-    before it steps ``p`` again.  Besides gamma, a step holds the 2n + 1
-    states of the workspace (4 for n = 1): the products, their row-major
-    copy and the update.  The copy of gamma^T that the first GEMM reads, and
-    the later scratch, take the space of the row copy while it is not in use.
+        X = (dt/2) (-i[H, gamma] + Dissipator(gamma)) + (c/2) gamma + sum_j dY_j gamma L_j†,
+
+    with c = 1, or 1 - m·dY when ``normalized``: the drift is a Hermitian
+    map, so half of it plus its adjoint is all of it for a Hermitian gamma.
+    Each gamma L_j† is one (M d, d) @ (d, d) GEMM of the rows of gamma, kept
+    as a contiguous state so that the noise term of X is n passes with long
+    inner loops.  The traces of those products give the compensators
+    m_j = 2 Re tr(gamma L_j†), shape (..., n), and their conjugate
+    transposes L_j gamma, copied row-major, meet the stacked (dt/2) L_j† in
+    one (M d, n d) @ (n d, d) GEMM for the sandwich of the dissipator.  The
+    factor dt/2 rides on those L_j† and on the damping and H matrices, so
+    no pass over the batch scales the drift.  The last two passes add X to
+    its conjugate transpose: the update is exactly Hermitian by
+    construction, and a fresh C-ordered array.
+
+    X and every other state-sized array live in ``p._workspace(gamma.shape)``.
+    Besides gamma and the update, a step holds the 2n + 1 states of the
+    workspace (4 for n = 1): the products, their row-major conjugate copy
+    and X; the scratch takes the space of the row copy while it is not in use.
     """
-    ls_t = p.channel_ops(t)
+    ls_t, damping = p.step_ops(t)
     d, n = gamma.shape[-1], ls_t.shape[0]
+    half_dt = 0.5 * p.dt
     y, rows, tmp, scratch, out = p._workspace(gamma.shape)
-    np.copyto(scratch, np.swapaxes(gamma, -1, -2))  # gamma^T, read before rows is written
-    # y[..., c, j, i] = (L_j gamma)[i, c]
-    np.matmul(scratch.reshape(-1, d), stacked_transpose(ls_t), out=y.reshape(-1, n * d))
-    np.copyto(rows, np.swapaxes(y, -3, -1))  # row i of [L_1 gamma | ... | L_n gamma]
-    np.matmul(rows.reshape(-1, n * d), dag(ls_t).reshape(n * d, d), out=out.reshape(-1, d))  # sum_j (L_j gamma) L_j†
-    damping = p.damping(t)
+    ls_dag, gamma_rows = dag(ls_t), gamma.reshape(-1, d)
+    for j in range(n):
+        np.matmul(gamma_rows, ls_dag[j], out=y[j].reshape(-1, d))  # y[j] = gamma L_j†
+    m = 2.0 * np.einsum("j...ii->...j", y).real
+    # rows[..., i, j, c] = (L_j gamma)[i, c]: row i of [L_1 gamma | ... | L_n gamma]
+    np.conj(np.swapaxes(np.moveaxis(y, 0, -2), -3, -1), out=rows)
+    np.matmul(rows.reshape(-1, n * d), half_dt * ls_dag.reshape(n * d, d), out=out.reshape(-1, d))
+    damping = half_dt * damping
     np.matmul(damping, gamma, out=tmp)
     tmp += np.matmul(gamma, damping, out=scratch)
     out -= tmp
     if p.picture == "schroedinger":
-        np.matmul(p.h, gamma, out=tmp)
-        tmp -= np.matmul(gamma, p.h, out=scratch)
-        tmp *= 1j
+        h = (1j * half_dt) * p.h
+        np.matmul(h, gamma, out=tmp)
+        tmp -= np.matmul(gamma, h, out=scratch)
         out -= tmp
-    out *= p.dt
-    out += gamma
+    half_c = 0.5 - 0.5 * np.einsum("...n,...n->...", m, dy)[..., None, None] if normalized else 0.5
+    out += np.multiply(gamma, half_c, out=tmp)
     for j in range(n):
-        np.conj(y[..., j, :], out=tmp)  # (L_j gamma)†
-        tmp += y[..., j, :].swapaxes(-1, -2)
-        tmp *= dy[..., j, None, None]
-        out += tmp
-    return out, 2.0 * np.einsum("...iji->...j", y).real
+        out += np.multiply(y[j], dy[..., j, None, None], out=tmp)
+    update = np.conj(np.swapaxes(out, -1, -2), out=np.empty(gamma.shape, complex))
+    update += out
+    return update, m
 
 
 def linear_sme_step(
@@ -175,12 +185,13 @@ def linear_sme_step(
 
     d gamma = -i[H, gamma] dt + Dissipator(gamma) dt + sum_j (L_j gamma + gamma L_j†) dY_j;
     the commutator is dropped and the channels dressed in the interaction
-    picture.  Output is exactly Hermitian (symmetrized).
+    picture.  The output is X + X† (``_sme_update``): exactly Hermitian, and
+    a fresh C-ordered array.
     """
     gamma = np.asarray(gamma, dtype=complex)
     if gamma.shape[-1] != p.dim:
         raise ValueError(f"state dimension {gamma.shape[-1]} != params dimension {p.dim}")
-    return hermitianize(_sme_update(gamma, p, np.asarray(dy, dtype=float), t)[0])
+    return _sme_update(gamma, p, np.asarray(dy, dtype=float), t)[0]
 
 
 def nonlinear_sme_step(
@@ -192,23 +203,23 @@ def nonlinear_sme_step(
             + sum_j [L_j rho + rho L_j† - rho tr(L_j rho + rho L_j†)] dB_j,
 
     computed as the linear update at dY = dB minus (m·dB) rho, with
-    m_j = tr(L_j rho + rho L_j†) read off the update's own L_j rho
+    m_j = tr(L_j rho + rho L_j†) read off the update's own rho L_j†
     products: rho = gamma / tr gamma and dB = dY - m dt turn one equation
     into the other.  Drift and noise
     coefficients are traceless at unit trace, so the update preserves the
     trace to roundoff.  An input trace farther than ``STEP_TRACE_TOL`` from 1,
     or NaN, raises ``TraceDeviation``, and an output purity tr rho^2 above 2
     (a density has at most 1) raises ``TrajectoryAbort``, each naming the
-    first such trajectory.  Output is exactly Hermitian.
+    first such trajectory.  The output is X + X† (``_sme_update``): exactly
+    Hermitian, and a fresh C-ordered array, so its purity is the sum of
+    its squared entries.
     """
     rho = np.asarray(rho, dtype=complex)
     ok = np.abs(np.einsum("...ii->...", rho).real - 1.0) <= STEP_TRACE_TOL  # False for NaN
     TraceDeviation.unless(ok, f"input trace deviates from 1 beyond {STEP_TRACE_TOL}")
-    db = np.asarray(db, dtype=float)
-    out, m = _sme_update(rho, p, db, t)
-    out -= np.multiply(np.einsum("...n,...n->...", m, db)[..., None, None], rho, out=p._workspace(rho.shape).scratch)
-    out = hermitianize(out)
-    purity = np.einsum("...ij,...ji->...", out, out).real
+    out = _sme_update(rho, p, np.asarray(db, dtype=float), t, normalized=True)[0]
+    flat = out.reshape(out.shape[:-2] + (-1,)).view(float)
+    purity = np.einsum("...i,...i->...", flat, flat)
     TrajectoryAbort.unless(purity <= 2.0, "normalized density purity tr rho^2 exceeds 2")  # False for NaN
     return out
 

@@ -103,17 +103,25 @@ class PureFilterParams:
     def n_channels(self) -> int:
         return self.ls.shape[0]
 
+    @cached_property
+    def _step_stack(self) -> np.ndarray:
+        return np.concatenate([self.ls, self._damping[None]])
+
     def channel_ops(self, t: float) -> np.ndarray:
         if self.picture == "schroedinger" or t == 0.0:
             return self.ls
         return self._prop.dress(self.ls, t)
 
-    def damping(self, t: float) -> np.ndarray:
-        """(1/2) sum_j L_j† L_j, dressed when in the interaction picture."""
+    def step_ops(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """The channels and the damping (1/2) sum_j L_j† L_j at ``t``.
+
+        In the interaction picture both are dressed in one ``dress`` call, so
+        a step builds exp(-iHt) once.
+        """
         if self.picture == "schroedinger" or t == 0.0:
-            return self._damping
-        u = self._prop.factor(t)
-        return dag(u) @ self._damping @ u
+            return self.ls, self._damping
+        dressed = self._prop.dress(self._step_stack, t)
+        return dressed[:-1], dressed[-1]
 
     def linear_step_matrix(self, t: float) -> np.ndarray:
         """[(I + dt K)ᵀ | L_1ᵀ ... L_nᵀ] at time ``t``, K = -iH - (1/2) sum_j L_j† L_j.
@@ -123,7 +131,8 @@ class PureFilterParams:
         """
         if self.picture == "schroedinger":
             return self._linear_step_matrix
-        return _step_matrix(-self.damping(t), self.channel_ops(t), self.dt)
+        ls_t, damping = self.step_ops(t)
+        return _step_matrix(-damping, ls_t, self.dt)
 
     def to_schroedinger_frame(self, state: np.ndarray, t: float) -> np.ndarray:
         """Map an interaction-picture ket back: chi = exp(-iHt) xi."""

@@ -10,6 +10,7 @@ from qsme.errors import TraceDeviation, TrajectoryAbort
 from qsme.linalg import (
     SIGMA_X,
     SIGMA_Z,
+    Propagator,
     dag,
     hs_norm,
     operator_norm,
@@ -31,7 +32,7 @@ from qsme.master import (
     run_nonlinear_sme,
 )
 from qsme.noise import coarsen_increments, sample_wiener_batch
-from qsme.pure import PureFilterParams, run_linear, run_nonlinear
+from qsme.pure import PureFilterParams, linear_pure_step, nonlinear_pure_step, run_linear, run_nonlinear
 
 from oracles import direct_linear_sme_step, direct_nonlinear_sme_step, random_ket
 
@@ -272,23 +273,24 @@ class TestStepWorkspace:
             fresh = SMEParams(p.h, p.ls, p.dt, p.picture)
             assert np.array_equal(second, stepper(first, fresh, noise, 0.38))
 
+    @pytest.mark.parametrize("picture", ["schroedinger", "interaction"])
     @pytest.mark.parametrize("m", [4, 300])
     @pytest.mark.parametrize("stepper", [linear_sme_step, nonlinear_sme_step])
-    def test_output_keeps_the_memory_order_of_the_half_sum(self, stepper, m):
+    def test_output_is_fresh_c_ordered_and_exactly_hermitian(self, stepper, m, picture):
         # einsum reductions of a state (the CLI's observable values) sum in
-        # memory order, so a state's layout is part of the bits a run writes;
-        # the step returns it in the layout 0.5 * (A + A†) gives a C-ordered
-        # update A, which numpy's temporary elision makes the transposed one
-        # for arrays of 256 KiB and more (d = 16, M = 300 is 1.2 MB)
+        # memory order, so the layout of a step's output is part of the bits
+        # a run writes: it is C-ordered for every batch size, below and above
+        # numpy's 256 KiB temporary-elision size (d = 16, M = 300 is 1.2 MB)
         rng = np.random.default_rng(30)
         d, n = 16, 2
         ls = np.stack([0.5 * random_operator(d, rng) for _ in range(n)])
-        p = SMEParams(random_hermitian(d, rng), ls, 1e-4)
+        p = SMEParams(random_hermitian(d, rng), ls, 1e-4, picture)
         x = np.broadcast_to(random_density(d, rng), (m, d, d)).copy()
-        out = stepper(x, p, rng.normal(0.0, 1e-2, (m, n)))
-        a = np.zeros((m, d, d), complex)
-        half_sum = 0.5 * (a + dag(a))  # outside the assert, whose rewrite would hold the temporaries
-        assert out.strides == half_sum.strides
+        out = stepper(x, p, rng.normal(0.0, 1e-2, (m, n)), 0.37)
+        assert out.flags.c_contiguous and out.flags.owndata
+        assert not np.shares_memory(out, x)
+        assert not any(np.shares_memory(out, buf) for buf in p._ws)
+        assert np.array_equal(out, dag(out))
 
     @pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
     @pytest.mark.parametrize("picture", ["schroedinger", "interaction"])
@@ -326,6 +328,53 @@ class TestStepWorkspace:
         run = subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True, text=True)
         faults = int(run.stdout)
         assert faults <= 5 * 50, faults
+
+
+class TestOneFactorPerStep:
+    """An interaction-picture step builds exp(-iHt) once: the dressed channels and
+    damping of the density step, and the ket step's matrix, come from one factor."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"factor": 0, "dress": 0}
+        for name in counts:
+            original = getattr(Propagator, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(Propagator, name, counted)
+        return counts
+
+    def params(self, cls):
+        rng = np.random.default_rng(31)
+        d, n = 4, 2
+        ls = np.stack([random_operator(d, rng) for _ in range(n)])
+        return cls(random_hermitian(d, rng), ls, 1e-3, "interaction"), rng
+
+    @pytest.mark.parametrize("stepper", [linear_sme_step, nonlinear_sme_step])
+    def test_density_step(self, calls, stepper):
+        p, rng = self.params(SMEParams)
+        rho = np.stack([random_density(4, rng) for _ in range(3)])
+        stepper(rho, p, rng.normal(0.0, 0.1, (3, 2)), 0.37)
+        assert calls == {"factor": 1, "dress": 1}
+
+    @pytest.mark.parametrize("stepper", [linear_pure_step, nonlinear_pure_step])
+    def test_ket_step(self, calls, stepper):
+        p, rng = self.params(PureFilterParams)
+        chi = np.stack([random_ket(4, rng) for _ in range(3)])
+        stepper(chi, p, rng.normal(0.0, 0.1, (3, 2)), 0.37)
+        assert calls == {"factor": 1, "dress": 1}
+
+    def test_dressed_operators_unchanged(self):
+        # the operators each had from its own factor, bit for bit
+        p, _ = self.params(SMEParams)
+        ls_t, damping = p.step_ops(0.37)
+        u = p._prop.factor(0.37)
+        assert np.array_equal(ls_t, dag(u)[None] @ p.ls @ u[None])
+        assert np.array_equal(ls_t, p.channel_ops(0.37))
+        assert np.array_equal(damping, dag(u) @ p._damping @ u)
 
 
 class TestTraceProcess:

@@ -90,10 +90,11 @@ class TestLinearStep:
 
 def einsum_linear_step(chi, p, dy, t):
     """The linear pure step as separate einsums: chi + dt (-iH - (1/2) sum L†L) chi + sum_j dY_j L_j chi."""
-    drift = -np.einsum("ij,...j->...i", p.damping(t), chi)
+    ls_t = p.channel_ops(t)
+    drift = -0.5 * np.einsum("nki,nkj,...j->...i", ls_t.conj(), ls_t, chi)
     if p.picture == "schroedinger":
         drift = drift - 1j * np.einsum("ij,...j->...i", p.h, chi)
-    lchi = np.einsum("nij,...j->n...i", p.channel_ops(t), chi)
+    lchi = np.einsum("nij,...j->n...i", ls_t, chi)
     return chi + p.dt * drift + np.einsum("n...i,...n->...i", lchi, dy)
 
 
