@@ -210,7 +210,7 @@ def _run_meanfield(sc: Scenario, p: SMEParams, stride: int, reduce) -> dict:
     """``mckean_vlasov_solve``; ``reduce`` sees the converged mean path, one state per checkpoint."""
     report = mckean_vlasov_solve(MeanFieldConfig(
         params=p, interaction=sc.interaction, rho0=sc.rho0, trajectories=sc.trajectories, horizon=sc.horizon,
-        picard_max_iter=sc.picard_max_iter, picard_tol=sc.picard_tol, mode=sc.meanfield_mode, seed=sc.seed,
+        seed=sc.seed, **sc.meanfield,
     ))
     if not report.converged:
         raise TrajectoryAbort(
@@ -455,7 +455,7 @@ def _parser() -> argparse.ArgumentParser:
     val.set_defaults(func=_cmd_validate_config)
 
     chk = sub.add_parser("check", help="run a pinned-seed validation suite")
-    chk.add_argument("suite", choices=("all",) + suites.SUITE_NAMES)
+    chk.add_argument("suite", choices=("all", *suites.SUITES))
     chk.add_argument("--out", default=None, help="also write the JSON report to this directory")
     chk.add_argument("--fast", action="store_true",
                      help="reduced Monte Carlo budgets (smoke testing, not the acceptance gate)")

@@ -18,9 +18,22 @@ state is not kept for the whole run.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import TrajectoryAbort
+
+
+def step_count(horizon: float, dt: float) -> int:
+    """The number of ``dt`` steps in ``horizon``; ValueError unless it is a positive whole number."""
+    try:
+        steps = float(horizon) / float(dt)
+    except OverflowError:  # an integer beyond the float range
+        steps = math.nan
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
+        raise ValueError("horizon must be a positive whole number of dt steps")
+    return round(steps)
 
 
 def replicate(x0: np.ndarray, batch: tuple) -> np.ndarray:

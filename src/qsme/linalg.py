@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Tolerances used across the package.
-HERMITICITY_TOL = 1e-12
+# Tolerances used across the package, scenario validation included.
+HERMITICITY_TOL = 1e-10  # largest ||A - A†||_HS / max(1, ||A||_HS) is_hermitian accepts
 DENSITY_POS_TOL = 1e-9  # most negative eigenvalue require_density accepts
 DENSITY_TRACE_TOL = 1e-10  # largest |tr rho - 1| require_density accepts
 

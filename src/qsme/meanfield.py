@@ -10,13 +10,13 @@ point of eta -> E[state(eta)].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import TrajectoryAbort
-from .integrate import integrate, replicate
-from .linalg import dag, hermitianize, hs_norm, operator_norm, require_density
+from .integrate import integrate, replicate, step_count
+from .linalg import hermitianize, hs_norm, is_hermitian, operator_norm, require_density
 from .master import SMEParams, linear_sme_step, nonlinear_sme_step
 from .noise import sample_wiener_batch
 
@@ -38,7 +38,7 @@ class InteractionMap:
     dim: int
     kernel: np.ndarray | None = None  # (dim^2, dim^2) for hs_kernel
     table: np.ndarray | None = None  # (dim, dim) real symmetric for potential
-    strength: float = 0.0  # the constant C_A of the variant's bound
+    strength: float = field(init=False, default=0.0)  # the constant C_A of the variant's bound
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -46,18 +46,16 @@ class InteractionMap:
         if self.variant == "hs_kernel":
             k = np.asarray(self.kernel, dtype=complex)
             if k.shape != (self.dim**2, self.dim**2):
-                raise ValueError(f"kernel must have shape ({self.dim**2}, {self.dim**2})")
+                raise ValueError(f"kernel must have shape ({self.dim**2}, {self.dim**2}), got {k.shape}")
             self.kernel = k
-            if not self.strength:
-                self.strength = operator_norm(k)
+            self.strength = operator_norm(k)
             self._check_hermiticity_preserving()
         elif self.variant == "potential":
             a = np.asarray(self.table, dtype=float)
             if a.shape != (self.dim, self.dim) or not np.allclose(a, a.T, atol=1e-12):
-                raise ValueError("potential table must be a real symmetric (dim, dim) array")
+                raise ValueError(f"potential table must be a real symmetric ({self.dim}, {self.dim}) array")
             self.table = a
-            if not self.strength:
-                self.strength = float(np.max(np.abs(a)))
+            self.strength = float(np.max(np.abs(a)))
 
     def _check_hermiticity_preserving(self):
         d = self.dim
@@ -74,7 +72,7 @@ class InteractionMap:
                     elems.append(anti)
                 for elem in elems:
                     out = (self.kernel @ elem.reshape(-1)).reshape(d, d)
-                    if hs_norm(out - dag(out)) > 1e-10 * max(1.0, float(hs_norm(out))):
+                    if not is_hermitian(out):
                         raise ValueError("hs_kernel does not map Hermitian inputs to Hermitian outputs")
 
     @classmethod
@@ -131,13 +129,11 @@ class MeanFieldConfig:
         if self.params.picture != "schroedinger":
             raise ValueError("the mean-field solver integrates in the Schroedinger picture")
         self.rho0 = require_density(np.asarray(self.rho0, dtype=complex))
-        steps = self.horizon / self.params.dt
-        if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
-            raise ValueError("horizon must be a whole number of dt steps")
+        step_count(self.horizon, self.params.dt)  # raises unless the horizon is a whole number of steps
 
     @property
     def steps(self) -> int:
-        return round(self.horizon / self.params.dt)
+        return step_count(self.horizon, self.params.dt)
 
 
 @dataclass

@@ -6,26 +6,38 @@ requested observable outputs.  Complex numbers are [re, im] pairs.  Every
 violation is reported with a JSON-pointer-style path so config errors are
 fixable in one pass.
 
+H, rho0, the step count and the mean-field interaction are each checked
+once, by the library code that owns the condition (``linalg.require_hermitian``,
+``linalg.require_density``, ``integrate.step_count``, ``meanfield.InteractionMap``);
+``validate_scenario`` attaches the JSON path to its message.  So every
+scenario that validates can start its run.
+
 ``SCENARIO_SCHEMA`` is a JSON Schema (draft 2020-12) dict, checked by a
 small walker (``_schema_errors``) that implements exactly the keywords the
 schema uses: ``type``, ``enum`` (of strings), ``minimum``, ``maximum``,
 ``exclusiveMinimum``, ``minLength``, ``minItems``, ``maxItems``, ``items``,
 ``properties``, ``required``, ``additionalProperties: false``, ``oneOf`` and
-local ``$ref``.  Its messages are jsonschema's.  One difference is
+local ``$ref``.  Its messages are jsonschema's.  Two differences are
 deliberate: ``integer`` means a JSON integer (a Python ``int``, not a
-``bool``), so ``2.0`` is not an integer.  Any other keyword in the schema is
-a ``KeyError`` on the first validation.
+``bool``), so ``2.0`` is not an integer; and ``number`` means a finite one,
+so the ``NaN``, ``Infinity`` and overflowing ``1e999`` that Python's ``json``
+reads are config errors, whether they come from a file, a ``--set`` value or
+a dict.  Any other keyword in the schema is a ``KeyError`` on the first
+validation.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, is_hermitian, operator_norm
-from .meanfield import InteractionMap
+from .integrate import step_count
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, operator_norm, require_density, require_hermitian
+from .meanfield import MODES, VARIANTS, InteractionMap
+from .pure import PICTURES
 
 ENGINES = (
     "pure_linear",
@@ -115,7 +127,7 @@ _RHO0 = {
 _INTERACTION = {
     "type": "object",
     "properties": {
-        "variant": {"type": "string", "enum": ["zero", "hs_kernel", "potential"]},
+        "variant": {"type": "string", "enum": list(VARIANTS)},
         "table": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
         "kernel": {"type": "array", "items": {"type": "array", "items": _COMPLEX}},
     },
@@ -139,12 +151,12 @@ SCENARIO_SCHEMA = {
         "trajectories": {"type": "integer", "minimum": 1},
         "seed": {"type": "integer", "minimum": 0},
         "engine": {"type": "string", "enum": list(ENGINES)},
-        "picture": {"type": "string", "enum": ["schroedinger", "interaction", "auto"]},
+        "picture": {"type": "string", "enum": [*PICTURES, "auto"]},
         "meanfield": {
             "type": "object",
             "properties": {
                 "interaction": _INTERACTION,
-                "mode": {"type": "string", "enum": ["normalized", "linear"]},
+                "mode": {"type": "string", "enum": list(MODES)},
                 "picard_max_iter": {"type": "integer", "minimum": 1},
                 "picard_tol": {"type": "number", "exclusiveMinimum": 0},
             },
@@ -182,7 +194,8 @@ SCENARIO_SCHEMA = {
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A JSON number as the walker reads it: an ``int`` (not a ``bool``) or a finite ``float``."""
+    return isinstance(x, int) and not isinstance(x, bool) or isinstance(x, float) and math.isfinite(x)
 
 
 _TYPES = {
@@ -263,6 +276,11 @@ class ScenarioError(Exception):
         super().__init__("; ".join(f"{p}: {m}" for p, m in errors))
 
 
+def _complex_matrix(rows) -> np.ndarray:
+    """The array of rows of [re, im] pairs."""
+    return np.array([[complex(re, im) for re, im in row] for row in rows])
+
+
 def build_matrix(spec, d: int) -> np.ndarray:
     """Materialize a matrix spec at dimension d."""
     if isinstance(spec, str):
@@ -278,7 +296,7 @@ def build_matrix(spec, d: int) -> np.ndarray:
             return np.diag(np.arange(d)).astype(complex)
         raise ValueError(f"unknown matrix builder {spec!r}")
     if "entries" in spec:
-        m = np.array([[complex(re, im) for re, im in row] for row in spec["entries"]])
+        m = _complex_matrix(spec["entries"])
         if m.shape != (d, d):
             raise ValueError(f"entries have shape {m.shape}, expected ({d}, {d})")
         return m
@@ -339,15 +357,13 @@ class Scenario:
     engine: str
     picture: str  # resolved, never "auto"
     interaction: InteractionMap | None
-    meanfield_mode: str
-    picard_max_iter: int
-    picard_tol: float
+    meanfield: dict  # the MeanFieldConfig options the file sets: mode, picard_max_iter, picard_tol
     outputs: list[tuple[str, np.ndarray, int]]  # (label, observable, stride)
     raw: dict = field(repr=False, default_factory=dict)
 
     @property
     def steps(self) -> int:
-        return round(self.horizon / self.dt)
+        return step_count(self.horizon, self.dt)
 
 
 # Characters an output label may not contain: labels are written unquoted in
@@ -370,11 +386,9 @@ def validate_scenario(data: dict) -> Scenario:
         raise ScenarioError(errors)
 
     d = data["dim"]
-    h = ls = rho0 = chi0 = None
+    h = ls = rho0 = chi0 = steps = None
     try:
-        h = build_matrix(data["hamiltonian"], d)
-        if not is_hermitian(h, 1e-10):
-            errors.append(("/hamiltonian", "H not Hermitian"))
+        h = require_hermitian(build_matrix(data["hamiltonian"], d), name="H")
     except ValueError as e:
         errors.append(("/hamiltonian", str(e)))
     try:
@@ -385,14 +399,7 @@ def validate_scenario(data: dict) -> Scenario:
         errors.append(("/n_channels", f"declared {data['n_channels']} but {ls.shape[0]} channels given"))
     try:
         rho0, chi0 = build_rho0(data["rho0"], d)
-        if not is_hermitian(rho0, 1e-10):
-            errors.append(("/rho0", "rho0 not Hermitian"))
-        else:
-            tr = float(np.trace(rho0).real)
-            if abs(tr - 1.0) > 1e-10:
-                errors.append(("/rho0", f"rho0 trace != 1 (got {tr:g})"))
-            elif float(np.linalg.eigvalsh(rho0)[0]) < -1e-9:
-                errors.append(("/rho0", "rho0 has a negative eigenvalue"))
+        require_density(rho0)
     except ValueError as e:
         errors.append(("/rho0", str(e)))
 
@@ -400,9 +407,10 @@ def validate_scenario(data: dict) -> Scenario:
     if engine in ("pure_linear", "pure_nonlinear") and chi0 is None:
         errors.append(("/rho0", f"engine {engine} requires a pure initial state ({{'pure': ...}})"))
 
-    steps = data["horizon"] / data["dt"]
-    if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
-        errors.append(("/horizon", "horizon must be a positive whole number of dt steps"))
+    try:
+        steps = step_count(data["horizon"], data["dt"])
+    except ValueError as e:
+        errors.append(("/horizon", str(e)))
 
     interaction = None
     mf = data.get("meanfield")
@@ -433,8 +441,8 @@ def validate_scenario(data: dict) -> Scenario:
         try:
             op = build_matrix(out["observable"], d)
             stride = out.get("stride", 1)
-            if np.isfinite(steps) and round(steps) % stride:
-                errors.append((f"/outputs/{i}/stride", f"stride {stride} does not divide {round(steps)} steps"))
+            if steps is not None and steps % stride:
+                errors.append((f"/outputs/{i}/stride", f"stride {stride} does not divide {steps} steps"))
             outputs.append((out["label"], op, stride))
         except ValueError as e:
             errors.append((f"/outputs/{i}/observable", str(e)))
@@ -460,30 +468,17 @@ def validate_scenario(data: dict) -> Scenario:
         engine=engine,
         picture=picture,
         interaction=interaction,
-        meanfield_mode=(mf or {}).get("mode", "normalized"),
-        picard_max_iter=(mf or {}).get("picard_max_iter", 20),
-        picard_tol=(mf or {}).get("picard_tol", 1e-3),
+        meanfield={k: v for k, v in (mf or {}).items() if k != "interaction"},
         outputs=outputs,
         raw=data,
     )
 
 
 def _build_interaction(spec: dict, d: int) -> InteractionMap:
-    if spec["variant"] == "zero":
-        return InteractionMap.zero(d)
-    if spec["variant"] == "potential":
-        if "table" not in spec:
-            raise ValueError("potential variant requires a table")
-        table = np.asarray(spec["table"], dtype=float)
-        if table.shape != (d, d):
-            raise ValueError(f"table has shape {table.shape}, expected ({d}, {d})")
-        return InteractionMap.from_potential(table)
-    if "kernel" not in spec:
-        raise ValueError("hs_kernel variant requires a kernel")
-    kernel = np.array([[complex(re, im) for re, im in row] for row in spec["kernel"]])
-    if kernel.shape != (d * d, d * d):
-        raise ValueError(f"kernel has shape {kernel.shape}, expected ({d * d}, {d * d})")
-    return InteractionMap.from_kernel(kernel)
+    kernel = spec.get("kernel")
+    return InteractionMap(
+        spec["variant"], d, kernel=None if kernel is None else _complex_matrix(kernel), table=spec.get("table")
+    )
 
 
 def read_scenario(path: str) -> dict:

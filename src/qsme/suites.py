@@ -45,15 +45,6 @@ from .validation import (
     trace_inequality_check,
 )
 
-SUITE_NAMES = (
-    "martingale",
-    "bounds",
-    "inequalities",
-    "continuity",
-    "equivalence",
-    "convergence",
-)
-
 SEEDS = {
     "trace_martingale": 514201,
     "pure_norm_martingale": 514202,
@@ -164,12 +155,12 @@ def bounds_suite(fast: bool = False) -> list[CheckOutcome]:
     m = 500 if fast else 10_000
     out = []
     specs = [
-        ("gamma_squared_growth", GAMMA0, None),
-        ("trace_squared_growth", np.diag([0.75, -0.25]).astype(complex), None),
-        ("trace_abs_bound", 0.5 * SIGMA_Z, None),
-        ("pure_norm_growth", CHI0, None),
+        ("gamma_squared_growth", GAMMA0),
+        ("trace_squared_growth", np.diag([0.75, -0.25]).astype(complex)),
+        ("trace_abs_bound", 0.5 * SIGMA_Z),
+        ("pure_norm_growth", CHI0),
     ]
-    for name, initial, _ in specs:
+    for name, initial in specs:
         seed = SEEDS[name]
         p = _qubit_params()
         cfg = MonteCarloConfig(p, initial, 1.0, m, seed, checkpoint_stride=100)
@@ -442,24 +433,25 @@ def convergence_suite(fast: bool = False) -> list[CheckOutcome]:
     return out
 
 
+# Suite name -> its outcomes for (fast, sabotage), in the order ``all`` runs
+# them; only the martingale suite has a sabotaged variant.
+SUITES = {
+    "martingale": martingale_suite,
+    "bounds": lambda fast, sabotage: bounds_suite(fast),
+    "inequalities": lambda fast, sabotage: inequalities_suite(fast),
+    "continuity": lambda fast, sabotage: continuity_suite(fast),
+    "equivalence": lambda fast, sabotage: equivalence_suite(fast),
+    "convergence": lambda fast, sabotage: convergence_suite(fast),
+}
+
+
 def run_suite(
     name: str, fast: bool = False, sabotage: bool = False
 ) -> tuple[list[CheckOutcome], bool]:
     """Run one named suite (or ``all``); returns outcomes and the overall verdict."""
-    registry = {
-        "martingale": lambda: martingale_suite(fast, sabotage),
-        "bounds": lambda: bounds_suite(fast),
-        "inequalities": lambda: inequalities_suite(fast),
-        "continuity": lambda: continuity_suite(fast),
-        "equivalence": lambda: equivalence_suite(fast),
-        "convergence": lambda: convergence_suite(fast),
-    }
-    if name == "all":
-        results = []
-        for suite in SUITE_NAMES:
-            results.extend(registry[suite]())
-    elif name in registry:
-        results = registry[name]()
-    else:
-        raise ValueError(f"unknown suite {name!r}; expected one of {('all',) + SUITE_NAMES}")
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; expected one of {('all', *SUITES)}")
+    results = []
+    for suite in SUITES if name == "all" else (name,):
+        results.extend(SUITES[suite](fast, sabotage))
     return results, all(r.passed for r in results)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import WeightedEnsemble, run_ensemble
+from .integrate import step_count
 from .linalg import coupling_norm, dag, hs_norm, operator_norm, positive_parts
 from .master import (
     SMEParams,
@@ -37,7 +38,7 @@ class MonteCarloConfig:
 
     @property
     def steps(self) -> int:
-        return round(self.horizon / self.params.dt)
+        return step_count(self.horizon, self.params.dt)
 
     def increments(self) -> np.ndarray:
         return sample_wiener_batch(
@@ -170,9 +171,7 @@ def moment_bound_check(which: str, cfg: MonteCarloConfig) -> BoundCheckResult:
 @dataclass
 class InequalityCheck:
     lhs1: np.ndarray  # 2|tr(A B A B†)|
-    rhs1: np.ndarray  # tr[A^2 (B B† + B† B)]
-    lhs2: np.ndarray  # |tr(A B A B + A B† A B†)|
-    rhs2: np.ndarray
+    rhs1: np.ndarray  # tr[A^2 (B B† + B† B)], the right side of both inequalities
     ok: bool
 
 
@@ -197,7 +196,7 @@ def trace_inequality_check(a: np.ndarray, b: np.ndarray) -> InequalityCheck:
     )
     tol = INEQUALITY_SLACK * np.maximum(1.0, np.abs(rhs))
     ok = bool(np.all(lhs1 <= rhs + tol) and np.all(lhs2 <= rhs + tol))
-    return InequalityCheck(lhs1, rhs, lhs2, rhs.copy(), ok)
+    return InequalityCheck(lhs1, rhs, ok)
 
 
 def hermitian_trace_inequality_check(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:

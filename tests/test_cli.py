@@ -12,7 +12,7 @@ import pytest
 
 from qsme import cli, ensemble, master, pure, scenario
 from qsme.cli import main
-from qsme.linalg import random_density, random_hermitian, random_operator
+from qsme.linalg import HERMITICITY_TOL, random_density, random_hermitian, random_operator
 from qsme.master import SMEParams, linear_sme_step, run_linear_sme, run_nonlinear_sme
 from qsme.meanfield import MeanFieldConfig, mckean_vlasov_solve
 from qsme.noise import sample_wiener_batch
@@ -38,6 +38,30 @@ def minimal_scenario(**overrides):
     }
     data.update(overrides)
     return data
+
+
+def engine_scenario(engine, **overrides):
+    """``minimal_scenario`` run by ``engine``: a pure rho0 for the ket engines, a zero interaction for meanfield."""
+    if engine.startswith("pure"):
+        overrides = {"rho0": {"pure": {"basis": 0}}, **overrides}
+    if engine == "meanfield":
+        overrides = {"meanfield": {"interaction": {"variant": "zero"}}, **overrides}
+    return minimal_scenario(engine=engine, **overrides)
+
+
+def hermiticity_defect(where, relative):
+    """Overrides giving H (``/hamiltonian``) or rho0 (``/rho0``) the Hermiticity defect ``relative``.
+
+    One imaginary (0, 1) entry delta: ||A - A†||_HS = sqrt(2) delta, and ||A||_HS < 1.
+    """
+    delta = relative / np.sqrt(2)
+    key, diag = {"/hamiltonian": ("hamiltonian", [0.5, -0.5]), "/rho0": ("rho0", [0.7, 0.3])}[where]
+    return {key: {"entries": [[[diag[0], 0.0], [0.0, delta]], [[0.0, 0.0], [diag[1], 0.0]]]}}
+
+
+# Every engine with a defect in H, and every engine that takes a density rho0 with one in rho0.
+DEFECT_CASES = ([(e, "/hamiltonian") for e in scenario.ENGINES]
+                + [(e, "/rho0") for e in scenario.ENGINES if not e.startswith("pure")])
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):
@@ -159,6 +183,68 @@ class TestValidateConfig:
         assert "config error at /horizon: horizon must be a positive whole number of dt steps" in (
             capsys.readouterr().err
         )
+
+    def test_integer_horizon_beyond_float_range_is_a_horizon_error(self, tmp_path, capsys):
+        # json reads 10**400 as an int, which has no float value to divide by dt
+        path = write_scenario(tmp_path, minimal_scenario(horizon=10**400))
+        assert main(["validate-config", path]) == 2
+        assert "config error at /horizon: horizon must be a positive whole number of dt steps" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("overrides, flag, where", [
+        ({"channels": [{"scaled": {"op": "pauli_z", "factor": float("nan")}}]}, [], "/channels/0"),
+        ({"outputs": [{"observable": {"scaled": {"op": "pauli_z", "factor": float("inf")}}, "label": "z"}]}, [],
+         "/outputs/0/observable"),
+        ({"engine": "meanfield", "meanfield": {"interaction": {"variant": "zero"}, "picard_tol": float("nan")}}, [],
+         "/meanfield/picard_tol"),
+        ({"engine": "meanfield", "meanfield": {"interaction": {"variant": "zero"}}},
+         ["--set", "meanfield.picard_tol=NaN"], "/meanfield/picard_tol"),
+        ({}, ["--set", "dt=1e999"], "/dt"),
+    ], ids=["channel_factor_nan", "observable_factor_infinity", "picard_tol_nan", "set_picard_tol_nan",
+            "set_dt_1e999"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, overrides, flag, where):
+        # json reads NaN, Infinity and 1e999 (as inf); none of them is a number of the schema
+        path = write_scenario(tmp_path, minimal_scenario(**overrides))
+        if not flag:  # --set is an option of simulate only
+            assert main(["validate-config", path]) == 2
+            assert f"config error at {where}: " in capsys.readouterr().err
+        assert main(["simulate", path, *flag, "--out", str(tmp_path / "out")]) == 2
+        assert f"config error at {where}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("engine, where", DEFECT_CASES)
+    def test_hermiticity_defect_within_tolerance_validates_and_runs(self, tmp_path, engine, where):
+        # one tolerance, linalg.HERMITICITY_TOL, for the scenario and the library
+        path = write_scenario(tmp_path, engine_scenario(engine, **hermiticity_defect(where, 0.5 * HERMITICITY_TOL)))
+        assert main(["validate-config", path]) == 0
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("engine, where", DEFECT_CASES)
+    def test_hermiticity_defect_beyond_tolerance_exits_2(self, tmp_path, capsys, engine, where):
+        path = write_scenario(tmp_path, engine_scenario(engine, **hermiticity_defect(where, 10 * HERMITICITY_TOL)))
+        assert main(["validate-config", path]) == 2
+        assert f"config error at {where}: " in capsys.readouterr().err
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 2
+        assert f"config error at {where}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("interaction", [
+        {"variant": "potential"},
+        {"variant": "potential", "table": np.eye(3).tolist()},
+        {"variant": "potential", "table": [[1.0, 0.5], [0.0, 1.0]]},
+        {"variant": "potential", "table": [[1.0], [0.0, 1.0]]},
+        {"variant": "hs_kernel"},
+        {"variant": "hs_kernel", "kernel": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+        {"variant": "hs_kernel", "kernel": [[[0.0, 1.0] if i == j else [0.0, 0.0] for j in range(4)] for i in range(4)]},
+    ], ids=["no_table", "table_3x3", "table_asymmetric", "table_ragged", "no_kernel", "kernel_2x2",
+            "kernel_not_hermiticity_preserving"])
+    def test_invalid_interaction_exits_2(self, tmp_path, capsys, interaction):
+        # InteractionMap's own checks, located at the interaction
+        path = write_scenario(tmp_path, engine_scenario("meanfield", meanfield={"interaction": interaction}))
+        assert main(["validate-config", path]) == 2
+        assert "config error at /meanfield/interaction: " in capsys.readouterr().err
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error at /meanfield/interaction: " in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["validate-config", "/nonexistent/s.json"]) == 2
@@ -347,8 +433,7 @@ class TestSimulate:
         art = cli.run_scenario(sc, str(tmp_path))
         report = mckean_vlasov_solve(MeanFieldConfig(
             params=cli._params(sc), interaction=sc.interaction, rho0=sc.rho0, trajectories=sc.trajectories,
-            horizon=sc.horizon, picard_max_iter=sc.picard_max_iter, picard_tol=sc.picard_tol,
-            mode=sc.meanfield_mode, seed=sc.seed,
+            horizon=sc.horizon, mode=mode, seed=sc.seed,
         ))
         assert report.converged
         path = report.mean_field_path

@@ -130,7 +130,7 @@ class TestMeanFieldConfig:
     def test_step_count_without_a_whole_value_is_a_horizon_error(self, horizon, dt):
         # horizon / dt is inf or NaN, which round() cannot turn into a step count
         p = SMEParams(0.5 * SIGMA_Z, SIGMA_X, dt)
-        with pytest.raises(ValueError, match="horizon must be a whole number of dt steps"):
+        with pytest.raises(ValueError, match="horizon must be a positive whole number of dt steps"):
             MeanFieldConfig(p, InteractionMap.zero(2), 0.5 * np.eye(2), 10, horizon)
 
 

@@ -3,6 +3,7 @@
 import copy
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -35,7 +36,7 @@ def _bases():
 
 BASES = _bases()
 DELETE = object()
-VALUES = [None, True, "x", -1, 0, 1.5, 2.0, 300, [], {}]
+VALUES = [None, True, "x", -1, 0, 1.5, 2.0, 300, [], {}, math.nan, -math.inf]
 PAIR = [0.5, 0.0]
 
 # Broken forms of each matrix spec: builder, entries, scaled and sum.
@@ -44,6 +45,7 @@ BROKEN_MATRICES = [
     {"entries": [[[1.0, 0.0, 0.0]]]}, {"entries": [["a"]]}, {"entries": 1}, {"entries": [], "x": 0}, {},
     {"scaled": {"op": "pauli_x"}}, {"scaled": {"op": "nope", "factor": 1.0}},
     {"scaled": {"op": "pauli_x", "factor": [1.0]}}, {"scaled": {"op": "pauli_x", "factor": "2"}},
+    {"scaled": {"op": "pauli_x", "factor": math.nan}}, {"scaled": {"op": "pauli_x", "factor": [0.0, math.inf]}},
     {"sum": []}, {"sum": ["pauli_x", {"entries": [[PAIR, "b"]]}]}, {"sum": "pauli_x"},
 ]
 BROKEN_KETS = [[], [[1.0]], [PAIR, [0.0, True]], {"basis": -1}, {"basis": 1.0}, {"basis": 0, "x": 0}, {}]
@@ -94,13 +96,17 @@ def _mutations(base):
 
 
 def _oracle():
-    """jsonschema's 2020-12 validator with ``integer`` meaning a JSON integer, as the walker reads it.
+    """jsonschema's 2020-12 validator with ``integer`` meaning a JSON integer and ``number`` a finite one,
+    as the walker reads them.
 
     The walker copies the error wording of jsonschema 4.26 (the ``test`` extra's floor).
     """
     jsonschema = pytest.importorskip("jsonschema")
     base = jsonschema.Draft202012Validator
-    checker = base.TYPE_CHECKER.redefine("integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool))
+    checker = base.TYPE_CHECKER.redefine_many({
+        "integer": lambda _, x: isinstance(x, int) and not isinstance(x, bool),
+        "number": lambda _, x: isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x),
+    })
     return jsonschema.validators.extend(base, type_checker=checker)(SCENARIO_SCHEMA)
 
 
