@@ -10,8 +10,9 @@ estimated noise, checkpoint and working memory exceeds physical memory),
 3 runtime abort (trace collapse, a nonpositive sme_linear or linear-mode
 meanfield trace, a normalized density whose trace leaves 1 or whose purity
 tr rho^2 exceeds 2 as a diverging sme_nonlinear or meanfield run blows up, a
-vanished ensemble norm, a non-finite observable value of any engine,
-Picard non-convergence), 4 I/O failure.
+vanished ensemble norm, a non-finite observable value of any engine, a
+non-finite mean, stderr or final-state mean, Picard non-convergence; nothing
+is written then), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -312,13 +313,20 @@ def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both") -> RunArtifacts:
 
     engine_details = run(sc, params, stride, reduce) or {}
     del params  # it holds the density step's workspace; the CSV is the memory peak
-    mean_final = final(last[0])
     per_traj = dict(zip([label for label, _, _ in sc.outputs], kept))
-    means = {label: vals.mean(axis=1) for label, vals in per_traj.items()}
-    stderrs = {
-        label: vals.std(axis=1, ddof=1) / np.sqrt(vals.shape[1]) if vals.shape[1] > 1 else np.zeros(vals.shape[0])
-        for label, vals in per_traj.items()
-    }
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite statistics abort below
+        mean_final = final(last[0])
+        means = {label: vals.mean(axis=1) for label, vals in per_traj.items()}
+        stderrs = {
+            label: vals.std(axis=1, ddof=1) / np.sqrt(vals.shape[1]) if vals.shape[1] > 1 else np.zeros(vals.shape[0])
+            for label, vals in per_traj.items()
+        }
+    # finite values can still overflow a sum: check every statistic before anything is written
+    for label, _, ostride in sc.outputs:
+        bad = np.flatnonzero(~(np.isfinite(means[label]) & np.isfinite(stderrs[label])))
+        if bad.size:
+            raise TrajectoryAbort(f"non-finite mean or stderr of output {label!r}", step=int(bad[0]) * ostride)
+    TrajectoryAbort.unless(np.isfinite(mean_final).all(), "non-finite final-state mean", sc.steps)
     out_times = {label: sc.dt * ostride * np.arange(sc.steps // ostride + 1) for label, _, ostride in sc.outputs}
 
     safe_name = "".join(c if c.isalnum() or c in "-_." else "_" for c in sc.name)
@@ -343,7 +351,7 @@ def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both") -> RunArtifacts:
         "final_state_mean": [[[z.real, z.imag] for z in row] for row in np.asarray(mean_final)],
         "engine_details": engine_details,
     }
-    summary_blob = json.dumps(summary, indent=2, sort_keys=True)
+    summary_blob = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
 
     # Hash the CSV body, and write it unless fmt is "json", one checkpoint at a time.
     digest = hashlib.sha256()

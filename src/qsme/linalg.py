@@ -11,6 +11,8 @@ from two threads at once.)
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Tolerances used across the package, scenario validation included.
@@ -53,7 +55,23 @@ def coupling_norm(ls: np.ndarray) -> float:
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return hs_norm(a - dag(a)) <= tol * max(1.0, float(hs_norm(a)))
+    """||A - A†||_HS <= tol * max(1, ||A||_HS); False for a non-finite entry.
+
+    Where ||A||_HS overflows, A is first scaled by a power of two that brings
+    its largest real or imaginary part below 1, and the 1 of the bound with
+    it, so the verdict is that of the exact norms.  An ||A - A†||_HS that
+    overflows beside a finite ||A||_HS is far beyond the bound either way.
+    """
+    a, scale = np.asarray(a), 1.0
+    with np.errstate(over="ignore"):
+        norm = float(hs_norm(a))
+        if not math.isfinite(norm):
+            if not np.isfinite(a).all():
+                return False
+            scale = math.ldexp(1.0, -math.frexp(float(np.max(np.abs([a.real, a.imag]))))[1])
+            a = a * scale
+            norm = float(hs_norm(a))
+        return bool(hs_norm(a - dag(a)) <= tol * max(scale, norm))
 
 
 def require_hermitian(a: np.ndarray, name: str = "operator") -> np.ndarray:

@@ -21,9 +21,12 @@ from a BLAS GEMM of the rows of gamma, once per step.  From those products
 come the noise term of X, the compensators m_j = 2 Re tr(gamma L_j†) of the
 normalized step and, through their adjoints L_j gamma, the sandwich
 sum_j (L_j gamma) L_j† of the dissipator (one more GEMM over the stacked
-channels).  The -i[H, gamma] - (1/2){sum_j L_j† L_j, gamma} terms are
-separate products with H and the damping, which the interaction picture
-dresses together with the channels from one exp(-iHt).  The update writes
+channels).  The interaction picture drops -i[H, gamma] and dresses the
+damping D_t = (1/2) sum_j L_j,t† L_j,t together with the channels from one
+exp(-iHt); its damping term is one more GEMM of the rows of gamma,
+-dt gamma D_t, whose adjoint -dt D_t gamma comes with X†.  The Schroedinger
+picture still forms -i[H, gamma] - {D, gamma} as four batched
+(d, d) @ (..., d, d) products, two with H and two with D.  The update writes
 all its state-sized arrays into a workspace that the params object keeps
 for the batch shape it last stepped, and so does the interaction-picture
 frame map.  A step therefore allocates one state-sized array: the C-ordered
@@ -133,16 +136,24 @@ def _sme_update(
 
     with c = 1, or 1 - m·dY when ``normalized``: the drift is a Hermitian
     map, so half of it plus its adjoint is all of it for a Hermitian gamma.
-    Each gamma L_j† is one (M d, d) @ (d, d) GEMM of the rows of gamma, kept
-    as a contiguous state so that the noise term of X is n passes with long
+    Any term of X may be traded for one with the same Hermitian part, which
+    the interaction picture does with the damping (below).  Each gamma L_j†
+    is one (M d, d) @ (d, d) GEMM of the rows of gamma, kept as a
+    contiguous state so that the noise term of X is n passes with long
     inner loops.  The traces of those products give the compensators
     m_j = 2 Re tr(gamma L_j†), shape (..., n), and their conjugate
     transposes L_j gamma, copied row-major, meet the stacked (dt/2) L_j† in
     one (M d, n d) @ (n d, d) GEMM for the sandwich of the dissipator.  The
-    factor dt/2 rides on those L_j† and on the damping and H matrices, so
-    no pass over the batch scales the drift.  The last two passes add X to
-    its conjugate transpose: the update is exactly Hermitian by
-    construction, and a fresh C-ordered array.
+    damping D = (1/2) sum_j L_j† L_j enters X by picture.  In the
+    interaction picture it is one (M d, d) @ (d, d) GEMM of the rows of
+    gamma, X += -dt gamma D_t: (gamma D_t)† = D_t gamma, so X† supplies the
+    other half of -dt {D_t, gamma}.  In the Schroedinger picture it is still
+    two batched (d, d) @ (..., d, d) products, -(dt/2)(D gamma + gamma D),
+    and -i[H, gamma] two more (see the comment there for why that fold
+    waits).  The factors dt/2 and dt ride on the L_j†, damping and H
+    matrices, so no pass over the batch scales the drift.  The last two
+    passes add X to its conjugate transpose: the update is exactly
+    Hermitian by construction, and a fresh C-ordered array.
 
     X and every other state-sized array live in ``p._workspace(gamma.shape)``.
     Besides gamma and the update, a step holds the 2n + 1 states of the
@@ -160,15 +171,25 @@ def _sme_update(
     # rows[..., i, j, c] = (L_j gamma)[i, c]: row i of [L_1 gamma | ... | L_n gamma]
     np.conj(np.swapaxes(np.moveaxis(y, 0, -2), -3, -1), out=rows)
     np.matmul(rows.reshape(-1, n * d), half_dt * ls_dag.reshape(n * d, d), out=out.reshape(-1, d))
-    damping = half_dt * damping
-    np.matmul(damping, gamma, out=tmp)
-    tmp += np.matmul(gamma, damping, out=scratch)
-    out -= tmp
     if p.picture == "schroedinger":
+        # Folding dt(iH - D) into one GEMM, as the interaction picture folds
+        # -dt D_t, makes meanfield_picard 2-3x faster, but it waits for
+        # ROADMAP item 1: perfbench's peak_rss_mb counts run.py's own growth
+        # (about 0.47 MB per repetition), so fitting twice the repetitions
+        # into the window raises it past its 5% bound (44.3 -> 49.7 MB).
+        damping = half_dt * damping
+        np.matmul(damping, gamma, out=tmp)
+        tmp += np.matmul(gamma, damping, out=scratch)
+        out -= tmp
         h = (1j * half_dt) * p.h
         np.matmul(h, gamma, out=tmp)
         tmp -= np.matmul(gamma, h, out=scratch)
         out -= tmp
+    else:
+        # -dt gamma D_t: X† adds its adjoint -dt D_t gamma, so the update
+        # holds the whole damping term -dt {D_t, gamma}
+        np.matmul(gamma_rows, -p.dt * damping, out=tmp.reshape(-1, d))
+        out += tmp
     half_c = 0.5 - 0.5 * np.einsum("...n,...n->...", m, dy)[..., None, None] if normalized else 0.5
     out += np.multiply(gamma, half_c, out=tmp)
     for j in range(n):

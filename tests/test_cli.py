@@ -228,6 +228,17 @@ class TestValidateConfig:
         assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 2
         assert f"config error at {where}: " in capsys.readouterr().err
 
+    def test_huge_non_hermitian_hamiltonian_exits_2(self, tmp_path, capsys):
+        # ||H - H†||_HS and ||H||_HS both overflow to inf unscaled, and
+        # inf <= tol * inf once let this H through with exit 0
+        h = {"entries": [[[1e200, 0.0], [1e200, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
+        path = write_scenario(tmp_path, minimal_scenario(hamiltonian=h))
+        assert main(["validate-config", path]) == 2
+        assert "config error at /hamiltonian: H is not Hermitian" in capsys.readouterr().err
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error at /hamiltonian: H is not Hermitian" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("interaction", [
         {"variant": "potential"},
         {"variant": "potential", "table": np.eye(3).tolist()},
@@ -595,6 +606,48 @@ class TestSimulate:
         assert report["abort"] is True and "non-finite" in report["reason"]
         assert (report["step"], report["trajectory"]) == (729, 1)
         assert not (tmp_path / "out" / "qubit-smoke.csv").exists()
+
+    def assert_statistics_abort(self, tmp_path, capsys, data, reason, step):
+        path = write_scenario(tmp_path, data)
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 3
+        report = json.loads(capsys.readouterr().err)
+        assert report == {"abort": True, "reason": reason, "step": step, "trajectory": None}
+        assert os.listdir(tmp_path / "out") == []
+
+    @staticmethod
+    def big_output(factor):
+        return [{"observable": {"scaled": {"op": "pauli_z", "factor": factor}}, "stride": 10, "label": "big"}]
+
+    @pytest.mark.parametrize("engine", [e for e in scenario.ENGINES if e != "meanfield"])
+    def test_overflowing_mean_exits_3_and_writes_nothing(self, tmp_path, capsys, engine):
+        # from |0> every value 1e307 <sigma_z> is 1e307, finite, but the 20 of
+        # them sum past the float range at t = 0; this once wrote "inf" mean
+        # rows and "Infinity" summary tokens with exit 0
+        data = engine_scenario(engine, rho0={"pure": {"basis": 0}}, outputs=self.big_output(1e307))
+        self.assert_statistics_abort(tmp_path, capsys, data, "non-finite mean or stderr of output 'big'", 0)
+
+    def test_overflowing_stderr_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # from diag [0.5, 0.5] the values are 0 at t = 0 and their mean stays
+        # finite, but the squares in the stderr overflow at the next checkpoint
+        data = minimal_scenario(outputs=self.big_output(1e308))
+        self.assert_statistics_abort(tmp_path, capsys, data, "non-finite mean or stderr of output 'big'", 10)
+
+    def test_non_finite_final_state_mean_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # the vanishing pure_linear run above without outputs: no observable
+        # value is checked, the final kets are 0 and their normalized mean is
+        # 0/0, which was once written into the summary as NaN with exit 0
+        data = minimal_scenario(
+            hamiltonian={"scaled": {"op": "pauli_x", "factor": 0.5}},
+            channels=[{"scaled": {"op": "pauli_z", "factor": 100.0}}],
+            rho0={"pure": [[0.6, 0.0], [0.8, 0.0]]},
+            dt=1e-4,
+            horizon=0.1,
+            trajectories=5,
+            seed=1,
+            engine="pure_linear",
+            outputs=[],
+        )
+        self.assert_statistics_abort(tmp_path, capsys, data, "non-finite final-state mean", 1000)
 
     def test_run_beyond_physical_memory_exits_2_before_drawing_noise(self, tmp_path, capsys, monkeypatch):
         def no_noise(*args, **kwargs):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qsme.linalg import (
+    HERMITICITY_TOL,
     SIGMA_X,
     SIGMA_Z,
     Propagator,
@@ -9,12 +10,14 @@ from qsme.linalg import (
     hermitian_spectrum,
     hermitianize,
     hs_norm,
+    is_hermitian,
     operator_norm,
     positive_parts,
     random_density,
     random_hermitian,
     random_operator,
     require_density,
+    require_hermitian,
 )
 
 from oracles import dress, evolution_factor, random_ket
@@ -176,6 +179,38 @@ class TestValidators:
         a = random_operator(5, rng)
         h = hermitianize(a)
         assert np.array_equal(h, h.conj().T)
+
+    @pytest.mark.parametrize("a", [
+        [[1e200, 1e200], [0.0, 0.0]],
+        [[0.0, 1e200j], [1e200j, 0.0]],
+        [[1e308, 0.0], [-1e308, 0.0]],
+        [[1.5e308 + 1.5e308j, 0.0], [0.0, 0.0]],
+    ], ids=["real_1e200", "imaginary_1e200", "real_1e308", "complex_modulus_beyond_float_range"])
+    def test_large_non_hermitian_rejected(self, a):
+        # the unscaled norms overflow to inf, and inf <= tol * inf would hold
+        a = np.array(a, dtype=complex)
+        assert not is_hermitian(a)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            require_hermitian(a, name="H")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entry_is_not_hermitian(self, bad):
+        a = np.eye(2, dtype=complex)
+        a[1, 1] = bad
+        assert not is_hermitian(a)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            require_hermitian(a)
+
+    @pytest.mark.parametrize("exponent", [0, 1, 300, 1000])
+    @pytest.mark.parametrize("relative", [0.5, 10.0])
+    def test_verdict_is_scale_free(self, exponent, relative):
+        # a defect at 0.5x and 10x the tolerance of ||A||_HS keeps its verdict
+        # at every power-of-two scale, up to entries near the float maximum
+        a = np.diag([0.75, -0.5]).astype(complex)
+        a[0, 1] = 1j * relative * HERMITICITY_TOL * float(hs_norm(a)) / np.sqrt(2)
+        scaled = np.ldexp(a.real, exponent) + 1j * np.ldexp(a.imag, exponent)
+        assert is_hermitian(scaled) == (relative < 1.0)
+        assert is_hermitian(np.array([[2.0**exponent, 0.0], [0.0, 0.0]]))
 
 
 def _hermitianize_cases():

@@ -377,6 +377,27 @@ class TestOneFactorPerStep:
         assert np.array_equal(damping, dag(u) @ p._damping @ u)
 
 
+class TestPicturesAgreeWithoutH:
+    """With H = 0 the two pictures take the same step, through different code:
+    the interaction picture adds -dt gamma D_t to X with one GEMM, the
+    Schroedinger picture forms -(dt/2){D, gamma} from two batched products."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("d", [2, 16])
+    @pytest.mark.parametrize("stepper", [linear_sme_step, nonlinear_sme_step])
+    def test_steps_agree_to_roundoff(self, stepper, d, n):
+        rng = np.random.default_rng(10 * d + n)
+        ls = np.stack([random_operator(d, rng) for _ in range(n)])
+        m = 7
+        rho = np.stack([random_density(d, rng) for _ in range(m)])
+        noise = rng.normal(0.0, 0.1, (m, n))
+        schroedinger, interaction = (
+            stepper(rho, SMEParams(np.zeros((d, d)), ls, 0.01, picture), noise, 0.37)
+            for picture in ("schroedinger", "interaction")
+        )
+        assert np.max(np.abs(interaction - schroedinger)) <= 1e-14 * max(1.0, np.max(np.abs(schroedinger)))
+
+
 class TestTraceProcess:
     """The trace process T(t) as ``reconstruct_path`` rebuilds it from normalized paths.
 
