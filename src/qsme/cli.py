@@ -2,7 +2,9 @@
 
 Every engine, the mean-field solver included, is one row of ``ENGINES``, and
 ``run_scenario`` reduces, checks and summarizes the checkpoints of all of
-them through one path.
+them through one path.  It writes each checkpoint's CSV chunk in the
+per-checkpoint reduce that computes its values, and keeps only every
+output's means and stderrs, so no run holds every trajectory's values.
 
 Exit codes: 0 ok, 1 validation-suite failure, 2 config error (including a
 duplicate output label or one that would break CSV rows, and a run whose
@@ -24,6 +26,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -67,15 +70,22 @@ def _grid_stride(sc: Scenario) -> int:
 # indented JSON text (its Python objects, the encoder's chunks and the text).
 CSV_ROW_BYTES = 320
 JSON_FLOAT_BYTES = 400
+# Bytes read at a time when a later output's CSV chunks are copied back from
+# their temporary file into the digest and the CSV.
+COPY_BLOCK = 1 << 16
+
+FORMATS = ("csv", "json", "both")
+CSV_HEADER = "t,traj_id,observable,value\n"
 
 
 def memory_estimate(sc: Scenario) -> dict[str, int]:
     """Bytes of the noise increments, the checkpoint data and the working set a run allocates.
 
-    Noise is the (M, steps, n) float64 batch.  A trajectory run keeps one
-    (steps // stride + 1, M) float64 array of values per output, at that
-    output's own stride, and integration lets go of the replicated start
-    state after the first step; a mean-field run keeps three
+    Noise is the (M, steps, n) float64 batch.  A trajectory run keeps two
+    (steps // stride + 1,) float64 arrays per output, its means and stderrs
+    at that output's own stride: every checkpoint's values are written to
+    the CSV as they come, and integration lets go of the replicated start
+    state after the first step.  A mean-field run keeps three
     (steps+1, d, d) mean paths (the previous iterate, the new one and their
     difference).  The working set is what is held only for a while, counted
     for the M states in units of one state (d complex entries for kets,
@@ -85,12 +95,14 @@ def memory_estimate(sc: Scenario) -> dict[str, int]:
     products, their row copy for the dissipator's GEMM, which also serves
     as scratch, and the half X of the update: 2n + 1, or 4 for n = 1) and
     the update X + X† it returns; the run drops the params, and with them
-    the workspace, when integration ends.  After the run the final-state mean forms up to four (M, d, d)
-    arrays, the CSV is formatted one checkpoint of one observable (M + 1
-    rows) at a time, and the config
-    hash and the summary are JSON text: the scenario's matrices, the
-    final-state mean, every checkpoint's mean and stderr, and for a
-    mean-field run its mean path.
+    the workspace, when integration ends.  The CSV is formatted one
+    checkpoint of one observable (M + 1 rows) at a time, in the run, and
+    with more than one output the later outputs' chunks are copied back
+    ``COPY_BLOCK`` bytes at a time after it.  After the run the final-state
+    mean forms up to four (M, d, d) arrays, and the config hash and the
+    summary are JSON text: the scenario's matrices, the final-state mean,
+    every checkpoint's mean and stderr, and for a mean-field run its mean
+    path.
     """
     m, d, n, n_obs = sc.trajectories, sc.dim, sc.ls.shape[0], len(sc.outputs)
     noise = m * sc.steps * n * 8
@@ -107,9 +119,10 @@ def memory_estimate(sc: Scenario) -> dict[str, int]:
         json_floats += 2 * (sc.steps + 1) * d**2
         output = 0
     else:
-        checkpoints = sum(sc.steps // stride + 1 for _, _, stride in sc.outputs) * m * 8
+        checkpoints = 2 * sum(sc.steps // stride + 1 for _, _, stride in sc.outputs) * 8
         label = max((len(lab) for lab, _, _ in sc.outputs), default=0)
         output = 4 * m * d**2 * 16 + (m + 1) * (CSV_ROW_BYTES + 4 * label)
+    output += COPY_BLOCK if n_obs > 1 else 0
     working = (2 * n + 5) * m * per_state * 16 + output + json_floats * JSON_FLOAT_BYTES
     return {"noise_bytes": noise, "checkpoint_bytes": checkpoints, "working_bytes": working}
 
@@ -255,31 +268,110 @@ ENGINES = {
 }
 
 
-def _csv_chunks(outputs, out_times: dict, per_traj: dict, means: dict):
-    """The CSV body (header, then every row), one checkpoint of one observable per chunk.
+def _csv_rows(label: str, n_traj: int):
+    """The formatter of one observable's CSV rows at one checkpoint: ``rows(t, values, mean) -> str``.
 
-    Rows are ``t,traj_id,observable,value`` with t and value as ``.17g``.
-    Each observable's rows at one checkpoint come from one ``%`` template,
-    built once per observable (a ``%`` in the label escaped as ``%%``) and
-    filled with a single format call whose arguments alternate the t string
-    with the values: every trajectory's, then the mean.
+    Rows are ``t,traj_id,observable,value`` with t and value as ``.17g``: one
+    per trajectory, then the mean.  They come from one ``%`` template, built
+    once (a ``%`` in the label escaped as ``%%``), and each call is a single
+    format call whose arguments alternate the t string with the values: the
+    ``n_traj`` trajectories' (a list of floats), then the mean.
+    """
+    name = label.replace("%", "%%")
+    tmpl = "".join([f"%s,{m},{name},%.17g\n" for m in range(n_traj)] + [f"%s,mean,{name},%.17g\n"])
+    args = [None] * (2 * n_traj + 2)
+
+    def rows(t: float, vals: list, mean: float) -> str:
+        args[0::2] = [f"{t:.17g}"] * (n_traj + 1)
+        args[1::2] = vals + [mean]
+        return tmpl % tuple(args)
+
+    return rows
+
+
+def _csv_chunks(outputs, out_times: dict, per_traj: dict, means: dict):
+    """The CSV body (header, then every row) from whole arrays, one checkpoint of one observable per chunk.
+
+    ``per_traj`` maps a label to its (checkpoints, M) values, or lacks it
+    for mean rows only.  Each chunk is what ``run_scenario`` writes at that
+    checkpoint, through the same ``_csv_rows`` formatter.
     """
     if outputs:
-        yield "t,traj_id,observable,value\n"
+        yield CSV_HEADER
     for label, _, _ in outputs:
         traj_vals = per_traj.get(label)
-        n_traj = 0 if traj_vals is None else traj_vals.shape[1]
-        name = label.replace("%", "%%")
-        tmpl = "".join([f"%s,{m},{name},%.17g\n" for m in range(n_traj)] + [f"%s,mean,{name},%.17g\n"])
-        args = [None] * (2 * n_traj + 2)
+        rows = _csv_rows(label, 0 if traj_vals is None else traj_vals.shape[1])
         for k, (t, mean) in enumerate(zip(out_times[label].tolist(), means[label].tolist())):
-            args[0::2] = [f"{t:.17g}"] * (n_traj + 1)
-            args[1::2] = ([] if traj_vals is None else traj_vals[k].tolist()) + [mean]
-            yield tmpl % tuple(args)
+            yield rows(t, [] if traj_vals is None else traj_vals[k].tolist(), mean)
+
+
+class _CsvBody:
+    """A run's CSV body, written in observable order while the run's checkpoints come in.
+
+    Output 0's chunks, after the header, go straight into the SHA-256
+    ``digest`` and, unless ``path`` is None, into ``<path>.partial``, which
+    starts with the ``comment`` line.  Each later output's chunks go to an
+    unnamed temporary file in the same directory.  ``publish`` appends those
+    files, in output order, through the digest and renames the partial file
+    to ``path``.  ``close`` closes every file and removes the partial one
+    unless it was published, so a run that raises leaves nothing behind.
+    """
+
+    def __init__(self, digest, n_outputs: int, out_dir: str, path: str | None, comment: str):
+        self.digest, self.path = digest, path
+        self.csv = self.partial = None
+        self.sides = []
+        try:
+            if path is not None:
+                self.csv = open(path + ".partial", "wb")
+                self.partial = self.csv.name
+                self.csv.write(comment.encode())
+            for _ in range(n_outputs - 1):
+                self.sides.append(tempfile.TemporaryFile(dir=out_dir))
+        except BaseException:
+            self.close()
+            raise
+        if n_outputs:
+            self.write(0, CSV_HEADER.encode())
+
+    def write(self, i: int, data: bytes) -> None:
+        """Add one chunk of output ``i``."""
+        if i:
+            self.sides[i - 1].write(data)
+            return
+        self.digest.update(data)
+        if self.csv is not None:
+            self.csv.write(data)
+
+    def publish(self) -> None:
+        for side in self.sides:
+            side.seek(0)
+            while block := side.read(COPY_BLOCK):
+                self.write(0, block)
+        if self.csv is not None:
+            self.csv.close()
+            os.replace(self.partial, self.path)
+            self.partial = None
+
+    def close(self) -> None:
+        for f in [self.csv, *self.sides]:
+            if f is not None:
+                f.close()
+        if self.partial is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(self.partial)
 
 
 def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both") -> RunArtifacts:
-    """Execute a validated scenario and write CSV/JSON artifacts."""
+    """Execute a validated scenario and write CSV/JSON artifacts (``fmt`` is one of ``FORMATS``).
+
+    Each checkpoint's CSV chunk is written by the per-checkpoint reduce that
+    computes its values, which keeps only each output's means and stderrs.
+    Every statistic and the final-state mean are checked after the run; a
+    run that aborts or fails writes nothing.
+    """
+    if fmt not in FORMATS:
+        raise ValueError(f"fmt must be 'csv', 'json' or 'both', not {fmt!r}")
     _check_memory(sc)
     os.makedirs(out_dir, exist_ok=True)
     cfg_hash = _config_hash(sc.raw)
@@ -291,82 +383,76 @@ def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both") -> RunArtifacts:
     values, final = REDUCERS[kind]
     ops = [op for _, op, _ in sc.outputs]
     strides = [ostride for _, _, ostride in sc.outputs]
-    # one (steps // stride + 1, width) array per output, filled at its own
-    # checkpoints; a mean-field run reduces one state, its mean path, and
-    # writes only mean rows
+    times = [(sc.dt * ostride * np.arange(sc.steps // ostride + 1)).tolist() for ostride in strides]
+    # a mean-field run reduces one state, its mean path, and writes only mean rows
     mean_only = sc.engine == "meanfield"
-    kept = [np.empty((sc.steps // ostride + 1, 1 if mean_only else sc.trajectories)) for ostride in strides]
+    width = 1 if mean_only else sc.trajectories
+    means = [np.empty(len(t)) for t in times]
+    stderrs = [np.empty(len(t)) for t in times]
+    rows = [_csv_rows(label, 0 if mean_only else width) for label, _, _ in sc.outputs]
     last = []  # the final checkpoint's states, for the final-state reducer
 
-    def reduce(frame, k):
-        due = [i for i, ostride in enumerate(strides) if k % ostride == 0]
-        # where no output is due every value is computed anyway, so that
-        # a non-finite state aborts at the first grid checkpoint it reaches
-        checked = due or range(len(ops))
-        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite values abort below
-            vals = values(frame, [ops[i] for i in checked])  # (len(checked), width)
-        TrajectoryAbort.unless(np.isfinite(vals).all(axis=0), "non-finite observable value", k)
-        for i, v in zip(due, vals):
-            kept[i][k // strides[i]] = v
-        if k == sc.steps:
-            last.append(frame)
-
-    engine_details = run(sc, params, stride, reduce) or {}
-    del params  # it holds the density step's workspace; the CSV is the memory peak
-    per_traj = dict(zip([label for label, _, _ in sc.outputs], kept))
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite statistics abort below
-        mean_final = final(last[0])
-        means = {label: vals.mean(axis=1) for label, vals in per_traj.items()}
-        stderrs = {
-            label: vals.std(axis=1, ddof=1) / np.sqrt(vals.shape[1]) if vals.shape[1] > 1 else np.zeros(vals.shape[0])
-            for label, vals in per_traj.items()
-        }
-    # finite values can still overflow a sum: check every statistic before anything is written
-    for label, _, ostride in sc.outputs:
-        bad = np.flatnonzero(~(np.isfinite(means[label]) & np.isfinite(stderrs[label])))
-        if bad.size:
-            raise TrajectoryAbort(f"non-finite mean or stderr of output {label!r}", step=int(bad[0]) * ostride)
-    TrajectoryAbort.unless(np.isfinite(mean_final).all(), "non-finite final-state mean", sc.steps)
-    out_times = {label: sc.dt * ostride * np.arange(sc.steps // ostride + 1) for label, _, ostride in sc.outputs}
-
     safe_name = "".join(c if c.isalnum() or c in "-_." else "_" for c in sc.name)
-    summary = {
-        "name": sc.name,
-        "engine": sc.engine,
-        "picture": sc.picture,
-        "seed": sc.seed,
-        "config_hash": cfg_hash,
-        "trajectories": sc.trajectories,
-        "dt": sc.dt,
-        "horizon": sc.horizon,
-        "grid_times": grid_times.tolist(),
-        "observables": {
-            label: {
-                "times": out_times[label].tolist(),
-                "mean": means[label].tolist(),
-                "stderr": stderrs[label].tolist(),
-            }
-            for label, _, _ in sc.outputs
-        },
-        "final_state_mean": [[[z.real, z.imag] for z in row] for row in np.asarray(mean_final)],
-        "engine_details": engine_details,
-    }
-    summary_blob = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
-
-    # Hash the CSV body, and write it unless fmt is "json", one checkpoint at a time.
+    csv_path = os.path.join(out_dir, f"{safe_name}.csv") if sc.outputs and fmt != "json" else None
+    stamp = datetime.now(timezone.utc).isoformat()
     digest = hashlib.sha256()
-    csv_path = None
-    if sc.outputs and fmt in ("csv", "both"):
-        csv_path = os.path.join(out_dir, f"{safe_name}.csv")
-    with (open(csv_path, "wb") if csv_path else contextlib.nullcontext()) as f:
-        if f is not None:
-            stamp = datetime.now(timezone.utc).isoformat()
-            f.write(f"# generated={stamp} scenario={safe_name} seed={sc.seed} config={cfg_hash}\n".encode())
-        for chunk in _csv_chunks(sc.outputs, out_times, {} if mean_only else per_traj, means):
-            data = chunk.encode()
-            digest.update(data)
-            if f is not None:
-                f.write(data)
+    comment = f"# generated={stamp} scenario={safe_name} seed={sc.seed} config={cfg_hash}\n"
+    with contextlib.closing(_CsvBody(digest, len(sc.outputs), out_dir, csv_path, comment)) as body:
+
+        def reduce(frame, k):
+            due = [i for i, ostride in enumerate(strides) if k % ostride == 0]
+            # where no output is due every value is computed anyway, so that
+            # a non-finite state aborts at the first grid checkpoint it reaches
+            checked = due or range(len(ops))
+            with np.errstate(divide="ignore", invalid="ignore"):  # non-finite values abort below
+                vals = values(frame, [ops[i] for i in checked])  # (len(checked), width)
+            TrajectoryAbort.unless(np.isfinite(vals).all(axis=0), "non-finite observable value", k)
+            if k == sc.steps:
+                last.append(frame)
+            if not due:
+                return
+            # numpy sums a contiguous row pairwise and a strided one (the
+            # ensemble's values are a transposed view) in another order:
+            # reduce C-ordered rows, so every engine's statistics keep their bits
+            vals = np.ascontiguousarray(vals)
+            with np.errstate(over="ignore", invalid="ignore"):  # non-finite statistics abort after the run
+                mean = vals.mean(axis=1).tolist()
+                err = (vals.std(axis=1, ddof=1) / np.sqrt(width)).tolist() if width > 1 else [0.0] * len(due)
+            for i, v, m, e in zip(due, vals, mean, err):
+                j = k // strides[i]
+                means[i][j], stderrs[i][j] = m, e
+                body.write(i, rows[i](times[i][j], [] if mean_only else v.tolist(), m).encode())
+
+        engine_details = run(sc, params, stride, reduce) or {}
+        del params  # it holds the density step's workspace
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite final-state mean aborts below
+            mean_final = final(last[0])
+        # finite values can still overflow a sum: check every statistic before anything is written
+        for (label, _, ostride), m, e in zip(sc.outputs, means, stderrs):
+            bad = np.flatnonzero(~(np.isfinite(m) & np.isfinite(e)))
+            if bad.size:
+                raise TrajectoryAbort(f"non-finite mean or stderr of output {label!r}", step=int(bad[0]) * ostride)
+        TrajectoryAbort.unless(np.isfinite(mean_final).all(), "non-finite final-state mean", sc.steps)
+
+        summary = {
+            "name": sc.name,
+            "engine": sc.engine,
+            "picture": sc.picture,
+            "seed": sc.seed,
+            "config_hash": cfg_hash,
+            "trajectories": sc.trajectories,
+            "dt": sc.dt,
+            "horizon": sc.horizon,
+            "grid_times": grid_times.tolist(),
+            "observables": {
+                label: {"times": t, "mean": m.tolist(), "stderr": e.tolist()}
+                for (label, _, _), t, m, e in zip(sc.outputs, times, means, stderrs)
+            },
+            "final_state_mean": [[[z.real, z.imag] for z in row] for row in np.asarray(mean_final)],
+            "engine_details": engine_details,
+        }
+        summary_blob = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+        body.publish()
     if not sc.outputs:
         digest.update(summary_blob.encode())
     json_path = None
@@ -454,7 +540,7 @@ def _parser() -> argparse.ArgumentParser:
                      help="override a scenario field (dotted path, JSON value)")
     sim.add_argument("--out", default="out", help="output directory (default: out)")
     sim.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    sim.add_argument("--format", choices=("csv", "json", "both"), default="both",
+    sim.add_argument("--format", choices=FORMATS, default="both",
                      help="artifact formats to write (default: both)")
     sim.set_defaults(func=_cmd_simulate)
 

@@ -8,9 +8,10 @@ frame map they pass it.  ``drive`` replicates the start state over the batch
 of increments, steps with increment ``k`` at t = k dt, maps each
 checkpoint's state to the Schroedinger frame and hands that frame to a
 per-checkpoint ``reduce(frame, k)``.  The default reducer, ``keep_frame``,
-stores the frame state itself.  The CLI's reducer stores each observable's
-values in its own array and returns None, so ``integrate`` stacks nothing
-and no run holds every checkpoint's states.  For each mean-field Picard
+stores the frame state itself.  The CLI's reducer writes each due
+observable's CSV chunk, keeps only its mean and stderr and returns None, so
+``integrate`` stacks nothing and no run holds every checkpoint's states or
+every trajectory's values.  For each mean-field Picard
 iteration ``observe`` is the Monte Carlo mean of the batch.  ``integrate``
 lets go of its start state after step 0, so a replicated (M, ...) start
 state is not kept for the whole run.

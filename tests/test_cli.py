@@ -84,8 +84,9 @@ class TestValidateConfig:
 
     def test_memory_estimate_reported(self, tmp_path, capsys):
         # 20 trajectories, 50 steps, 1 channel, one observable "pauli_z"
-        # checkpointed every 10 steps at d = 2: (K+1) M n_obs float64 values
-        # kept; working set of 2n + 5 = 7 states per trajectory in a step,
+        # checkpointed every 10 steps at d = 2: a float64 mean and stderr per
+        # checkpoint, 2 (K+1) n_obs values, kept; working set of 2n + 5 = 7
+        # states per trajectory in a step,
         # four (M, d, d) arrays for the final mean, one 21-row CSV chunk, and
         # 6 (1 + 3) + 2 d^2 (3 + n + n_obs) = 64 JSON floats
         for engine, extra, per_state in (
@@ -98,7 +99,7 @@ class TestValidateConfig:
             assert main(["validate-config", path]) == 0
             out = json.loads(capsys.readouterr().out)
             assert out["noise_bytes"] == 20 * 50 * 1 * 8
-            assert out["checkpoint_bytes"] == 6 * 20 * 1 * 8
+            assert out["checkpoint_bytes"] == 2 * 6 * 1 * 8
             assert out["working_bytes"] == (
                 7 * 20 * per_state * 16 + 4 * 20 * 4 * 16 + 21 * (cli.CSV_ROW_BYTES + 4 * 7)
                 + 64 * cli.JSON_FLOAT_BYTES
@@ -790,7 +791,7 @@ class TestReducers:
     def test_ensemble_run_keeps_no_checkpoint_states(self, tmp_path):
         # d = 4 rank-4 kets at M = 2000 over 500 steps with stride 1: the
         # (K+1, M, d, d) density buffer would be 256 MB on its own; the run
-        # keeps (K+1, M) values instead, so its peak stays far below that
+        # keeps no checkpoint's states, so its peak stays far below that
         data = minimal_scenario(
             dim=4,
             hamiltonian="number",
@@ -969,15 +970,111 @@ class TestPerOutputStorage:
     def test_mixed_stride_run_peaks_below_gcd_grid_buffer(self, tmp_path):
         # six outputs at strides 6, 10 and 15 over 600 steps at M = 4000: on
         # their gcd grid (every step) the values alone would take 115 MB;
-        # per output they take 13 MB, and the whole run peaks below the 115
+        # the run keeps a mean and a stderr per output checkpoint, and the
+        # whole run peaks below the 115
         strides = (6, 10, 15, 6, 10, 15)
         data = strided_scenario("pure_linear", strides, horizon=0.6, trajectories=4000)
         sc = validate_scenario(data)
         grid_mb = (sc.steps + 1) * len(strides) * sc.trajectories * 8 / 2**20
         assert cli._grid_stride(sc) == 1 and grid_mb > 110
-        assert cli.memory_estimate(sc)["checkpoint_bytes"] == sum(600 // s + 1 for s in strides) * 4000 * 8
+        assert cli.memory_estimate(sc)["checkpoint_bytes"] == 2 * sum(600 // s + 1 for s in strides) * 8
         peak_mb = peak_rss_mb(data, tmp_path)
         assert peak_mb < grid_mb, f"VmHWM {peak_mb:.1f} MB"
+
+
+class TestStreamedCsv:
+    """The CSV body is written at each checkpoint, and only finished runs leave files."""
+
+    @pytest.mark.parametrize("fmt", ["CSV", "", "none"])
+    def test_unknown_format_rejected_before_anything_runs(self, tmp_path, monkeypatch, fmt):
+        # the CLI's --format choices restrict the value; the library call
+        # once ran the whole simulation and wrote nothing
+        def no_noise(*args, **kwargs):
+            raise AssertionError("noise drawn")
+
+        monkeypatch.setattr(cli, "sample_wiener_batch", no_noise)
+        sc = validate_scenario(minimal_scenario())
+        with pytest.raises(ValueError, match="'csv', 'json' or 'both'"):
+            cli.run_scenario(sc, str(tmp_path / "out"), fmt=fmt)
+        assert not (tmp_path / "out").exists()
+
+    def test_peak_does_not_grow_with_checkpoints(self, tmp_path):
+        # two outputs of pure_linear at M = 4000 over 200 steps: at stride 1
+        # every trajectory's values would take 2 * 201 * 4000 * 8 B = 12.3 MiB
+        # if kept; they are written as they come, so the run peaks about as
+        # high as with one checkpoint at each end
+        peaks = []
+        for stride in (1, 200):
+            outputs = [{"observable": obs, "stride": stride, "label": obs} for obs in ("pauli_z", "pauli_x")]
+            data = engine_scenario("pure_linear", horizon=0.2, trajectories=4000, outputs=outputs)
+            assert validate_scenario(data).steps == 200
+            peaks.append(peak_rss_mb(data, tmp_path / f"stride{stride}"))
+        assert 2 * 201 * 4000 * 8 / 2**20 > 12
+        assert abs(peaks[0] - peaks[1]) < 4, f"VmHWM {peaks[0]:.1f} MB at stride 1, {peaks[1]:.1f} MB at 200"
+
+    @pytest.mark.parametrize("engine", TRAJECTORY_ENGINES + ["meanfield"])
+    def test_formats_share_the_digest_and_leave_only_their_artifacts(self, tmp_path, capsys, engine):
+        path = write_scenario(tmp_path, strided_scenario(engine, (4, 6)))
+        digests = set()
+        for fmt, artifacts in (("csv", ["csv"]), ("json", ["summary"]), ("both", ["csv", "summary"])):
+            out_dir = tmp_path / fmt
+            assert main(["simulate", path, "--format", fmt, "--out", str(out_dir)]) == 0
+            info = json.loads(capsys.readouterr().out)
+            digests.add(info["digest"])
+            assert sorted(os.listdir(out_dir)) == sorted(os.path.basename(info[a]) for a in artifacts)
+            if info["csv"] is not None:
+                with open(info["csv"], "rb") as f:
+                    assert f.readline().startswith(b"# generated=")
+                    assert hashlib.sha256(f.read()).hexdigest() == info["digest"]
+        assert len(digests) == 1
+
+    @pytest.mark.parametrize("case", ["sme_linear_trace_collapse", "pure_linear_vanishing_norm"])
+    def test_abort_with_two_outputs_writes_nothing(self, tmp_path, capsys, case):
+        # the runs of test_sme_linear_trace_collapse_exits_3 (abort at step 1)
+        # and test_pure_linear_vanishing_norm_exits_3 (step 729 of 1000), once
+        # as they are and once with a second output, whose chunks go to a
+        # temporary file: both abort alike and leave out/ empty
+        data = {
+            "sme_linear_trace_collapse": minimal_scenario(
+                hamiltonian={"scaled": {"op": "pauli_x", "factor": 0.5}},
+                channels=[{"scaled": {"op": "pauli_z", "factor": 20.0}}],
+                rho0={"diag": [0.7, 0.3]}, dt=0.01, horizon=0.1, trajectories=50, seed=1, engine="sme_linear",
+                outputs=[{"observable": "pauli_z", "stride": 1, "label": "pauli_z"}],
+            ),
+            "pure_linear_vanishing_norm": minimal_scenario(
+                hamiltonian={"scaled": {"op": "pauli_x", "factor": 0.5}},
+                channels=[{"scaled": {"op": "pauli_z", "factor": 100.0}}],
+                rho0={"pure": [[0.6, 0.0], [0.8, 0.0]]}, dt=1e-4, horizon=0.1, trajectories=5, seed=1,
+                engine="pure_linear", outputs=[{"observable": "pauli_z", "stride": 1, "label": "pauli_z"}],
+            ),
+        }[case]
+        reports = []
+        for outputs in (data["outputs"], data["outputs"] + [{"observable": "pauli_x", "stride": 2, "label": "x"}]):
+            out_dir = tmp_path / f"out{len(outputs)}"
+            path = write_scenario(tmp_path, dict(data, outputs=outputs))
+            assert main(["simulate", path, "--out", str(out_dir)]) == 3
+            reports.append(json.loads(capsys.readouterr().err))
+            assert os.listdir(out_dir) == []
+        assert reports[0] == reports[1]
+        assert (reports[0]["step"], reports[0]["trajectory"]) == {
+            "sme_linear_trace_collapse": (1, 0), "pure_linear_vanishing_norm": (729, 1)}[case]
+
+    def test_partial_file_is_in_out_dir_while_the_run_goes(self, tmp_path, monkeypatch):
+        # output 0 goes to <name>.csv.partial, the later outputs to unnamed
+        # temporary files; the partial file becomes the CSV at the end
+        sc = validate_scenario(strided_scenario("sme_nonlinear", (4, 6)))
+        kind = cli.ENGINES[sc.engine][1]
+        values, final = cli.REDUCERS[kind]
+        seen = []
+
+        def spy(frame, ops):
+            seen.append(sorted(os.listdir(tmp_path)))
+            return values(frame, ops)
+
+        monkeypatch.setitem(cli.REDUCERS, kind, (spy, final))
+        art = cli.run_scenario(sc, str(tmp_path), fmt="csv")
+        assert seen == [["qubit-smoke.csv.partial"]] * 13
+        assert os.listdir(tmp_path) == ["qubit-smoke.csv"] and art.csv_path == str(tmp_path / "qubit-smoke.csv")
 
 
 class TestCsvChunks:
