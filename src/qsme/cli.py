@@ -37,7 +37,7 @@ from .errors import TrajectoryAbort
 from .master import SMEParams, run_linear_sme, run_nonlinear_sme
 from .meanfield import MeanFieldConfig, mckean_vlasov_solve
 from .noise import sample_wiener_batch
-from .pure import run_linear, run_nonlinear
+from .pure import block_bytes, run_linear, run_nonlinear
 from .scenario import Scenario, ScenarioError, apply_overrides, load_scenario, read_scenario, validate_scenario
 from . import suites
 
@@ -89,31 +89,46 @@ def memory_estimate(sc: Scenario) -> dict[str, int]:
     (steps+1, d, d) mean paths (the previous iterate, the new one and their
     difference).  The working set is what is held only for a while, counted
     for the M states in units of one state (d complex entries for kets,
-    rank * d for ensemble kets, d^2 for densities): the count is 2n + 5, an
-    upper bound for every engine's step.  A density step holds 2n + 3 (6 for
-    n = 1): the state, the workspace its params keep (the n channel
-    products, their row copy for the dissipator's GEMM, which also serves
-    as scratch, and the half X of the update: 2n + 1, or 4 for n = 1) and
-    the update X + X† it returns; the run drops the params, and with them
-    the workspace, when integration ends.  The CSV is formatted one
-    checkpoint of one observable (M + 1 rows) at a time, in the run, and
-    with more than one output the later outputs' chunks are copied back
-    ``COPY_BLOCK`` bytes at a time after it.  After the run the final-state
-    mean forms up to four (M, d, d) arrays, and the config hash and the
-    summary are JSON text: the scenario's matrices, the final-state mean,
-    every checkpoint's mean and stderr, and for a mean-field run its mean
-    path.
+    rank * d for ensemble kets, d^2 for densities), plus the blocks of
+    scratch of the ket steps (``pure.block_bytes``):
+
+    * a density step holds 2n + 3 states (6 for n = 1): the state, the
+      workspace its params keep (the n channel products, their row copy for
+      the dissipator's GEMM, which also serves as scratch, and the half X of
+      the update: 2n + 1, or 4 for n = 1) and the update X + X† it returns;
+      2n + 5 are counted.  The run drops the params, and with them the
+      workspace, when integration ends;
+    * a ket step holds its input, its output and two blocks; at a checkpoint
+      the state, its interaction-picture frame, the frame's conjugate and
+      its squared moduli (half a state) are held: 4 states are counted;
+    * an ensemble step holds its input, its output and two blocks, and a
+      checkpoint the state and its frame: 2 states are counted, with the
+      larger of the step's two blocks and the three blocks of scratch of
+      the final-state densities.
+
+    The CSV is formatted one checkpoint of one observable (M + 1 rows) at a
+    time, in the run, and with more than one output the later outputs'
+    chunks are copied back ``COPY_BLOCK`` bytes at a time after it.  After
+    the run the final-state mean forms (M, d, d) arrays: up to four for
+    densities, two for kets and one for an ensemble.  The config hash and
+    the summary are JSON text: the scenario's matrices, the final-state
+    mean, every checkpoint's mean and stderr, and for a mean-field run its
+    mean path.
     """
     m, d, n, n_obs = sc.trajectories, sc.dim, sc.ls.shape[0], len(sc.outputs)
     noise = m * sc.steps * n * 8
     json_floats = (sc.steps // _grid_stride(sc) + 1) * (1 + 3 * n_obs) + 2 * d**2 * (3 + n + n_obs)
     kind = ENGINES[sc.engine][1]
+    images = (1 + n) * d * 16  # one ket's GEMM images in a step
     if kind == "ket":
-        per_state = d
+        per_state, states, finals = d, 4, 2
+        scratch = 2 * block_bytes((m,), images)
     elif kind == "ensemble":
-        per_state = decompose_state(sc.rho0).cutoff * d
+        rank = decompose_state(sc.rho0).cutoff
+        per_state, states, finals = rank * d, 2, 1
+        scratch = max(2 * block_bytes((m, rank), images), 3 * block_bytes((m,), d * d * 16))
     else:
-        per_state = d**2
+        per_state, states, finals, scratch = d**2, 2 * n + 5, 4, 0
     if sc.engine == "meanfield":
         checkpoints = 3 * (sc.steps + 1) * d**2 * 16
         json_floats += 2 * (sc.steps + 1) * d**2
@@ -121,9 +136,9 @@ def memory_estimate(sc: Scenario) -> dict[str, int]:
     else:
         checkpoints = 2 * sum(sc.steps // stride + 1 for _, _, stride in sc.outputs) * 8
         label = max((len(lab) for lab, _, _ in sc.outputs), default=0)
-        output = 4 * m * d**2 * 16 + (m + 1) * (CSV_ROW_BYTES + 4 * label)
+        output = finals * m * d**2 * 16 + (m + 1) * (CSV_ROW_BYTES + 4 * label)
     output += COPY_BLOCK if n_obs > 1 else 0
-    working = (2 * n + 5) * m * per_state * 16 + output + json_floats * JSON_FLOAT_BYTES
+    working = states * m * per_state * 16 + scratch + output + json_floats * JSON_FLOAT_BYTES
     return {"noise_bytes": noise, "checkpoint_bytes": checkpoints, "working_bytes": working}
 
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import TrajectoryAbort
 from .integrate import drive
-from .linalg import hermitianize
-from .pure import PureFilterParams, linear_pure_step
+from .linalg import dag, hermitianize
+from .pure import PureFilterParams, linear_pure_step, row_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -68,6 +68,18 @@ def decompose_state(rho0: np.ndarray) -> WeightedEnsemble:
     return WeightedEnsemble(w / w.sum(), v[:, keep].T.copy(), cutoff=int(w.size), dropped_mass=dropped)
 
 
+def _trajectory_blocks(kets: np.ndarray) -> list:
+    """``row_blocks`` over the trajectories of kets (..., k, d), whole ensembles per block.
+
+    A trajectory counts as max(k, d) d complex entries, the larger of its
+    kets and its density, so a block of kets, of their images under one
+    operator or of their densities exceeds ``BLOCK_BYTES`` only where two
+    trajectories do.
+    """
+    k, d = kets.shape[-2:]
+    return row_blocks(kets.shape[:-2], 16 * max(k, d) * d)
+
+
 def _weighted_dots(x: np.ndarray, kets: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_k p_k Re(x_k, e_k) for x and kets of shape (..., k, d): shape (...).
 
@@ -79,24 +91,30 @@ def _weighted_dots(x: np.ndarray, kets: np.ndarray, weights: np.ndarray) -> np.n
 
 
 def _mass(kets: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_k p_k ||e_k||^2 for kets (..., k, d): shape (...).
+    """sum_k p_k ||e_k||^2 for kets (..., k, d): shape (...), a block of trajectories at a time.
 
     ``_weighted_forms`` of A = I by the same contraction, so an identity
     observable reads exactly 1.
     """
-    return _weighted_dots(kets, kets, weights)
+    out = np.empty(kets.shape[:-2])
+    for blk in _trajectory_blocks(kets):
+        out[blk] = _weighted_dots(kets[blk], kets[blk], weights)
+    return out
 
 
 def _weighted_forms(kets: np.ndarray, weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """sum_k p_k Re(e_k, A_j e_k) for kets (..., k, d) and operators A_j (n, d, d): shape (..., n).
 
-    Per operator, A_j e_k for every ket is one GEMM; no (..., k, n, d) stack
-    of images is held at once.
+    A block of trajectories at a time and per operator, A_j e_k for every
+    ket of the block is one GEMM; the images of one block under one operator
+    are all that is held.
     """
-    flat = kets.reshape(-1, kets.shape[-1])
     out = np.empty(kets.shape[:-2] + (len(ops),))
-    for j, a in enumerate(ops):
-        out[..., j] = _weighted_dots((flat @ a.T).reshape(kets.shape), kets, weights)
+    for blk in _trajectory_blocks(kets):
+        block, forms = kets[blk], out[blk]
+        flat = block.reshape(-1, block.shape[-1])
+        for j, a in enumerate(ops):
+            forms[..., j] = _weighted_dots((flat @ a.T).reshape(block.shape), block, weights)
     return out
 
 
@@ -127,10 +145,20 @@ def _kick_kets(
 
 
 def weighted_density(kets: np.ndarray, weights: np.ndarray, step: int | None = None) -> np.ndarray:
-    """The density of every trajectory's weighted kets (..., rank, d): shape (..., d, d)."""
+    """The density of every trajectory's weighted kets (..., rank, d): shape (..., d, d).
+
+    Each block of trajectories is built, divided by its weighted norms and
+    symmetrized in place in its rows of the one output array.
+    """
     den = _weighted_mass(kets, weights, step)
-    rho = np.swapaxes(weights[:, None] * kets, -1, -2) @ np.conj(kets)
-    return hermitianize(rho / den[..., None, None])
+    rho = np.empty(kets.shape[:-2] + 2 * kets.shape[-1:], dtype=complex)
+    for blk in _trajectory_blocks(kets):
+        block, out = kets[blk], rho[blk]
+        np.matmul(np.swapaxes(weights[:, None] * block, -1, -2), np.conj(block), out=out)
+        out /= den[blk][..., None, None]
+        out += dag(out)  # dag makes a fresh array: A + A†, then / 2, as ``hermitianize`` forms it
+        np.multiply(0.5, out, out=out)
+    return rho
 
 
 def weighted_expectations(kets: np.ndarray, weights: np.ndarray, ops: np.ndarray) -> np.ndarray:

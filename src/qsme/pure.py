@@ -15,12 +15,18 @@ innovations, dY = dB + 2 a dt, is the rank-one ensemble of ``qsme.ensemble``.
 
 All steppers are pure functions of (state, params, increments) and broadcast
 over leading batch axes, so Monte Carlo runs are vectorized over trajectories.
+The ket steppers run over blocks of rows of the batch (``row_blocks``): each
+block meets the whole stacked step matrix in one GEMM and is written into the
+one fresh output, so a step holds its input, its output and about
+``BLOCK_BYTES`` of scratch however many trajectories it advances.  The
+scratch is allocated per call, so a stepper keeps no state between calls.
 States evolved in the interaction picture are mapped back to the Schroedinger
 frame whenever a driver records them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -30,6 +36,39 @@ from .integrate import drive, keep_frame
 from .linalg import Propagator, dag, require_hermitian
 
 PICTURES = ("schroedinger", "interaction")
+
+# Bytes of the largest scratch array a ket step (or an ensemble reduction)
+# holds for one block of rows: the block's GEMM images, (1 + n) d complex
+# entries per ket.  From a sweep of 256 KiB, 512 KiB and 1 MiB on the
+# ensemble_csv benchmark workload.
+BLOCK_BYTES = 1 << 19
+
+
+def row_blocks(batch: tuple, row_bytes: int) -> list:
+    """Index blocks over the leading axis of a ``batch`` shape whose rows take ``row_bytes`` each.
+
+    One leading index spans prod(batch[1:]) rows; each block spans as many
+    leading indices as fit in ``BLOCK_BYTES``, and at least two, and a lone
+    last index joins the block before it.  So no block is a single row
+    unless the batch is: numpy multiplies a one-row matrix by another
+    kernel, whose last bits differ.  An empty batch is the single block
+    ``...``.
+    """
+    if not batch:
+        return [...]
+    size = max(2, BLOCK_BYTES // max(1, row_bytes * math.prod(batch[1:])))
+    starts = list(range(0, batch[0], size))
+    if len(starts) > 1 and batch[0] - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [batch[0]])]
+
+
+def block_bytes(batch: tuple, row_bytes: int) -> int:
+    """The bytes of the rows of the largest of ``row_blocks(batch, row_bytes)``."""
+    if not batch:
+        return row_bytes
+    lead = max((b.stop - b.start for b in row_blocks(batch, row_bytes)), default=0)
+    return lead * math.prod(batch[1:]) * row_bytes
 
 
 def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -153,12 +192,20 @@ def expectation(op: np.ndarray, phi: np.ndarray) -> complex | np.ndarray:
     return complex(val) if val.ndim == 0 else val
 
 
-def _combine(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """(I + dt K) chi + sum_j dY_j L_j chi from the ``apply_stacked`` images y = [(I + dt K) chi, L_j chi]."""
-    out = y[..., 0, :]
+def _combine(y: np.ndarray, dy: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write (I + dt K) chi + sum_j dY_j L_j chi into ``out``, from the ``apply_stacked`` images y."""
+    acc = y[..., 0, :]
     for j in range(y.shape[-2] - 1):
-        out = out + dy[..., j, None] * y[..., j + 1, :]
+        acc = np.add(acc, dy[..., j, None] * y[..., j + 1, :], out=out)
+    if acc is not out:  # no channels
+        out[...] = acc
     return out
+
+
+def _broadcast(x: np.ndarray, incr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kets (..., d) and increments (..., n) broadcast to one batch shape."""
+    batch = np.broadcast_shapes(x.shape[:-1], incr.shape[:-1])
+    return np.broadcast_to(x, batch + x.shape[-1:]), np.broadcast_to(incr, batch + incr.shape[-1:])
 
 
 def linear_pure_step(
@@ -168,30 +215,41 @@ def linear_pure_step(
 
     d chi = -[iH chi + (1/2) sum_j L_j† L_j chi] dt + sum_j L_j chi dY_j;
     in the interaction picture the -iH term is dropped and the channels are
-    dressed at time ``t``.  All 1 + n operators meet the kets in one GEMM
-    with ``p.linear_step_matrix(t)``; the result is (I + dt K) chi plus
-    sum_j dY_j L_j chi.
+    dressed at time ``t``.  Over ``row_blocks`` of the kets, each block meets
+    all 1 + n operators of ``p.linear_step_matrix(t)`` in one GEMM, and
+    (I + dt K) chi plus sum_j dY_j L_j chi is written into the block's rows
+    of the output.
     """
-    chi = np.asarray(chi, dtype=complex)
-    return _combine(apply_stacked(p.linear_step_matrix(t), chi), np.asarray(dy, dtype=float))
+    chi, dy = _broadcast(np.asarray(chi, dtype=complex), np.asarray(dy, dtype=float))
+    stacked = p.linear_step_matrix(t)
+    out = np.empty(chi.shape, dtype=complex)
+    for blk in row_blocks(chi.shape[:-1], stacked.itemsize * stacked.shape[1]):
+        _combine(apply_stacked(stacked, chi[blk]), dy[blk], out[blk])
+    return out
 
 
 def _nonlinear_pure_update(phi: np.ndarray, p: PureFilterParams, db: np.ndarray, t: float) -> np.ndarray:
     """The Euler update of ``nonlinear_pure_step`` before renormalization.
 
-    One GEMM with ``p.linear_step_matrix(t)`` gives (I + dt K) phi and every
-    L_j phi; the compensators a_j = Re<phi|L_j phi> / ||phi||^2 come from the
-    same L_j phi columns, so the channels are dressed once per step.
+    Over ``row_blocks`` of the kets, one GEMM with ``p.linear_step_matrix(t)``
+    gives (I + dt K) phi and every L_j phi; the compensators
+    a_j = Re<phi|L_j phi> / ||phi||^2 come from the same L_j phi columns, so
+    the channels are dressed once per step.  Each block is finished in place
+    in its rows of the output.
     """
-    phi = np.asarray(phi, dtype=complex)
-    nrm2 = np.sum(np.abs(phi) ** 2, axis=-1)
-    if np.any(nrm2 == 0.0):
-        raise ValueError("nonlinear step undefined for the zero vector")
-    db = np.asarray(db, dtype=float)
-    y = apply_stacked(p.linear_step_matrix(t), phi)  # (..., 1 + n, d): (I + dt K) phi, L_j phi
-    a = np.einsum("...i,...ni->...n", np.conj(phi), y[..., 1:, :]).real / nrm2[..., None]
-    out = _combine(y, db + a * p.dt)
-    return out - np.sum(a * db + 0.5 * p.dt * a**2, axis=-1)[..., None] * phi
+    phi, db = _broadcast(np.asarray(phi, dtype=complex), np.asarray(db, dtype=float))
+    stacked = p.linear_step_matrix(t)
+    out = np.empty(phi.shape, dtype=complex)
+    for blk in row_blocks(phi.shape[:-1], stacked.itemsize * stacked.shape[1]):
+        x, dbk, o = phi[blk], db[blk], out[blk]
+        nrm2 = np.sum(np.abs(x) ** 2, axis=-1)
+        if np.any(nrm2 == 0.0):
+            raise ValueError("nonlinear step undefined for the zero vector")
+        y = apply_stacked(stacked, x)  # (..., 1 + n, d): (I + dt K) phi, L_j phi
+        a = np.einsum("...i,...ni->...n", np.conj(x), y[..., 1:, :]).real / nrm2[..., None]
+        _combine(y, dbk + a * p.dt, o)
+        o -= np.sum(a * dbk + 0.5 * p.dt * a**2, axis=-1)[..., None] * x
+    return out
 
 
 def nonlinear_pure_step(
@@ -206,10 +264,13 @@ def nonlinear_pure_step(
     expectation of the symmetric part of L_j.  Expanded, this is the linear
     step at dY = dB + a dt minus (a·dB + (1/2) dt |a|^2) phi, which is how it
     is computed.  The continuous equation preserves the norm but Euler does
-    not, so the result is renormalized.
+    not, so the result is renormalized, in place a block of rows at a time.
     """
     out = _nonlinear_pure_update(phi, p, db, t)
-    return out / np.linalg.norm(out, axis=-1, keepdims=True)
+    for blk in row_blocks(out.shape[:-1], out.itemsize * out.shape[-1]):
+        rows = out[blk]
+        rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
+    return out
 
 
 def mean_map(m: np.ndarray, psi: np.ndarray) -> np.ndarray:

@@ -14,10 +14,13 @@ step plus a compensator correction and runs that filter as the rank-one
 ensemble, whose feedback is the output's drift.  ``direct_linear_sme_step``
 is the linear density step by channel-wise einsum contractions; the package
 takes every L_j gamma from one GEMM and builds the step from those products.
-``random_ket`` draws the random kets the tests start from.
+``random_ket`` draws the random kets the tests start from, and
+``traced_peak`` measures what a call allocates.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 
@@ -195,3 +198,13 @@ def direct_linear_sme_step(
     lx = np.einsum("nij,...jk->n...ik", ls_t, gamma)
     noise = np.einsum("n...ij,...n->...ij", lx + dag(lx), dy)
     return hermitianize(gamma + p.dt * drift + noise)
+
+
+def traced_peak(f):
+    """f() and the tracemalloc peak of the call."""
+    tracemalloc.start()
+    try:
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -85,15 +85,19 @@ class TestValidateConfig:
     def test_memory_estimate_reported(self, tmp_path, capsys):
         # 20 trajectories, 50 steps, 1 channel, one observable "pauli_z"
         # checkpointed every 10 steps at d = 2: a float64 mean and stderr per
-        # checkpoint, 2 (K+1) n_obs values, kept; working set of 2n + 5 = 7
-        # states per trajectory in a step,
-        # four (M, d, d) arrays for the final mean, one 21-row CSV chunk, and
-        # 6 (1 + 3) + 2 d^2 (3 + n + n_obs) = 64 JSON floats
-        for engine, extra, per_state in (
-            ("sme_nonlinear", {}, 4),
-            ("sme_linear", {}, 4),
-            ("pure_linear", {"rho0": {"pure": {"basis": 0}}}, 2),
-            ("ensemble", {"rho0": {"diag": [0.7, 0.3]}}, 2 * 2),  # rank 2 kets
+        # checkpoint, 2 (K+1) n_obs values, kept.  Working set per kind, in
+        # states per trajectory, (M, d, d) arrays for the final mean and
+        # blocks of scratch: densities 2n + 5 = 7 and four; kets 4 and two,
+        # with two blocks of (1 + n) d = 4 complex images per ket; an
+        # ensemble 2 and one, with the larger of two blocks of its kets'
+        # images and three of its densities.  Besides, one 21-row CSV chunk
+        # and 6 (1 + 3) + 2 d^2 (3 + n + n_obs) = 64 JSON floats
+        for engine, extra, per_state, states, finals, scratch in (
+            ("sme_nonlinear", {}, 4, 7, 4, 0),
+            ("sme_linear", {}, 4, 7, 4, 0),
+            ("pure_linear", {"rho0": {"pure": {"basis": 0}}}, 2, 4, 2, 2 * 20 * 4 * 16),
+            ("ensemble", {"rho0": {"diag": [0.7, 0.3]}}, 2 * 2, 2, 1,  # rank 2 kets
+             max(2 * 20 * 2 * 4 * 16, 3 * 20 * 4 * 16)),
         ):
             path = write_scenario(tmp_path, minimal_scenario(engine=engine, **extra))
             assert main(["validate-config", path]) == 0
@@ -101,7 +105,7 @@ class TestValidateConfig:
             assert out["noise_bytes"] == 20 * 50 * 1 * 8
             assert out["checkpoint_bytes"] == 2 * 6 * 1 * 8
             assert out["working_bytes"] == (
-                7 * 20 * per_state * 16 + 4 * 20 * 4 * 16 + 21 * (cli.CSV_ROW_BYTES + 4 * 7)
+                states * 20 * per_state * 16 + scratch + finals * 20 * 4 * 16 + 21 * (cli.CSV_ROW_BYTES + 4 * 7)
                 + 64 * cli.JSON_FLOAT_BYTES
             )
 
@@ -1075,6 +1079,52 @@ class TestStreamedCsv:
         art = cli.run_scenario(sc, str(tmp_path), fmt="csv")
         assert seen == [["qubit-smoke.csv.partial"]] * 13
         assert os.listdir(tmp_path) == ["qubit-smoke.csv"] and art.csv_path == str(tmp_path / "qubit-smoke.csv")
+
+
+class TestTrajectoryIndependence:
+    """Trajectory k's CSV rows do not depend on how many trajectories run beside it.
+
+    Its noise comes from its own seed, and the ket steps and the ensemble's
+    reductions give each row the same arithmetic in whatever block of rows
+    it falls, so M trajectories write the first M trajectories' rows of a
+    run whose M' spans two whole blocks and a remainder, byte for byte.
+    """
+
+    @staticmethod
+    def scenario(engine, d, picture, m):
+        rng = np.random.default_rng(60 + d)
+        entries = lambda a: [[[z.real, z.imag] for z in row] for row in a]  # noqa: E731
+        rho0 = ({"pure": [[z.real, z.imag] for z in random_ket(d, rng)]} if engine.startswith("pure")
+                else {"diag": list(np.linspace(2.0, 1.0, d) / np.linspace(2.0, 1.0, d).sum())})
+        return validate_scenario(minimal_scenario(
+            name=f"{engine}-{m}", dim=d, hamiltonian={"entries": entries(20.0 * random_hermitian(d, rng))},
+            channels=[{"entries": entries(0.5 * random_operator(d, rng))} for _ in range(2)], rho0=rho0,
+            horizon=0.003, trajectories=m, engine=engine, picture=picture,
+            outputs=[{"observable": "number", "stride": 1, "label": "number"},
+                     {"observable": "identity", "stride": 3, "label": "identity"}],
+        ))
+
+    @staticmethod
+    def rows(sc, out_dir, m):
+        """The CSV rows of trajectories 0 .. m-1, in file order."""
+        with open(cli.run_scenario(sc, str(out_dir), fmt="csv").csv_path) as f:
+            lines = f.read().splitlines()[2:]  # the comment and the header
+        return [row for row in lines if row.split(",")[1] != "mean" and int(row.split(",")[1]) < m]
+
+    @pytest.mark.parametrize("picture", ["schroedinger", "interaction"])
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("engine", TRAJECTORY_ENGINES)
+    def test_rows_do_not_depend_on_the_batch(self, tmp_path, engine, d, picture):
+        m, rank, n = 7, d, 2
+        # trajectories per block of the ket step (a ket engine's trajectory is
+        # one row, an ensemble's rank rows) and of the ensemble's reductions
+        step = pure.row_blocks((10**9,) if engine.startswith("pure") else (10**9, rank), (1 + n) * d * 16)[0]
+        reductions = pure.row_blocks((10**9,), 16 * d * d)[0]
+        per_block = step.stop if engine != "ensemble" else max(step.stop, reductions.stop)
+        big = 2 * per_block + 3
+        small = self.rows(self.scenario(engine, d, picture, m), tmp_path / "small", m)
+        assert len(small) == m * (3 + 1 + 2)  # number at 4 checkpoints, identity at 2
+        assert self.rows(self.scenario(engine, d, picture, big), tmp_path / "big", m) == small
 
 
 class TestCsvChunks:

@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
 
+from qsme import pure
 from qsme.ensemble import (
     WeightedEnsemble,
     _feedback,
+    _kick_kets,
     _mass,
     _weighted_forms,
     decompose_state,
     run_ensemble,
+    weighted_density,
     weighted_expectations,
 )
 from qsme.errors import TrajectoryAbort
 from qsme.linalg import (
     SIGMA_Z,
     coupling_norm,
+    hermitianize,
     operator_norm,
     random_density,
     random_hermitian,
@@ -21,9 +25,9 @@ from qsme.linalg import (
 )
 from qsme.master import SMEParams, output_compensators
 from qsme.noise import sample_wiener_batch
-from qsme.pure import linear_pure_step
+from qsme.pure import BLOCK_BYTES, linear_pure_step
 
-from oracles import ensemble_step, random_ket, reconstruct_density, shared_feedback
+from oracles import ensemble_step, random_ket, reconstruct_density, shared_feedback, traced_peak
 
 
 def moderate_params(rng, d=4, dt=1e-3):
@@ -284,6 +288,76 @@ class TestRealViewHelpers:
         self.check(frames, ens0.weights, ops)  # every checkpoint at once
         for k, kets in enumerate(frames):
             self.check(kets, ens0.weights, p.channel_ops(5 * k * p.dt))  # dressed channels
+
+
+class TestBlocks:
+    """The ensemble's step and reductions run a block of trajectories at a
+    time: the same bits for any blocking, and no state-sized scratch."""
+
+    @staticmethod
+    def ensemble(d, rank, m, seed=40):
+        rng = np.random.default_rng(seed)
+        p = moderate_params(rng, d=d, dt=1e-2)
+        ens = decompose_state(random_density(d, rng, rank=rank))
+        kets = ens.kets * (1.0 + 0.1 * rng.normal(size=(m, rank, 1))) + 0.05 * (
+            rng.normal(size=(m, rank, d)) + 1j * rng.normal(size=(m, rank, d)))
+        return p, ens.weights, kets, rng.normal(0.0, 0.1, (m, 1))
+
+    @pytest.mark.parametrize("d, rank", [(2, 1), (2, 2), (4, 3)])
+    def test_bits_do_not_depend_on_the_blocking(self, monkeypatch, d, rank):
+        p, weights, kets, db = self.ensemble(d, rank, 37)
+        ops = np.stack([random_hermitian(d, np.random.default_rng(41)), np.eye(d)])
+        calls = [
+            lambda k: _mass(k, weights),
+            lambda k: _weighted_forms(k, weights, p.ls),
+            lambda k: weighted_expectations(k, weights, ops),
+            lambda k: weighted_density(k, weights),
+            lambda k: _kick_kets(k, weights, p, db if k.ndim == 3 else db[0], 0.3),
+        ]
+        for frame in (kets, kets.swapaxes(-1, -2).copy().swapaxes(-1, -2), kets[5]):
+            whole = [f(frame) for f in calls]
+            for trajectories in (2, 5):  # 37 leave a remainder of 1 (joined to the last block) and 2
+                monkeypatch.setattr(pure, "BLOCK_BYTES", trajectories * 16 * d * d)
+                assert all(np.array_equal(f(frame), ref) for f, ref in zip(calls, whole))
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("d, rank", [(2, 1), (3, 3), (4, 2)])
+    def test_density_is_finished_in_place_bitwise(self, d, rank):
+        # divided by the weighted norms and symmetrized in its own array, it
+        # has the bits of hermitianize(sum_k p_k e_k e_k† / norm) formed anew
+        _, weights, kets, _ = self.ensemble(d, rank, 3000)
+        rho = np.swapaxes(weights[:, None] * kets, -1, -2) @ np.conj(kets)
+        assert np.array_equal(weighted_density(kets, weights), hermitianize(rho / _mass(kets, weights)[:, None, None]))
+
+    def test_step_working_set(self):
+        # d = 4, rank 4, one channel: 2048 trajectories a block of densities
+        # and 16 blocks' worth of kets (an 8 MiB state).  One step of
+        # run_ensemble holds its start state, the step's output, at most
+        # three blocks and a few float64 per trajectory (norms, forms,
+        # feedback): far less than one more state.
+        d, rank = 4, 4
+        m = 16 * BLOCK_BYTES // (16 * rank * d)
+        rng = np.random.default_rng(2)
+        p = moderate_params(rng, d=d, dt=1e-2)
+        ens = decompose_state(random_density(d, rng))
+        assert ens.cutoff == rank
+        incr = rng.normal(0.0, 0.03, (m, 1, 1))
+        state = m * rank * d * 16
+        _, peak = traced_peak(lambda: run_ensemble(ens, p, incr, reduce=lambda kets, k: None))
+        assert peak <= 2 * state + 3 * BLOCK_BYTES + 8 * m * 8, (peak - 2 * state) / BLOCK_BYTES
+
+    def test_reductions_hold_no_ket_sized_array(self):
+        # weighted_expectations takes each block's images under one operator
+        # at a time, so no (M, rank, d) array is formed; the densities are
+        # built in their own (M, d, d) array
+        d, rank = 4, 4
+        m = 16 * BLOCK_BYTES // (16 * rank * d)
+        _, weights, kets, _ = self.ensemble(d, rank, m)
+        ops = np.stack([random_hermitian(d, np.random.default_rng(42)) for _ in range(3)])
+        vals, peak = traced_peak(lambda: weighted_expectations(kets, weights, ops))
+        assert peak <= 2 * BLOCK_BYTES + 4 * vals.nbytes < kets.nbytes
+        rho, peak = traced_peak(lambda: weighted_density(kets, weights))
+        assert peak <= rho.nbytes + 3 * BLOCK_BYTES + 2 * m * 8
 
 
 class TestValidation:

@@ -12,20 +12,24 @@ from qsme.linalg import (
     random_operator,
 )
 from qsme.noise import coarsen_increments, sample_wiener_batch
+from qsme import pure
 from qsme.pure import (
+    BLOCK_BYTES,
     PICTURES,
     PureFilterParams,
     _nonlinear_pure_update,
+    block_bytes,
     expectation,
     jacobian_norm_estimate,
     linear_pure_step,
     mean_map,
     nonlinear_pure_step,
+    row_blocks,
     run_linear,
     run_nonlinear,
 )
 
-from oracles import direct_innovation_output, direct_nonlinear_pure_step, random_ket
+from oracles import direct_innovation_output, direct_nonlinear_pure_step, random_ket, traced_peak
 
 
 def qubit_params(l=SIGMA_Z, h=None, dt=1e-3, picture="schroedinger"):
@@ -314,3 +318,83 @@ class TestRunners:
         p = qubit_params()
         with pytest.raises(ValueError):
             run_linear(np.array([1.0, 0.0]), p, np.zeros((10, 1)), checkpoint_stride=3)
+
+
+class TestRowBlocks:
+    def test_blocks_tile_the_leading_axis(self):
+        # 64-byte rows, 3 per leading index: 2730 leading indices per block
+        blocks = row_blocks((6000, 3), 64)
+        assert [(b.start, b.stop) for b in blocks] == [(0, 2730), (2730, 5460), (5460, 6000)]
+        assert block_bytes((6000, 3), 64) == 2730 * 3 * 64 <= BLOCK_BYTES
+        assert block_bytes((100, 3), 64) == 100 * 3 * 64  # one block holds every row
+        assert row_blocks((), 64) == [...] and block_bytes((), 64) == 64
+        assert row_blocks((0, 3), 64) == [] and block_bytes((0, 3), 64) == 0
+
+    def test_no_block_is_a_single_row(self):
+        # numpy multiplies a one-row matrix by another kernel: a block holds
+        # two indices at least, and a lone last index joins the block before
+        assert row_blocks((5,), BLOCK_BYTES) == [slice(0, 2), slice(2, 5)]
+        assert block_bytes((5,), BLOCK_BYTES) == 3 * BLOCK_BYTES
+        assert row_blocks((1,), BLOCK_BYTES) == [slice(0, 1)]
+        size = BLOCK_BYTES // 64
+        assert row_blocks((2 * size + 1,), 64) == [slice(0, size), slice(size, 2 * size + 1)]
+        assert row_blocks((2 * size + 2,), 64)[-1] == slice(2 * size, 2 * size + 2)
+
+
+class TestBlockedSteps:
+    """The ket steps run over row blocks: the same bits for any blocking, in
+    place where they finish, and a working set of their output and a few blocks."""
+
+    @staticmethod
+    def cases(d, n, picture):
+        rng = np.random.default_rng(10 * d + n)
+        ls = np.stack([random_operator(d, rng) for _ in range(n)])
+        p = PureFilterParams(random_hermitian(d, rng), ls, 0.01, picture)
+        m, r = 37, 3
+        kets = rng.normal(size=(m, r, d)) + 1j * rng.normal(size=(m, r, d))
+        return p, [
+            (kets[:, 0, :], rng.normal(0.0, 0.1, (m, n))),
+            (kets, rng.normal(0.0, 0.1, (m, 1, n))),  # an ensemble's kets on shared increments
+            (kets.swapaxes(0, 1)[1], rng.normal(0.0, 0.1, (m, n))),  # strided rows
+            (kets[0, 0], rng.normal(0.0, 0.1, n)),  # one ket
+        ]
+
+    @pytest.mark.parametrize("picture", PICTURES)
+    @pytest.mark.parametrize("d, n", [(1, 1), (2, 1), (2, 2), (4, 3)])
+    def test_bits_do_not_depend_on_the_blocking(self, monkeypatch, d, n, picture):
+        p, cases = self.cases(d, n, picture)
+        steps = (linear_pure_step, nonlinear_pure_step, lambda x, p, db, t: _nonlinear_pure_update(x, p, db, t))
+        whole = [[step(x, p, dy, 0.37) for x, dy in cases] for step in steps]
+        for rows in (2, 4, 5):  # blocks of a few rows; 37 rows leave a remainder of 1, 1 and 2
+            monkeypatch.setattr(pure, "BLOCK_BYTES", rows * (1 + n) * d * 16)
+            for step, ref in zip(steps, whole):
+                for (x, dy), out in zip(cases, ref):
+                    assert np.array_equal(step(x, p, dy, 0.37), out)
+
+    @pytest.mark.parametrize("d, n", [(1, 1), (2, 2), (4, 3)])
+    def test_renormalizes_in_place_bitwise(self, d, n):
+        # the in-place division by each block's norms gives the bits of the
+        # update divided by its norms as one array
+        p, cases = self.cases(d, n, "interaction")
+        for x, db in cases:
+            out = _nonlinear_pure_update(x, p, db, 0.37)
+            assert np.array_equal(nonlinear_pure_step(x, p, db, 0.37),
+                                  out / np.linalg.norm(out, axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("picture", PICTURES)
+    @pytest.mark.parametrize("step", [linear_pure_step, nonlinear_pure_step])
+    def test_working_set_is_the_output_and_a_few_blocks(self, step, picture):
+        # d = 4, n = 1: 4096 kets a block, and 16 blocks' worth of kets (a
+        # 2 MiB state beside 512 KiB blocks).  Besides its output the step
+        # holds at most three blocks and a few float64 per trajectory
+        # (norms, compensators), far less than one more state.
+        d, n = 4, 1
+        rng = np.random.default_rng(3)
+        p = PureFilterParams(random_hermitian(d, rng), random_operator(d, rng)[None], 1e-3, picture)
+        m = 16 * BLOCK_BYTES // ((1 + n) * d * 16) + 5
+        chi = rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))
+        dy = rng.normal(0.0, 0.03, (m, n))
+        step(chi, p, dy, 0.2)  # the interaction picture's propagator, built on first use
+        out, peak = traced_peak(lambda: step(chi, p, dy, 0.2))
+        assert out.nbytes == chi.nbytes
+        assert peak <= out.nbytes + 3 * BLOCK_BYTES + 4 * m * n * 8, (peak - out.nbytes) / BLOCK_BYTES
