@@ -2,9 +2,13 @@
 
 Every engine, the mean-field solver included, is one row of ``ENGINES``, and
 ``run_scenario`` reduces, checks and summarizes the checkpoints of all of
-them through one path.  It writes each checkpoint's CSV chunk in the
-per-checkpoint reduce that computes its values, and keeps only every
+them through one path.  It hands each checkpoint's values to the CSV sink
+in the per-checkpoint reduce that computes them, and keeps only every
 output's means and stderrs, so no run holds every trajectory's values.
+The sink formats the rows in the run's process, or, for a run of at least
+``WRITER_MIN_VALUES`` trajectory values in a single-threaded process that
+may use two CPUs, in a forked writer process that formats them on the other
+CPU while the run integrates (``_CsvWriter``); both write the same bytes.
 
 Exit codes: 0 ok, 1 validation-suite failure, 2 config error (including a
 duplicate output label or one that would break CSV rows, and a run whose
@@ -25,6 +29,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -37,7 +42,7 @@ from .errors import TrajectoryAbort
 from .master import SMEParams, run_linear_sme, run_nonlinear_sme
 from .meanfield import MeanFieldConfig, mckean_vlasov_solve
 from .noise import sample_wiener_batch
-from .pure import block_bytes, run_linear, run_nonlinear
+from .pure import block_bytes, row_blocks, run_linear, run_nonlinear
 from .scenario import Scenario, ScenarioError, apply_overrides, load_scenario, read_scenario, validate_scenario
 from . import suites
 
@@ -64,6 +69,13 @@ def _grid_stride(sc: Scenario) -> int:
     return math.gcd(*strides) if strides else sc.steps
 
 
+def _csv_values(sc: Scenario) -> int:
+    """The trajectory values of a run's CSV body: M per output and checkpoint (a mean-field run writes none)."""
+    if sc.engine == "meanfield":
+        return 0
+    return sc.trajectories * sum(sc.steps // stride + 1 for _, _, stride in sc.outputs)
+
+
 # Upper bounds on what one value costs while run_scenario writes it, measured
 # with tracemalloc: a CSV row of one checkpoint's chunk (its template piece,
 # Python float, text and encoded copy), besides its label, and one float of
@@ -73,6 +85,18 @@ JSON_FLOAT_BYTES = 400
 # Bytes read at a time when a later output's CSV chunks are copied back from
 # their temporary file into the digest and the CSV.
 COPY_BLOCK = 1 << 16
+
+# Trajectory CSV values (M per output and checkpoint) from which a run
+# formats its CSV in a forked writer process, on another CPU while it
+# integrates.  Below it, the fork, the copy-on-write faults the run takes
+# while the writer lives and the wait for the writer's exit cost about what
+# the formatting moved off the run saves (0.3-0.5 us a value): in fresh
+# processes on a 2-CPU x86-64 VM, 6 ms more at 2,640 values and even at
+# about 15,000, 8-11 ms less at 30,000 and 25 ms less at 61,000.
+WRITER_MIN_VALUES = 50_000
+# Bytes the writer's pipe is asked to hold: a checkpoint's messages (8 M
+# bytes per due output) queue there while the run steps on.
+WRITER_PIPE_BYTES = 1 << 20
 
 FORMATS = ("csv", "json", "both")
 CSV_HEADER = "t,traj_id,observable,value\n"
@@ -98,22 +122,26 @@ def memory_estimate(sc: Scenario) -> dict[str, int]:
       the update: 2n + 1, or 4 for n = 1) and the update X + X† it returns;
       2n + 5 are counted.  The run drops the params, and with them the
       workspace, when integration ends;
-    * a ket step holds its input, its output and two blocks; at a checkpoint
-      the state, its interaction-picture frame, the frame's conjugate and
-      its squared moduli (half a state) are held: 4 states are counted;
+    * a ket step holds its input, its output and two blocks, and a
+      checkpoint the state, its frame and, over the same blocks, the
+      conjugates and squared moduli of one block: 2 states are counted,
+      with two blocks of the step;
     * an ensemble step holds its input, its output and two blocks, and a
       checkpoint the state and its frame: 2 states are counted, with the
       larger of the step's two blocks and the three blocks of scratch of
       the final-state densities.
 
     The CSV is formatted one checkpoint of one observable (M + 1 rows) at a
-    time, in the run, and with more than one output the later outputs'
-    chunks are copied back ``COPY_BLOCK`` bytes at a time after it.  After
-    the run the final-state mean forms (M, d, d) arrays: up to four for
-    densities, two for kets and one for an ensemble.  The config hash and
-    the summary are JSON text: the scenario's matrices, the final-state
-    mean, every checkpoint's mean and stderr, and for a mean-field run its
-    mean path.
+    time, and with more than one output the later outputs' chunks are copied
+    back ``COPY_BLOCK`` bytes at a time after the run.  A run of at least
+    ``WRITER_MIN_VALUES`` trajectory values may format them in a forked
+    writer process instead (``_writer_pays``): then the messages queued in
+    its pipe (``WRITER_PIPE_BYTES``) and one (M,) float64 message on either
+    side of it are counted too.  After the run the final-state mean forms
+    (M, d, d) arrays: up to four for densities, two for kets and one for an
+    ensemble.  The config hash and the summary are JSON text: the
+    scenario's matrices, the final-state mean, every checkpoint's mean and
+    stderr, and for a mean-field run its mean path.
     """
     m, d, n, n_obs = sc.trajectories, sc.dim, sc.ls.shape[0], len(sc.outputs)
     noise = m * sc.steps * n * 8
@@ -121,7 +149,7 @@ def memory_estimate(sc: Scenario) -> dict[str, int]:
     kind = ENGINES[sc.engine][1]
     images = (1 + n) * d * 16  # one ket's GEMM images in a step
     if kind == "ket":
-        per_state, states, finals = d, 4, 2
+        per_state, states, finals = d, 2, 2
         scratch = 2 * block_bytes((m,), images)
     elif kind == "ensemble":
         rank = decompose_state(sc.rho0).cutoff
@@ -138,6 +166,7 @@ def memory_estimate(sc: Scenario) -> dict[str, int]:
         label = max((len(lab) for lab, _, _ in sc.outputs), default=0)
         output = finals * m * d**2 * 16 + (m + 1) * (CSV_ROW_BYTES + 4 * label)
     output += COPY_BLOCK if n_obs > 1 else 0
+    output += WRITER_PIPE_BYTES + 2 * 8 * m if _csv_values(sc) >= WRITER_MIN_VALUES else 0
     working = states * m * per_state * 16 + scratch + output + json_floats * JSON_FLOAT_BYTES
     return {"noise_bytes": noise, "checkpoint_bytes": checkpoints, "working_bytes": working}
 
@@ -155,11 +184,14 @@ def _check_memory(sc: Scenario) -> None:
 
 
 def _ket_values(frame: np.ndarray, ops: list) -> np.ndarray:
-    bra = np.conj(frame)
-    nrm = np.sum(np.abs(frame) ** 2, axis=-1)
+    """<x|A|x> / <x|x> of kets (M, d), over ``row_blocks``: a block's conjugates and moduli at a time."""
     out = np.empty((len(ops), frame.shape[0]))
-    for i, op in enumerate(ops):
-        out[i] = np.einsum("mi,ij,mj->m", bra, op, frame).real / nrm
+    for blk in row_blocks(frame.shape[:-1], 16 * frame.shape[-1]):
+        ket = frame[blk]
+        bra = np.conj(ket)
+        nrm = np.sum(np.abs(ket) ** 2, axis=-1)
+        for i, op in enumerate(ops):
+            out[i, blk] = np.einsum("mi,ij,mj->m", bra, op, ket).real / nrm
     return out
 
 
@@ -321,19 +353,23 @@ def _csv_chunks(outputs, out_times: dict, per_traj: dict, means: dict):
 
 
 class _CsvBody:
-    """A run's CSV body, written in observable order while the run's checkpoints come in.
+    """A run's CSV body, formatted and written in observable order while the run's checkpoints come in.
 
-    Output 0's chunks, after the header, go straight into the SHA-256
-    ``digest`` and, unless ``path`` is None, into ``<path>.partial``, which
-    starts with the ``comment`` line.  Each later output's chunks go to an
-    unnamed temporary file in the same directory.  ``publish`` appends those
-    files, in output order, through the digest and renames the partial file
-    to ``path``.  ``close`` closes every file and removes the partial one
-    unless it was published, so a run that raises leaves nothing behind.
+    ``add`` formats output ``i``'s rows at its checkpoint ``j`` with the
+    output's ``_csv_rows`` formatter.  Output 0's chunks, after the header,
+    go straight into the SHA-256 digest and, unless ``path`` is None, into
+    ``<path>.partial``, which starts with the ``comment`` line.  Each later
+    output's chunks go to an unnamed temporary file in the same directory.
+    ``publish`` appends those files, in output order, through the digest,
+    renames the partial file to ``path`` and returns the hex digest.
+    ``close`` closes every file and removes the partial one unless it was
+    published, so a run that raises leaves nothing behind.  The body runs in
+    the run's own process, or behind ``_CsvWriter`` in a forked one.
     """
 
-    def __init__(self, digest, n_outputs: int, out_dir: str, path: str | None, comment: str):
-        self.digest, self.path = digest, path
+    def __init__(self, rows: list, times: list, out_dir: str, path: str | None, comment: str):
+        self.rows, self.times = rows, times
+        self.digest, self.path = hashlib.sha256(), path
         self.csv = self.partial = None
         self.sides = []
         try:
@@ -341,13 +377,17 @@ class _CsvBody:
                 self.csv = open(path + ".partial", "wb")
                 self.partial = self.csv.name
                 self.csv.write(comment.encode())
-            for _ in range(n_outputs - 1):
+            for _ in range(len(rows) - 1):
                 self.sides.append(tempfile.TemporaryFile(dir=out_dir))
         except BaseException:
             self.close()
             raise
-        if n_outputs:
+        if rows:
             self.write(0, CSV_HEADER.encode())
+
+    def add(self, i: int, j: int, vals: np.ndarray, mean: float) -> None:
+        """Add output ``i``'s rows at checkpoint ``j``: (M,) float64 ``vals`` (empty for mean rows), then ``mean``."""
+        self.write(i, self.rows[i](self.times[i][j], vals.tolist(), mean).encode())
 
     def write(self, i: int, data: bytes) -> None:
         """Add one chunk of output ``i``."""
@@ -358,7 +398,7 @@ class _CsvBody:
         if self.csv is not None:
             self.csv.write(data)
 
-    def publish(self) -> None:
+    def publish(self) -> str:
         for side in self.sides:
             side.seek(0)
             while block := side.read(COPY_BLOCK):
@@ -367,23 +407,174 @@ class _CsvBody:
             self.csv.close()
             os.replace(self.partial, self.path)
             self.partial = None
+        return self.digest.hexdigest()
 
-    def close(self) -> None:
+    def close_files(self) -> None:
         for f in [self.csv, *self.sides]:
             if f is not None:
                 f.close()
+
+    def close(self) -> None:
+        self.close_files()
         if self.partial is not None:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(self.partial)
 
 
+def _writer_pays(n_values: int) -> bool:
+    """Whether a run writing ``n_values`` trajectory CSV values formats them in a forked writer.
+
+    It does when they reach ``WRITER_MIN_VALUES`` and the process can fork,
+    may run on more than one CPU and has a single thread (a fork copies only
+    the calling thread, and one formatting beside the run needs a second CPU).
+    """
+    if n_values < WRITER_MIN_VALUES or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return False
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return False
+    return threads == 1 and len(os.sched_getaffinity(0)) > 1
+
+
+class _CsvWriter:
+    """A ``_CsvBody`` run by a forked writer process, with the body's ``add``, ``publish`` and ``close``.
+
+    The body's files are opened before the fork, so the writer inherits
+    them; the run's process closes its copies.  ``add`` sends
+    ``(i, j, vals as bytes, mean)`` down a pipe and returns, and the writer
+    formats and writes the rows meanwhile.  ``publish`` ends the stream; the
+    writer publishes the body, sends back its hex digest and exits.  If the
+    stream ends without the publish message (``close`` on an abort), the
+    writer closes the body, removing its partial file, and exits; ``close``
+    reaps it and removes the partial file too.  An ``OSError`` in the writer
+    comes back as an ``OSError`` from ``add`` or ``publish``.
+    """
+
+    def __init__(self, body: _CsvBody):
+        import fcntl  # here, not at the top: only the writer path needs it
+
+        for f in [body.csv, *body.sides]:
+            if f is not None:
+                f.flush()  # so neither process writes the other's buffered bytes
+        data_r, data_w = os.pipe()
+        report_r, report_w = os.pipe()
+        with contextlib.suppress(OSError):
+            fcntl.fcntl(data_w, fcntl.F_SETPIPE_SZ, WRITER_PIPE_BYTES)
+        # a pipe wakes its reader on the writer's CPU: on one CPU each, the
+        # two processes run side by side instead of taking turns
+        self.cpus = os.sched_getaffinity(0)
+        cpu = max(self.cpus)
+        try:
+            os.sched_setaffinity(0, self.cpus - {cpu})
+            self.pid = os.fork()
+        except OSError:
+            os.sched_setaffinity(0, self.cpus)
+            for fd in (data_r, data_w, report_r, report_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            try:
+                os.sched_setaffinity(0, {cpu})
+                os.close(data_w)
+                os.close(report_r)
+                _serve(body, data_r, report_w)
+            finally:  # the forked copy never returns into the run
+                os._exit(1)
+        os.close(data_r)
+        os.close(report_w)
+        body.close_files()
+        self.partial = body.partial
+        self.pipe = open(data_w, "wb")
+        self.report = report_r
+
+    def add(self, i: int, j: int, vals: np.ndarray, mean: float) -> None:
+        try:
+            pickle.dump((i, j, vals.tobytes(), mean), self.pipe, pickle.HIGHEST_PROTOCOL)
+        except BrokenPipeError:  # the writer failed and exited
+            raise self._reap() from None
+
+    def publish(self) -> str:
+        with contextlib.suppress(BrokenPipeError):
+            pickle.dump(None, self.pipe, pickle.HIGHEST_PROTOCOL)
+        report = self._reap()
+        if isinstance(report, BaseException):
+            raise report
+        self.partial = None
+        return report
+
+    def _reap(self):
+        """End the stream, wait for the writer, and return its report: the hex digest or an ``OSError``."""
+        with contextlib.suppress(OSError):  # a writer that failed leaves bytes unsent
+            self.pipe.close()
+        with open(self.report, "rb") as f:
+            blob = f.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        os.sched_setaffinity(0, self.cpus)
+        if not blob:
+            return OSError(f"the CSV writer process ended with status {os.waitstatus_to_exitcode(status)}")
+        return pickle.loads(blob)
+
+    def close(self) -> None:
+        if self.pid is not None:
+            self._reap()
+        if self.partial is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(self.partial)
+
+
+def _serve(body: _CsvBody, data_r: int, report_w: int):
+    """The writer process: ``body.add`` each message from ``data_r``, then publish; never returns.
+
+    It sends its report on ``report_w``, the hex digest or an ``OSError``,
+    and leaves through ``os._exit``, so no handler or buffer of the forked
+    run's process runs twice.
+    """
+    code = 1
+    try:
+        with open(data_r, "rb") as src:
+            while (msg := pickle.load(src)) is not None:
+                i, j, vals, mean = msg
+                body.add(i, j, np.frombuffer(vals), mean)
+        report, code = body.publish(), 0
+    except OSError as e:
+        report = e
+    except BaseException as e:  # the stream ended unpublished (an abort), or an interrupt
+        report = OSError(f"the CSV writer stopped: {e!r}")
+    finally:
+        try:
+            if code:
+                body.close()
+            os.write(report_w, pickle.dumps(report))
+        finally:
+            os._exit(code)
+
+
+def _csv_sink(n_values: int, rows: list, times: list, out_dir: str, path: str | None, comment: str):
+    """The run's ``_CsvBody``, behind a forked ``_CsvWriter`` when ``_writer_pays(n_values)``."""
+    body = _CsvBody(rows, times, out_dir, path, comment)
+    if not _writer_pays(n_values):
+        return body
+    try:
+        return _CsvWriter(body)
+    except BaseException:
+        body.close()
+        raise
+
+
 def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both") -> RunArtifacts:
     """Execute a validated scenario and write CSV/JSON artifacts (``fmt`` is one of ``FORMATS``).
 
-    Each checkpoint's CSV chunk is written by the per-checkpoint reduce that
-    computes its values, which keeps only each output's means and stderrs.
-    Every statistic and the final-state mean are checked after the run; a
-    run that aborts or fails writes nothing.
+    The per-checkpoint reduce that computes each checkpoint's values hands
+    them to the CSV sink (``_csv_sink``) and keeps only each output's means
+    and stderrs.  The sink formats the rows right there, or, when
+    ``_writer_pays`` the run's trajectory CSV values, in a writer process
+    forked as the sink opens, which formats them on another CPU while the
+    run steps on; it is reaped before this returns or raises, and the CPU
+    affinity it narrowed is restored.  Every statistic and the final-state
+    mean are checked after the run; a run that aborts or fails writes
+    nothing.
     """
     if fmt not in FORMATS:
         raise ValueError(f"fmt must be 'csv', 'json' or 'both', not {fmt!r}")
@@ -410,9 +601,8 @@ def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both") -> RunArtifacts:
     safe_name = "".join(c if c.isalnum() or c in "-_." else "_" for c in sc.name)
     csv_path = os.path.join(out_dir, f"{safe_name}.csv") if sc.outputs and fmt != "json" else None
     stamp = datetime.now(timezone.utc).isoformat()
-    digest = hashlib.sha256()
     comment = f"# generated={stamp} scenario={safe_name} seed={sc.seed} config={cfg_hash}\n"
-    with contextlib.closing(_CsvBody(digest, len(sc.outputs), out_dir, csv_path, comment)) as body:
+    with contextlib.closing(_csv_sink(_csv_values(sc), rows, times, out_dir, csv_path, comment)) as body:
 
         def reduce(frame, k):
             due = [i for i, ostride in enumerate(strides) if k % ostride == 0]
@@ -436,7 +626,7 @@ def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both") -> RunArtifacts:
             for i, v, m, e in zip(due, vals, mean, err):
                 j = k // strides[i]
                 means[i][j], stderrs[i][j] = m, e
-                body.write(i, rows[i](times[i][j], [] if mean_only else v.tolist(), m).encode())
+                body.add(i, j, v[:0] if mean_only else v, m)
 
         engine_details = run(sc, params, stride, reduce) or {}
         del params  # it holds the density step's workspace
@@ -467,15 +657,15 @@ def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both") -> RunArtifacts:
             "engine_details": engine_details,
         }
         summary_blob = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
-        body.publish()
+        digest = body.publish()
     if not sc.outputs:
-        digest.update(summary_blob.encode())
+        digest = hashlib.sha256(summary_blob.encode()).hexdigest()
     json_path = None
     if fmt in ("json", "both") or not sc.outputs:
         json_path = os.path.join(out_dir, f"{safe_name}.summary.json")
         with open(json_path, "w") as f:
             f.write(summary_blob + "\n")
-    return RunArtifacts(csv_path, json_path, cfg_hash, sc.seed, digest.hexdigest())
+    return RunArtifacts(csv_path, json_path, cfg_hash, sc.seed, digest)
 
 
 def _cmd_simulate(args) -> int:

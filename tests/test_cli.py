@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from qsme import cli, ensemble, master, pure, scenario
-from qsme.cli import main
+from qsme.cli import FORMATS, main
 from qsme.linalg import HERMITICITY_TOL, random_density, random_hermitian, random_operator
 from qsme.master import SMEParams, linear_sme_step, run_linear_sme, run_nonlinear_sme
 from qsme.meanfield import MeanFieldConfig, mckean_vlasov_solve
@@ -20,6 +21,23 @@ from qsme.pure import run_linear
 from qsme.scenario import ScenarioError, apply_overrides, validate_scenario
 
 from oracles import random_ket
+
+
+@pytest.fixture(autouse=True)
+def no_writer_outlives_run(monkeypatch):
+    """After every ``run_scenario`` return or raise, no child process is left and the CPU affinity is restored."""
+    run = cli.run_scenario
+
+    def checked(*args, **kwargs):
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        try:
+            return run(*args, **kwargs)
+        finally:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            assert cpus is None or os.sched_getaffinity(0) == cpus
+
+    monkeypatch.setattr(cli, "run_scenario", checked)
 
 
 def minimal_scenario(**overrides):
@@ -87,15 +105,16 @@ class TestValidateConfig:
         # checkpointed every 10 steps at d = 2: a float64 mean and stderr per
         # checkpoint, 2 (K+1) n_obs values, kept.  Working set per kind, in
         # states per trajectory, (M, d, d) arrays for the final mean and
-        # blocks of scratch: densities 2n + 5 = 7 and four; kets 4 and two,
-        # with two blocks of (1 + n) d = 4 complex images per ket; an
+        # blocks of scratch: densities 2n + 5 = 7 and four; kets 2 (a
+        # checkpoint reduces its frame a block at a time) and two, with two
+        # blocks of (1 + n) d = 4 complex images per ket; an
         # ensemble 2 and one, with the larger of two blocks of its kets'
         # images and three of its densities.  Besides, one 21-row CSV chunk
         # and 6 (1 + 3) + 2 d^2 (3 + n + n_obs) = 64 JSON floats
         for engine, extra, per_state, states, finals, scratch in (
             ("sme_nonlinear", {}, 4, 7, 4, 0),
             ("sme_linear", {}, 4, 7, 4, 0),
-            ("pure_linear", {"rho0": {"pure": {"basis": 0}}}, 2, 4, 2, 2 * 20 * 4 * 16),
+            ("pure_linear", {"rho0": {"pure": {"basis": 0}}}, 2, 2, 2, 2 * 20 * 4 * 16),
             ("ensemble", {"rho0": {"diag": [0.7, 0.3]}}, 2 * 2, 2, 1,  # rank 2 kets
              max(2 * 20 * 2 * 4 * 16, 3 * 20 * 4 * 16)),
         ):
@@ -774,6 +793,25 @@ class TestReducers:
                 assert np.array_equal(vals[::stride, i], old_values(states[::stride], op)), kind
             assert np.array_equal(final(states[-1]), old_final(states)), kind
 
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_ket_values_run_over_row_blocks(self, d):
+        # kets over three whole row blocks and a remainder give the bits of
+        # the whole-array formula, and a checkpoint holds the conjugates and
+        # squared moduli of one block, not of the whole state (1.75 states)
+        rng = np.random.default_rng(80 + d)
+        m = 3 * pure.row_blocks((10**9,), 16 * d)[0].stop + 5
+        kets = rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))
+        ops = [random_hermitian(d, rng), np.eye(d)]
+        values = cli.REDUCERS["ket"][0]
+        assert np.array_equal(values(kets, ops), np.stack([self.old_ket_values(kets[None], op)[0] for op in ops]))
+        tracemalloc.start()
+        try:
+            values(kets, ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= len(ops) * m * 8 + 3 * pure.BLOCK_BYTES < 1.75 * kets.nbytes, (peak, kets.nbytes)
+
     @pytest.mark.parametrize("kind", ["density", "unnormalized"])
     @pytest.mark.parametrize("d", [2, 5, 16])
     def test_density_values_do_not_depend_on_memory_order(self, kind, d):
@@ -986,6 +1024,24 @@ class TestPerOutputStorage:
         assert peak_mb < grid_mb, f"VmHWM {peak_mb:.1f} MB"
 
 
+# Scenarios that abort mid-run: an sme_linear trace through zero at step 1,
+# and pure_linear kets that underflow, first for trajectory 1 at step 729 of 1000.
+ABORT_CASES = {
+    "sme_linear_trace_collapse": minimal_scenario(
+        hamiltonian={"scaled": {"op": "pauli_x", "factor": 0.5}},
+        channels=[{"scaled": {"op": "pauli_z", "factor": 20.0}}],
+        rho0={"diag": [0.7, 0.3]}, dt=0.01, horizon=0.1, trajectories=50, seed=1, engine="sme_linear",
+        outputs=[{"observable": "pauli_z", "stride": 1, "label": "pauli_z"}],
+    ),
+    "pure_linear_vanishing_norm": minimal_scenario(
+        hamiltonian={"scaled": {"op": "pauli_x", "factor": 0.5}},
+        channels=[{"scaled": {"op": "pauli_z", "factor": 100.0}}],
+        rho0={"pure": [[0.6, 0.0], [0.8, 0.0]]}, dt=1e-4, horizon=0.1, trajectories=5, seed=1,
+        engine="pure_linear", outputs=[{"observable": "pauli_z", "stride": 1, "label": "pauli_z"}],
+    ),
+}
+
+
 class TestStreamedCsv:
     """The CSV body is written at each checkpoint, and only finished runs leave files."""
 
@@ -1032,26 +1088,13 @@ class TestStreamedCsv:
                     assert hashlib.sha256(f.read()).hexdigest() == info["digest"]
         assert len(digests) == 1
 
-    @pytest.mark.parametrize("case", ["sme_linear_trace_collapse", "pure_linear_vanishing_norm"])
+    @pytest.mark.parametrize("case", ABORT_CASES)
     def test_abort_with_two_outputs_writes_nothing(self, tmp_path, capsys, case):
         # the runs of test_sme_linear_trace_collapse_exits_3 (abort at step 1)
         # and test_pure_linear_vanishing_norm_exits_3 (step 729 of 1000), once
         # as they are and once with a second output, whose chunks go to a
         # temporary file: both abort alike and leave out/ empty
-        data = {
-            "sme_linear_trace_collapse": minimal_scenario(
-                hamiltonian={"scaled": {"op": "pauli_x", "factor": 0.5}},
-                channels=[{"scaled": {"op": "pauli_z", "factor": 20.0}}],
-                rho0={"diag": [0.7, 0.3]}, dt=0.01, horizon=0.1, trajectories=50, seed=1, engine="sme_linear",
-                outputs=[{"observable": "pauli_z", "stride": 1, "label": "pauli_z"}],
-            ),
-            "pure_linear_vanishing_norm": minimal_scenario(
-                hamiltonian={"scaled": {"op": "pauli_x", "factor": 0.5}},
-                channels=[{"scaled": {"op": "pauli_z", "factor": 100.0}}],
-                rho0={"pure": [[0.6, 0.0], [0.8, 0.0]]}, dt=1e-4, horizon=0.1, trajectories=5, seed=1,
-                engine="pure_linear", outputs=[{"observable": "pauli_z", "stride": 1, "label": "pauli_z"}],
-            ),
-        }[case]
+        data = ABORT_CASES[case]
         reports = []
         for outputs in (data["outputs"], data["outputs"] + [{"observable": "pauli_x", "stride": 2, "label": "x"}]):
             out_dir = tmp_path / f"out{len(outputs)}"
@@ -1079,6 +1122,169 @@ class TestStreamedCsv:
         art = cli.run_scenario(sc, str(tmp_path), fmt="csv")
         assert seen == [["qubit-smoke.csv.partial"]] * 13
         assert os.listdir(tmp_path) == ["qubit-smoke.csv"] and art.csv_path == str(tmp_path / "qubit-smoke.csv")
+
+
+@pytest.fixture
+def writer_path(monkeypatch):
+    """``writer_path(writer)`` makes every run format its CSV in a forked writer (True) or in its own process.
+
+    The crossover constant is patched, not the choice; each call returns a
+    list that counts the forks of the runs that follow.
+    """
+
+    def force(writer: bool) -> list:
+        if writer and not cli._writer_pays(sys.maxsize):
+            pytest.skip("the CSV writer needs a single-threaded process that may use two CPUs")
+        monkeypatch.setattr(cli, "WRITER_MIN_VALUES", 1 if writer else sys.maxsize)
+        forks, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    return force
+
+
+class TestCsvWriter:
+    """A run of enough CSV values formats them in a forked writer process, with the same bytes."""
+
+    @staticmethod
+    def artifacts(path, out_dir, fmt):
+        """The digest, the sha256 of the summary and of the CSV body, and the directory listing of one run."""
+        assert main(["simulate", path, "--format", fmt, "--out", str(out_dir)]) == 0
+        result = {"listing": sorted(os.listdir(out_dir))}
+        for name in result["listing"]:
+            with open(out_dir / name, "rb") as f:
+                if name.endswith(".csv"):
+                    assert f.readline().startswith(b"# generated=")
+                result[name] = hashlib.sha256(f.read()).hexdigest()
+        return result
+
+    @pytest.mark.parametrize("strides", [(4, 6), (4, 6, 1)])
+    @pytest.mark.parametrize("engine", TRAJECTORY_ENGINES)
+    def test_both_paths_write_the_same_bytes(self, tmp_path, capsys, writer_path, engine, strides):
+        path = write_scenario(tmp_path, strided_scenario(engine, strides))
+        runs = {}
+        for writer in (False, True):
+            forks = writer_path(writer)
+            for fmt in FORMATS:
+                runs[writer, fmt] = self.artifacts(path, tmp_path / f"{writer}-{fmt}", fmt)
+                runs[writer, fmt]["digest"] = json.loads(capsys.readouterr().out)["digest"]
+            assert len(forks) == (3 if writer else 0)
+        for fmt in FORMATS:
+            assert runs[True, fmt] == runs[False, fmt], fmt
+        assert runs[False, "both"]["qubit-smoke.csv"] == runs[False, "both"]["digest"]
+
+    def test_meanfield_and_no_outputs_stay_inline(self, tmp_path, capsys, writer_path):
+        # a mean-field run writes mean rows only, and a run without outputs no CSV
+        forks = writer_path(True)
+        for data in (strided_scenario("meanfield", (4, 6)), minimal_scenario(outputs=[])):
+            assert main(["simulate", write_scenario(tmp_path, data), "--out", str(tmp_path / "out")]) == 0
+        assert forks == []
+
+    @pytest.mark.parametrize("case", ABORT_CASES)
+    def test_abort_leaves_nothing(self, tmp_path, capsys, writer_path, case):
+        # the abort scenarios with enough trajectories to reach the crossover:
+        # both paths report the same abort and leave out/ empty
+        data = ABORT_CASES[case]
+        m = -(-cli.WRITER_MIN_VALUES // (validate_scenario(data).steps + 1))
+        data = dict(data, trajectories=max(m, data["trajectories"]))
+        assert cli._csv_values(validate_scenario(data)) >= cli.WRITER_MIN_VALUES
+        path = write_scenario(tmp_path, data)
+        reports = []
+        for writer in (False, True):
+            forks = writer_path(writer)
+            out_dir = tmp_path / f"out-{writer}"
+            assert main(["simulate", path, "--out", str(out_dir)]) == 3
+            reports.append(json.loads(capsys.readouterr().err))
+            assert os.listdir(out_dir) == []
+            assert len(forks) == writer
+        assert reports[0] == reports[1] and reports[0]["abort"] is True
+
+    @pytest.mark.parametrize("where", ["add", "publish", "exit", "fork"])
+    def test_writer_failure_exits_4_and_leaves_nothing(self, tmp_path, capsys, writer_path, monkeypatch, where):
+        # the writer fails formatting a chunk (ENOSPC), publishing (EACCES),
+        # dies without a report, or fails before it serves (its CPU pinning):
+        # the run exits 4 and leaves out/ empty
+        run_pid = os.getpid()
+        add, publish, pin = cli._CsvBody.add, cli._CsvBody.publish, os.sched_setaffinity
+
+        def failing_add(self, *args):
+            if os.getpid() != run_pid and where != "publish":
+                if where == "exit":
+                    os._exit(9)
+                raise OSError(28, "No space left on device")
+            return add(self, *args)
+
+        def failing_publish(self):
+            if os.getpid() != run_pid and where == "publish":
+                raise PermissionError(13, "Permission denied", self.path)
+            return publish(self)
+
+        def failing_pin(pid, cpus):
+            if os.getpid() != run_pid and where == "fork":
+                raise OSError(22, "Invalid argument")
+            return pin(pid, cpus)
+
+        sink = cli._csv_sink
+
+        def checked_sink(*args):
+            try:
+                return sink(*args)
+            finally:
+                if os.getpid() != run_pid:  # the writer came back into the run
+                    (tmp_path / "writer-returned").touch()
+                    os._exit(0)
+
+        monkeypatch.setattr(cli._CsvBody, "add", failing_add)
+        monkeypatch.setattr(cli._CsvBody, "publish", failing_publish)
+        monkeypatch.setattr(os, "sched_setaffinity", failing_pin)
+        monkeypatch.setattr(cli, "_csv_sink", checked_sink)
+        forks = writer_path(True)
+        path = write_scenario(tmp_path, strided_scenario("pure_linear", (1, 2), horizon=0.2))
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("I/O failure: ")
+        assert {"add": "No space left on device", "publish": "Permission denied",
+                "exit": "ended with status", "fork": "ended with status 1"}[where] in err
+        assert os.listdir(tmp_path / "out") == [] and len(forks) == 1
+        assert not (tmp_path / "writer-returned").exists()
+
+    def test_choice_follows_values_threads_and_cpus(self, monkeypatch):
+        if not cli._writer_pays(sys.maxsize):
+            pytest.skip("the CSV writer needs a single-threaded process that may use two CPUs")
+        assert not cli._writer_pays(cli.WRITER_MIN_VALUES - 1)
+        assert cli._writer_pays(cli.WRITER_MIN_VALUES)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert not cli._writer_pays(cli.WRITER_MIN_VALUES)
+        finally:
+            stop.set()
+            thread.join()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert not cli._writer_pays(cli.WRITER_MIN_VALUES)
+
+    def test_memory_estimate_counts_the_writer(self):
+        # one (M,) message on either side of the pipe and the pipe's capacity
+        below = validate_scenario(engine_scenario("pure_linear", trajectories=2000))
+        above = validate_scenario(engine_scenario("pure_linear", trajectories=20000))
+        assert cli._csv_values(below) < cli.WRITER_MIN_VALUES <= cli._csv_values(above)
+        estimates = {}
+        for crossover in (cli.WRITER_MIN_VALUES, sys.maxsize):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, "WRITER_MIN_VALUES", crossover)
+                estimates[crossover] = [cli.memory_estimate(sc) for sc in (below, above)]
+        inline, writer = estimates[sys.maxsize], estimates[cli.WRITER_MIN_VALUES]
+        assert writer[0] == inline[0]
+        extra = cli.WRITER_PIPE_BYTES + 2 * 8 * 20000
+        assert writer[1] == dict(inline[1], working_bytes=inline[1]["working_bytes"] + extra)
 
 
 class TestTrajectoryIndependence:
