@@ -53,14 +53,7 @@ from .meanfield import (
     mckean_vlasov_solve,
     reweighted_expectation,
 )
-from .validation import (
-    MonteCarloConfig,
-    convergence_order,
-    hamiltonian_continuity_experiment,
-    martingale_test,
-    moment_bound_check,
-    trace_inequality_check,
-)
+from .suites import MonteCarloConfig
 
 __all__ = [
     "TrajectoryAbort",
@@ -75,8 +68,7 @@ __all__ = [
     "WeightedEnsemble", "decompose_state", "run_ensemble",
     "InteractionMap", "MeanFieldConfig", "PicardReport", "apply_interaction",
     "frozen_field_step", "mckean_vlasov_solve", "reweighted_expectation",
-    "MonteCarloConfig", "convergence_order", "hamiltonian_continuity_experiment",
-    "martingale_test", "moment_bound_check", "trace_inequality_check",
+    "MonteCarloConfig",
 ]
 
 __version__ = "0.1.0"

@@ -11,8 +11,9 @@ may use two CPUs, in a forked writer process that formats them on the other
 CPU while the run integrates (``_CsvWriter``); both write the same bytes.
 
 Exit codes: 0 ok, 1 validation-suite failure, 2 config error (including a
-duplicate output label or one that would break CSV rows, and a run whose
-estimated noise, checkpoint and working memory exceeds physical memory),
+duplicate output label or one that would break CSV rows, a run whose
+estimated noise, checkpoint and working memory exceeds physical memory, and
+``check --sabotage`` for a suite with no sabotaged variant),
 3 runtime abort (trace collapse, a nonpositive sme_linear or linear-mode
 meanfield trace, a normalized density whose trace leaves 1 or whose purity
 tr rho^2 exceeds 2 as a diverging sme_nonlinear or meanfield run blows up, a
@@ -713,6 +714,9 @@ def _cmd_validate_config(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.sabotage and args.suite not in ("all", "martingale"):
+        print(f"--sabotage applies to the martingale suite (and all), not {args.suite}", file=sys.stderr)
+        return 2
     results, passed = suites.run_suite(args.suite, fast=args.fast, sabotage=args.sabotage)
     report = {
         "suite": args.suite,
@@ -759,7 +763,8 @@ def _parser() -> argparse.ArgumentParser:
     chk.add_argument("--fast", action="store_true",
                      help="reduced Monte Carlo budgets (smoke testing, not the acceptance gate)")
     chk.add_argument("--sabotage", action="store_true",
-                     help="(testing) bias the martingale samples to verify failure detection")
+                     help="(testing) bias the martingale samples to verify failure detection; "
+                          "martingale and all only")
     chk.set_defaults(func=_cmd_check)
     return ap
 

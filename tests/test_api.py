@@ -5,7 +5,8 @@ import pytest
 
 import qsme
 
-# Deleted (nothing ran them) or moved to tests/oracles.py (only tests ran them).
+# Deleted (nothing ran them), moved to tests/oracles.py (only tests ran them), or
+# folded into private helpers of qsme.suites that return CheckOutcomes.
 GONE = [
     "WienerPath", "sample_wiener", "trajectory_rng", "convert_noise", "bracket", "norms", "trace_norm",
     "norm_process_step", "trace_process_step", "evolution_factor", "dress", "ensemble_step",
@@ -13,6 +14,9 @@ GONE = [
     "nonlinear_sme_rhs", "_symmetric_expectations", "_channel_mv", "deterministic_lindblad_solve",
     "ket_compensators", "_channel_left", "_noise_coefficients",
     "TrajectoryRecord", "simulate_linear_record", "RECORD_KINDS", "random_ket",
+    "martingale_test", "moment_bound_check", "trace_inequality_check", "hermitian_trace_inequality_check",
+    "hamiltonian_continuity_experiment", "convergence_order",
+    "MartingaleTestResult", "BoundCheckResult", "InequalityCheck", "ContinuityReport", "ConvergenceReport",
 ]
 SUBMODULES = [importlib.import_module(f"qsme.{m.name}") for m in pkgutil.iter_modules(qsme.__path__)]
 
@@ -32,3 +36,8 @@ def test_removed_name_cannot_be_imported(name):
     with pytest.raises(ImportError):
         exec(f"from qsme import {name}", {})
     assert [m.__name__ for m in SUBMODULES if hasattr(m, name)] == []
+
+
+def test_validation_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("qsme.validation")

@@ -1381,6 +1381,12 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "FAILING" in err
 
+    def test_sabotage_without_sabotaged_variant_rejected(self, capsys):
+        assert main(["check", "inequalities", "--fast", "--sabotage"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "--sabotage" in captured.err
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
             main(["check", "nonsense"])
