@@ -118,11 +118,10 @@ def memory_estimate(sc: Scenario) -> dict[str, int]:
     scratch of the ket steps (``pure.block_bytes``):
 
     * a density step holds 2n + 3 states (6 for n = 1): the state, the
-      workspace its params keep (the n channel products, their row copy for
-      the dissipator's GEMM, which also serves as scratch, and the half X of
+      arrays it allocates (the n channel products, their row copy for the
+      dissipator's GEMM, which also serves as scratch, and the half X of
       the update: 2n + 1, or 4 for n = 1) and the update X + X† it returns;
-      2n + 5 are counted.  The run drops the params, and with them the
-      workspace, when integration ends;
+      2n + 5 are counted;
     * a ket step holds its input, its output and two blocks, and a
       checkpoint the state, its frame and, over the same blocks, the
       conjugates and squared moduli of one block: 2 states are counted,
@@ -335,22 +334,6 @@ def _csv_rows(label: str, n_traj: int):
         return tmpl % tuple(args)
 
     return rows
-
-
-def _csv_chunks(outputs, out_times: dict, per_traj: dict, means: dict):
-    """The CSV body (header, then every row) from whole arrays, one checkpoint of one observable per chunk.
-
-    ``per_traj`` maps a label to its (checkpoints, M) values, or lacks it
-    for mean rows only.  Each chunk is what ``run_scenario`` writes at that
-    checkpoint, through the same ``_csv_rows`` formatter.
-    """
-    if outputs:
-        yield CSV_HEADER
-    for label, _, _ in outputs:
-        traj_vals = per_traj.get(label)
-        rows = _csv_rows(label, 0 if traj_vals is None else traj_vals.shape[1])
-        for k, (t, mean) in enumerate(zip(out_times[label].tolist(), means[label].tolist())):
-            yield rows(t, [] if traj_vals is None else traj_vals[k].tolist(), mean)
 
 
 class _CsvBody:
@@ -630,7 +613,6 @@ def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both") -> RunArtifacts:
                 body.add(i, j, v[:0] if mean_only else v, m)
 
         engine_details = run(sc, params, stride, reduce) or {}
-        del params  # it holds the density step's workspace
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite final-state mean aborts below
             mean_final = final(last[0])
         # finite values can still overflow a sum: check every statistic before anything is written

@@ -4,9 +4,7 @@ States are plain numpy arrays: kets are complex vectors of shape ``(d,)``
 (optionally batched ``(..., d)``), operators are complex matrices of shape
 ``(d, d)``.  Everything here treats its inputs as immutable and returns fresh
 arrays that no later call writes to, so a result can be kept or shared as it
-is.  (The density steppers of ``qsme.master`` are different: they keep
-scratch arrays on their params object, which therefore must not be stepped
-from two threads at once.)
+is.
 """
 
 from __future__ import annotations

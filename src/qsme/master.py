@@ -26,12 +26,9 @@ damping D_t = (1/2) sum_j L_j,t† L_j,t together with the channels from one
 exp(-iHt); its damping term is one more GEMM of the rows of gamma,
 -dt gamma D_t, whose adjoint -dt D_t gamma comes with X†.  The Schroedinger
 picture still forms -i[H, gamma] - {D, gamma} as four batched
-(d, d) @ (..., d, d) products, two with H and two with D.  The update writes
-all its state-sized arrays into a workspace that the params object keeps
-for the batch shape it last stepped, and so does the interaction-picture
-frame map.  A step therefore allocates one state-sized array: the C-ordered
-update it returns.  Because of the workspace, one params object must not be
-stepped from two threads at once.
+(d, d) @ (..., d, d) products, two with H and two with D.  The steppers
+keep no state between calls: each allocates its scratch and returns a fresh,
+C-ordered update, so one params object may be stepped from several threads.
 
 The deterministic (noise-averaged) Lindblad path, integrated by RK4, doubles
 as a test oracle: the innovation term of the normalized equation has zero
@@ -43,9 +40,7 @@ that share no kernel with the stepper.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,54 +52,16 @@ from .pure import PureFilterParams
 STEP_TRACE_TOL = 1e-8  # largest |tr rho - 1| the normalized stepper accepts
 
 
-class _Workspace(NamedTuple):
-    """The state-sized arrays of one ``_sme_update`` batch shape; see ``SMEParams._workspace``."""
-
-    products: np.ndarray  # (n, ..., d, d): products[j] = gamma L_j†
-    rows: np.ndarray  # (..., d, n, d): rows[..., i, j, c] = (L_j gamma)[i, c]
-    tmp: np.ndarray  # (..., d, d), in the space of rows
-    scratch: np.ndarray  # (..., d, d), in the space of rows
-    out: np.ndarray  # (..., d, d): X, the half of the update that _sme_update adds to its adjoint
-
-
 @dataclass
 class SMEParams(PureFilterParams):
-    """Coefficients of the stochastic master equations; contract as PureFilterParams.
-
-    The density steppers and the frame map keep their scratch arrays here
-    (``_workspace``), so one params object must not be stepped from two
-    threads at once.
-    """
-
-    _ws: _Workspace | None = field(init=False, repr=False, compare=False, default=None)
-
-    def _workspace(self, shape: tuple) -> _Workspace:
-        """Arrays for states of ``shape`` (..., d, d), kept until a call with another shape.
-
-        ``tmp`` and ``scratch`` are the first two states' worth of the space
-        of ``rows`` (which has room for at least two), so they are free
-        whenever ``rows`` is not being read.  The workspace holds 2n + 1
-        states (4 for n = 1).
-        """
-        if self._ws is None or self._ws.out.shape != shape:
-            self._ws = None  # the old arrays go before the new ones come
-            size, n, d = math.prod(shape), self.n_channels, self.dim
-            space = np.empty(max(n, 2) * size, complex)
-            self._ws = _Workspace(
-                np.empty((n,) + shape, complex), space[: n * size].reshape(shape[:-2] + (d, n, d)),
-                space[:size].reshape(shape), space[size : 2 * size].reshape(shape), np.empty(shape, complex),
-            )
-        return self._ws
+    """Coefficients of the stochastic master equations; contract as PureFilterParams."""
 
     def to_schroedinger_frame_matrix(self, state: np.ndarray, t: float) -> np.ndarray:
-        """Map an interaction-picture operator back: gamma = exp(-iHt) nu exp(iHt).
-
-        The product exp(-iHt) nu is formed in the workspace; the result is a fresh array.
-        """
+        """Map an interaction-picture operator back: gamma = exp(-iHt) nu exp(iHt), a fresh array."""
         if self.picture == "schroedinger" or t == 0.0:
             return state
         u = self._prop.factor(t)
-        return np.matmul(u, state, out=self._workspace(state.shape).scratch) @ dag(u)
+        return u @ state @ dag(u)
 
 
 def output_compensators(rho: np.ndarray, ls: np.ndarray) -> np.ndarray:
@@ -155,15 +112,18 @@ def _sme_update(
     passes add X to its conjugate transpose: the update is exactly
     Hermitian by construction, and a fresh C-ordered array.
 
-    X and every other state-sized array live in ``p._workspace(gamma.shape)``.
-    Besides gamma and the update, a step holds the 2n + 1 states of the
-    workspace (4 for n = 1): the products, their row-major conjugate copy
-    and X; the scratch takes the space of the row copy while it is not in use.
+    Besides gamma and the update, a step allocates 2n + 1 states (4 for
+    n = 1): the products, their row-major conjugate copy and X; the two
+    states of scratch take the space of the row copy, which has room for
+    at least two, while it is not in use.
     """
     ls_t, damping = p.step_ops(t)
     d, n = gamma.shape[-1], ls_t.shape[0]
     half_dt = 0.5 * p.dt
-    y, rows, tmp, scratch, out = p._workspace(gamma.shape)
+    y = np.empty((n,) + gamma.shape, complex)
+    space = np.empty((max(n, 2),) + gamma.shape, complex)
+    rows = space[:n].reshape(gamma.shape[:-2] + (d, n, d))
+    tmp, scratch, out = space[0], space[1], np.empty(gamma.shape, complex)
     ls_dag, gamma_rows = dag(ls_t), gamma.reshape(-1, d)
     for j in range(n):
         np.matmul(gamma_rows, ls_dag[j], out=y[j].reshape(-1, d))  # y[j] = gamma L_j†

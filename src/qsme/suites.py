@@ -196,7 +196,9 @@ def _moment_bound(which: str, cfg: MonteCarloConfig) -> CheckOutcome:
 
     ||L|| is the summed per-channel operator norm.  Pass means every
     checkpoint margin is >= -3 stderr; the outcome reports the horizon's
-    mean and bound, the worst margin, and every checkpoint in ``details``.
+    mean and bound, the worst margin, and every checkpoint in ``details``,
+    where the margin of a checkpoint with stderr 0 is None: it is ±inf,
+    which JSON cannot hold.
     """
     if which not in MOMENT_BOUNDS:
         raise ValueError(f"unknown bound {which!r}; expected one of {MOMENT_BOUNDS}")
@@ -251,7 +253,7 @@ def _moment_bound(which: str, cfg: MonteCarloConfig) -> CheckOutcome:
             "times": times.tolist(),
             "observed": observed.tolist(),
             "bound": bound.tolist(),
-            "margin": margin.tolist(),
+            "margin": [m if np.isfinite(m) else None for m in margin.tolist()],
             "pass": passed,
         },
     )

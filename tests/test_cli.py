@@ -883,6 +883,22 @@ def strided_scenario(engine, strides, **overrides):
     return minimal_scenario(engine=engine, outputs=outputs, **{"horizon": 0.024, **extra, **overrides})
 
 
+def csv_chunks(outputs, out_times: dict, per_traj: dict, means: dict):
+    """The CSV body (header, then every row) from whole arrays, one checkpoint of one observable per chunk.
+
+    ``per_traj`` maps a label to its (checkpoints, M) values, or lacks it
+    for mean rows only.  Each chunk is what ``run_scenario`` writes at that
+    checkpoint, through the same ``cli._csv_rows`` formatter.
+    """
+    if outputs:
+        yield cli.CSV_HEADER
+    for label, _, _ in outputs:
+        traj_vals = per_traj.get(label)
+        rows = cli._csv_rows(label, 0 if traj_vals is None else traj_vals.shape[1])
+        for k, (t, mean) in enumerate(zip(out_times[label].tolist(), means[label].tolist())):
+            yield rows(t, [] if traj_vals is None else traj_vals[k].tolist(), mean)
+
+
 def gcd_grid_run(sc):
     """Every output's values from one (K+1, n_obs, M) buffer on the gcd grid of the strides.
 
@@ -913,7 +929,7 @@ def gcd_grid_run(sc):
             "mean": means[label].tolist(),
             "stderr": (vals.std(axis=1, ddof=1) / np.sqrt(vals.shape[1])).tolist(),
         }
-    body = "".join(cli._csv_chunks(sc.outputs, times, per_traj, means))
+    body = "".join(csv_chunks(sc.outputs, times, per_traj, means))
     return body, observables, final(last[0])
 
 
@@ -1354,9 +1370,9 @@ class TestCsvChunks:
         per_traj = {"pauli_z": vals, "number": vals[::-1].copy()}
         means = {"pauli_z": np.array([np.nan, -0.0, 1e-300]), "number": np.array([np.inf, 0.3, -0.0])}
         for traj in (per_traj, {}):  # trajectory engines, and meanfield (means only)
-            body = "".join(cli._csv_chunks(outputs, out_times, traj, means))
+            body = "".join(csv_chunks(outputs, out_times, traj, means))
             assert body == self.row_by_row(outputs, out_times, traj, means)
-        assert "".join(cli._csv_chunks([], {}, {}, {})) == ""
+        assert "".join(csv_chunks([], {}, {}, {})) == ""
 
     def test_percent_in_labels_is_written_literally(self):
         vals = np.array([[0.25, -1.0 / 3.0], [np.nan, 5e-324], [-0.0, 1e17]])
@@ -1365,7 +1381,7 @@ class TestCsvChunks:
         per_traj = {label: vals * (i + 1) for i, (label, _, _) in enumerate(outputs)}
         means = {label: v.mean(axis=1) for label, v in per_traj.items()}
         for traj in (per_traj, {}):
-            body = "".join(cli._csv_chunks(outputs, out_times, traj, means))
+            body = "".join(csv_chunks(outputs, out_times, traj, means))
             assert body == self.row_by_row(outputs, out_times, traj, means)
             assert {row.split(",")[2] for row in body.splitlines()[1:]} == {"pop%", "%s", "100%%"}
 
@@ -1386,6 +1402,23 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and "--sabotage" in captured.err
+
+    def test_bounds_report_is_strict_json(self, tmp_path, capsys):
+        # Python's json writes ±inf and NaN as Infinity and NaN, which RFC 8259 lacks
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        assert main(["check", "bounds", "--fast", "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "check_bounds.json") as f:
+            report = json.load(f, parse_constant=reject)
+        assert report["pass"]
+        # a checkpoint with stderr 0, such as the t = 0 of a deterministic
+        # start, has no finite margin: null, beside its observed mean and bound
+        details = {c["name"]: c["details"] for c in report["checks"] if "margin" in c["details"]}
+        assert len(details) == 4
+        assert details["pure_norm_growth"]["margin"][0] is None and details["trace_abs_bound"]["margin"][0] is None
+        for d in details.values():
+            assert len(d["margin"]) == len(d["observed"]) == len(d["bound"])
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):

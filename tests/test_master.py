@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -252,24 +254,23 @@ class TestNormalizedStepKernel:
             assert np.max(np.abs(out - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
-class TestStepWorkspace:
-    """The steps write their state-sized arrays into a workspace kept on the params
-    object; every stepper output is still a fresh array that later steps leave alone."""
+class TestStepsKeepNoState:
+    """The steps keep nothing on the params object between calls: every stepper
+    output is a fresh array that later steps leave alone, and one params object
+    may be stepped from two threads at once."""
 
     @pytest.mark.parametrize("picture", ["schroedinger", "interaction"])
     @pytest.mark.parametrize("stepper", [linear_sme_step, nonlinear_sme_step])
     def test_successive_outputs_share_no_memory(self, stepper, picture):
-        # batch shapes (), (M,) and (M, r) on one params object, so the
-        # workspace is also rebuilt between shapes
+        # batch shapes (), (M,) and (M, r) on one params object
         p, cases = kernel_cases(3, 2, picture)
         for state, noise in cases:
             first = stepper(state, p, noise, 0.37)
             kept = first.copy()
             second = stepper(first, p, noise, 0.38)
             assert not np.shares_memory(first, second)
-            assert not any(np.shares_memory(first, buf) or np.shares_memory(second, buf) for buf in p._ws)
             assert np.array_equal(first, kept)
-            # a reused workspace gives the bits of a fresh one
+            # a params object stepped before gives the bits of a fresh one
             fresh = SMEParams(p.h, p.ls, p.dt, p.picture)
             assert np.array_equal(second, stepper(first, fresh, noise, 0.38))
 
@@ -289,8 +290,41 @@ class TestStepWorkspace:
         out = stepper(x, p, rng.normal(0.0, 1e-2, (m, n)), 0.37)
         assert out.flags.c_contiguous and out.flags.owndata
         assert not np.shares_memory(out, x)
-        assert not any(np.shares_memory(out, buf) for buf in p._ws)
         assert np.array_equal(out, dag(out))
+
+    @pytest.mark.parametrize("picture", ["schroedinger", "interaction"])
+    @pytest.mark.parametrize("stepper", [linear_sme_step, nonlinear_sme_step])
+    def test_two_threads_give_the_serial_bits(self, stepper, picture):
+        # d = 16, n = 2, M = 120: state-sized arrays of 480 KiB, large enough
+        # for two threads' steps to overlap inside the GEMMs, which release the GIL
+        rng = np.random.default_rng(32)
+        d, n, m, steps = 16, 2, 120, 30
+        ls = np.stack([0.5 * random_operator(d, rng) for _ in range(n)])
+        p = SMEParams(random_hermitian(d, rng), ls, 1e-4, picture)
+        starts = [np.broadcast_to(random_density(d, rng), (m, d, d)).copy() for _ in range(2)]
+        noises = [rng.normal(0.0, 1e-2, (steps, m, n)) for _ in range(2)]
+
+        def run(x, noise):
+            for k in range(steps):
+                x = stepper(x, p, noise[k], k * p.dt)
+            return p.to_schroedinger_frame_matrix(x, steps * p.dt)
+
+        serial = [run(x, noise) for x, noise in zip(starts, noises)]
+        barrier = threading.Barrier(2, timeout=60)
+
+        def threaded(x, noise):
+            barrier.wait()
+            return run(x, noise)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the Python between the GEMMs too
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                together = list(pool.map(threaded, starts, noises, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, together):
+            assert np.array_equal(a, b)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
     @pytest.mark.parametrize("picture", ["schroedinger", "interaction"])
