@@ -84,10 +84,13 @@ def _weighted_dots(x: np.ndarray, kets: np.ndarray, weights: np.ndarray) -> np.n
     """sum_k p_k Re(x_k, e_k) for x and kets of shape (..., k, d): shape (...).
 
     On real views (real and imaginary parts interleaved) Re(x_k, e_k) is a
-    plain dot product, so this is one two-operand real contraction and a GEMV.
+    plain dot product, so this is one two-operand real contraction and then
+    a weighted sum over k.  Both are row-stable: a BLAS GEMV in its place
+    gives the rows of a short block other last bits than the same rows
+    inside a longer one.
     """
     xr, kr = (np.ascontiguousarray(z).view(float) for z in (x, kets))
-    return np.einsum("...ki,...ki->...k", xr, kr) @ weights
+    return np.einsum("...k,k->...", np.einsum("...ki,...ki->...k", xr, kr), weights)
 
 
 def _mass(kets: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -1333,9 +1333,10 @@ class TestTrajectoryIndependence:
             lines = f.read().splitlines()[2:]  # the comment and the header
         return [row for row in lines if row.split(",")[1] != "mean" and int(row.split(",")[1]) < m]
 
-    @pytest.mark.parametrize("picture", ["schroedinger", "interaction"])
-    @pytest.mark.parametrize("d", [2, 4])
-    @pytest.mark.parametrize("engine", TRAJECTORY_ENGINES)
+    @pytest.mark.parametrize("engine, d, picture", [
+        *((e, d, picture) for e in TRAJECTORY_ENGINES for d in (2, 4) for picture in ("schroedinger", "interaction")),
+        ("ensemble", 8, "schroedinger"),  # a rank-8 ensemble's weighted sums over k
+    ])
     def test_rows_do_not_depend_on_the_batch(self, tmp_path, engine, d, picture):
         m, rank, n = 7, d, 2
         # trajectories per block of the ket step (a ket engine's trajectory is

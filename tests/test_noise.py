@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from qsme.linalg import SIGMA_X, SIGMA_Z, random_density, random_operator
 from qsme.master import SMEParams, normalize_path, reconstruct_path, run_linear_sme
-from qsme.noise import coarsen_increments, sample_wiener_batch, trajectory_seed
+from qsme.noise import SEED_BLOCK, coarsen_increments, sample_wiener_batch, trajectory_seed
+
+from oracles import traced_peak
 
 
 class TestSampling:
@@ -20,15 +22,28 @@ class TestSampling:
 
     def test_batch_matches_individual(self):
         # row m is bitwise trajectory m's own stream, so a smaller batch is
-        # a prefix of a larger one
-        steps, n, dt = 30, 2, 1e-2
-        batch = sample_wiener_batch(n, steps, dt, seed=9, n_traj=6)
-        assert batch.shape == (6, steps, n)
-        for m in range(6):
-            rng = np.random.default_rng(trajectory_seed(9, m))
-            assert np.array_equal(batch[m], rng.normal(0.0, np.sqrt(dt), (steps, n)))
-        for n_traj in (1, 4):
-            assert np.array_equal(sample_wiener_batch(n, steps, dt, seed=9, n_traj=n_traj), batch[:n_traj])
+        # a prefix of a larger one; the seeds take one to five 32-bit words
+        # (past four, a run word is mixed in after the pool is filled), and
+        # the batches stop short of, on and past a seeding block
+        steps, dt = 30, 1e-2
+        cases = [(9, 6, 2), (2**32 - 1, 0, 1), (2**32, SEED_BLOCK - 1, 3), (2**64 + 9, SEED_BLOCK + 1, 2),
+                 (2**100 + 1, 5, 1), (2**130 + 3, 3, 2), (np.uint64(2**63 + 5), 3, 3), (0, SEED_BLOCK, 1)]
+        for seed, n_traj, n in cases:
+            batch = sample_wiener_batch(n, steps, dt, seed=seed, n_traj=n_traj)
+            assert batch.shape == (n_traj, steps, n)
+            for m in range(n_traj):
+                rng = np.random.default_rng(trajectory_seed(seed, m))
+                assert np.array_equal(batch[m], rng.normal(0.0, np.sqrt(dt), (steps, n))), (seed, m)
+            for prefix in (1, 4):
+                assert np.array_equal(sample_wiener_batch(n, steps, dt, seed, min(prefix, n_traj)), batch[:prefix])
+
+    def test_holds_its_output_and_one_seeding_block(self):
+        # a block's generator states (uint64 words and four Python ints per
+        # trajectory) take under 320 bytes a trajectory and are freed before
+        # the next block's
+        sample_wiener_batch(2, 1, 1e-3, 1, n_traj=2)  # lazy imports of the first call
+        out, peak = traced_peak(lambda: sample_wiener_batch(2, 100, 1e-3, 2**64 + 9, n_traj=20_000))
+        assert peak <= out.nbytes + 320 * SEED_BLOCK, (peak - out.nbytes) / SEED_BLOCK
 
     def test_moments(self):
         dt = 1e-3
@@ -45,6 +60,8 @@ class TestSampling:
             sample_wiener_batch(1, 10, -1e-3, 1, n_traj=2)
         with pytest.raises(ValueError):
             sample_wiener_batch(1, 10, 0.0, 1, n_traj=2)
+        with pytest.raises(ValueError):  # as SeedSequence rejects it
+            sample_wiener_batch(1, 10, 1e-3, -1, n_traj=2)
 
     def test_cross_trajectory_correlation(self):
         # sub-seeded streams look independent: pairwise correlation of the
