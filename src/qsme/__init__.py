@@ -13,7 +13,6 @@ from .linalg import (
     SIGMA_Y,
     SIGMA_Z,
     Propagator,
-    hermitian_spectrum,
     hermitianize,
     positive_parts,
 )
@@ -23,8 +22,6 @@ from .pure import (
     expectation,
     jacobian_norm_estimate,
     linear_pure_step,
-    mean_map,
-    nonlinear_pure_step,
     run_linear,
     run_nonlinear,
 )
@@ -32,7 +29,6 @@ from .master import (
     SMEParams,
     deterministic_lindblad_path,
     lindblad_generator,
-    linear_sme_step,
     nonlinear_sme_step,
     normalize_path,
     reconstruct_path,
@@ -47,9 +43,7 @@ from .ensemble import (
 from .meanfield import (
     InteractionMap,
     MeanFieldConfig,
-    PicardReport,
     apply_interaction,
-    frozen_field_step,
     mckean_vlasov_solve,
     reweighted_expectation,
 )
@@ -57,17 +51,16 @@ from .suites import MonteCarloConfig
 
 __all__ = [
     "TrajectoryAbort",
-    "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "Propagator", "hermitian_spectrum", "hermitianize",
-    "positive_parts",
+    "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "Propagator", "hermitianize", "positive_parts",
     "sample_wiener_batch",
-    "PureFilterParams", "expectation", "jacobian_norm_estimate", "linear_pure_step", "mean_map",
-    "nonlinear_pure_step", "run_linear", "run_nonlinear",
+    "PureFilterParams", "expectation", "jacobian_norm_estimate", "linear_pure_step",
+    "run_linear", "run_nonlinear",
     "SMEParams", "deterministic_lindblad_path", "lindblad_generator",
-    "linear_sme_step", "nonlinear_sme_step", "normalize_path", "reconstruct_path",
+    "nonlinear_sme_step", "normalize_path", "reconstruct_path",
     "run_linear_sme", "run_nonlinear_sme",
     "WeightedEnsemble", "decompose_state", "run_ensemble",
-    "InteractionMap", "MeanFieldConfig", "PicardReport", "apply_interaction",
-    "frozen_field_step", "mckean_vlasov_solve", "reweighted_expectation",
+    "InteractionMap", "MeanFieldConfig", "apply_interaction", "mckean_vlasov_solve",
+    "reweighted_expectation",
     "MonteCarloConfig",
 ]
 

@@ -17,9 +17,10 @@ estimated noise, checkpoint and working memory exceeds physical memory, and
 3 runtime abort (trace collapse, a nonpositive sme_linear or linear-mode
 meanfield trace, a normalized density whose trace leaves 1 or whose purity
 tr rho^2 exceeds 2 as a diverging sme_nonlinear or meanfield run blows up, a
-vanished ensemble norm, a non-finite observable value of any engine, a
-non-finite mean, stderr or final-state mean, Picard non-convergence; nothing
-is written then), 4 I/O failure.
+vanished ensemble norm, or pure engine norm at the final-state mean, a
+non-finite observable value of any engine, a non-finite mean, stderr or
+final-state mean, Picard non-convergence; nothing is written then), 4 I/O
+failure.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import TrajectoryAbort
 from .master import SMEParams, run_linear_sme, run_nonlinear_sme
 from .meanfield import MeanFieldConfig, mckean_vlasov_solve
 from .noise import sample_wiener_batch
-from .pure import block_bytes, row_blocks, run_linear, run_nonlinear
+from .pure import block_bytes, run_linear, run_nonlinear
 from .scenario import Scenario, ScenarioError, apply_overrides, load_scenario, read_scenario, validate_scenario
 from . import suites
 
@@ -113,9 +114,9 @@ def memory_estimate(sc: Scenario) -> dict[str, int]:
     state after the first step.  A mean-field run keeps three
     (steps+1, d, d) mean paths (the previous iterate, the new one and their
     difference).  The working set is what is held only for a while, counted
-    for the M states in units of one state (d complex entries for kets,
-    rank * d for ensemble kets, d^2 for densities), plus the blocks of
-    scratch of the ket steps (``pure.block_bytes``):
+    for the M states in units of one state (rank * d complex entries for
+    kets, where a pure engine's kets are rank one, and d^2 for densities),
+    plus the blocks of scratch of the ket steps (``pure.block_bytes``):
 
     * a density step holds 2n + 3 states (6 for n = 1): the state, the
       arrays it allocates (the n channel products, their row copy for the
@@ -123,10 +124,6 @@ def memory_estimate(sc: Scenario) -> dict[str, int]:
       the update: 2n + 1, or 4 for n = 1) and the update X + X† it returns;
       2n + 5 are counted;
     * a ket step holds its input, its output and two blocks, and a
-      checkpoint the state, its frame and, over the same blocks, the
-      conjugates and squared moduli of one block: 2 states are counted,
-      with two blocks of the step;
-    * an ensemble step holds its input, its output and two blocks, and a
       checkpoint the state and its frame: 2 states are counted, with the
       larger of the step's two blocks and the three blocks of scratch of
       the final-state densities.
@@ -138,21 +135,17 @@ def memory_estimate(sc: Scenario) -> dict[str, int]:
     writer process instead (``_writer_pays``): then the messages queued in
     its pipe (``WRITER_PIPE_BYTES``) and one (M,) float64 message on either
     side of it are counted too.  After the run the final-state mean forms
-    (M, d, d) arrays: up to four for densities, two for kets and one for an
-    ensemble.  The config hash and the summary are JSON text: the
-    scenario's matrices, the final-state mean, every checkpoint's mean and
-    stderr, and for a mean-field run its mean path.
+    (M, d, d) arrays: up to four for densities and one for kets.  The config
+    hash and the summary are JSON text: the scenario's matrices, the
+    final-state mean, every checkpoint's mean and stderr, and for a
+    mean-field run its mean path.
     """
     m, d, n, n_obs = sc.trajectories, sc.dim, sc.ls.shape[0], len(sc.outputs)
     noise = m * sc.steps * n * 8
     json_floats = (sc.steps // _grid_stride(sc) + 1) * (1 + 3 * n_obs) + 2 * d**2 * (3 + n + n_obs)
-    kind = ENGINES[sc.engine][1]
-    images = (1 + n) * d * 16  # one ket's GEMM images in a step
-    if kind == "ket":
-        per_state, states, finals = d, 2, 2
-        scratch = 2 * block_bytes((m,), images)
-    elif kind == "ensemble":
+    if ENGINES[sc.engine][1] == "ensemble":
         rank = decompose_state(sc.rho0).cutoff
+        images = (1 + n) * d * 16  # one ket's GEMM images in a step
         per_state, states, finals = rank * d, 2, 1
         scratch = max(2 * block_bytes((m, rank), images), 3 * block_bytes((m,), d * d * 16))
     else:
@@ -183,23 +176,6 @@ def _check_memory(sc: Scenario) -> None:
         )])
 
 
-def _ket_values(frame: np.ndarray, ops: list) -> np.ndarray:
-    """<x|A|x> / <x|x> of kets (M, d), over ``row_blocks``: a block's conjugates and moduli at a time."""
-    out = np.empty((len(ops), frame.shape[0]))
-    for blk in row_blocks(frame.shape[:-1], 16 * frame.shape[-1]):
-        ket = frame[blk]
-        bra = np.conj(ket)
-        nrm = np.sum(np.abs(ket) ** 2, axis=-1)
-        for i, op in enumerate(ops):
-            out[i, blk] = np.einsum("mi,ij,mj->m", bra, op, ket).real / nrm
-    return out
-
-
-def _ket_final(frame: np.ndarray) -> np.ndarray:
-    nrm = np.sum(np.abs(frame) ** 2, axis=-1)
-    return (np.einsum("mi,mj->mij", frame, np.conj(frame)) / nrm[:, None, None]).mean(axis=0)
-
-
 def _density_values(frame: np.ndarray, ops: list) -> np.ndarray:
     # einsum sums in memory order: reduce a C-ordered frame, so the values
     # depend on the states alone and not on how a step laid them out
@@ -220,21 +196,22 @@ def _unnormalized_values(frame: np.ndarray, ops: list) -> np.ndarray:
     return _density_values(frame, ops) / _traces(frame)
 
 
-def _unnormalized_final(frame: np.ndarray) -> np.ndarray:
+def _unnormalized_final(frame: np.ndarray, k: int) -> np.ndarray:
     return (frame / _traces(frame)[:, None, None]).mean(axis=0)
 
 
 # State kind -> (the (n_obs, M) expectations of the observables ``ops`` at one
-# checkpoint; the mean normalized density), both over one checkpoint's
-# Schroedinger-frame states: (M, d) kets, (M, d, d) densities, or for the
-# ensemble a ((M, rank, d) kets, (rank,) weights) pair.
+# checkpoint; the mean normalized density at checkpoint k), both over one
+# checkpoint's Schroedinger-frame states: (M, d, d) densities, or for every
+# ket engine a ((M, rank, d) kets, (rank,) weights) pair, which the pure
+# engines hand on at rank one (``_weighted_kets``).  A weighted-ket mean
+# whose weighted norm vanished aborts at k, naming the trajectory.
 REDUCERS = {
-    "ket": (_ket_values, _ket_final),
-    "density": (_density_values, lambda frame: frame.mean(axis=0)),
+    "density": (_density_values, lambda frame, k: frame.mean(axis=0)),
     "unnormalized": (_unnormalized_values, _unnormalized_final),
     "ensemble": (
         lambda frame, ops: weighted_expectations(*frame, ops),
-        lambda frame: weighted_density(*frame).mean(axis=0),
+        lambda frame, k: weighted_density(*frame, k).mean(axis=0),
     ),
 }
 
@@ -258,13 +235,19 @@ def _run_sme_linear(sc: Scenario, p: SMEParams, stride: int, reduce) -> np.ndarr
     return run_linear_sme(sc.rho0, p, _noise(sc, p), checkpoint_stride=stride, reduce=checked)
 
 
+def _weighted_kets(reduce, weights: np.ndarray):
+    """The per-checkpoint reduce of a ket run that hands ``reduce`` ((M, rank, d) kets, weights).
+
+    A pure engine's (M, d) kets are the rank-one ensemble of weight 1.
+    """
+    return lambda kets, k: reduce((kets.reshape(len(kets), weights.size, -1), weights), k)
+
+
 def _run_ensemble(sc: Scenario, p: SMEParams, stride: int, reduce) -> np.ndarray | None:
     """``run_ensemble`` from the spectral decomposition of rho0; ``reduce`` sees (kets, weights)."""
     incr = _noise(sc, p)
     ens = decompose_state(sc.rho0)
-    return run_ensemble(
-        ens, p, incr, checkpoint_stride=stride, reduce=lambda kets, k: reduce((kets, ens.weights), k)
-    )
+    return run_ensemble(ens, p, incr, checkpoint_stride=stride, reduce=_weighted_kets(reduce, ens.weights))
 
 
 def _run_meanfield(sc: Scenario, p: SMEParams, stride: int, reduce) -> dict:
@@ -293,15 +276,15 @@ def _run_meanfield(sc: Scenario, p: SMEParams, stride: int, reduce) -> dict:
 ENGINES = {
     "pure_linear": (
         lambda sc, p, stride, reduce: run_linear(
-            sc.chi0, p, _noise(sc, p), checkpoint_stride=stride, reduce=reduce
+            sc.chi0, p, _noise(sc, p), checkpoint_stride=stride, reduce=_weighted_kets(reduce, np.ones(1))
         ),
-        "ket",
+        "ensemble",
     ),
     "pure_nonlinear": (
         lambda sc, p, stride, reduce: run_nonlinear(
-            sc.chi0, p, _noise(sc, p), checkpoint_stride=stride, reduce=reduce
+            sc.chi0, p, _noise(sc, p), checkpoint_stride=stride, reduce=_weighted_kets(reduce, np.ones(1))
         ),
-        "ket",
+        "ensemble",
     ),
     "sme_linear": (_run_sme_linear, "unnormalized"),
     "sme_nonlinear": (
@@ -614,7 +597,7 @@ def run_scenario(sc: Scenario, out_dir: str, fmt: str = "both") -> RunArtifacts:
 
         engine_details = run(sc, params, stride, reduce) or {}
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite final-state mean aborts below
-            mean_final = final(last[0])
+            mean_final = final(last[0], sc.steps)
         # finite values can still overflow a sum: check every statistic before anything is written
         for (label, _, ostride), m, e in zip(sc.outputs, means, stderrs):
             bad = np.flatnonzero(~(np.isfinite(m) & np.isfinite(e)))

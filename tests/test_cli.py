@@ -17,7 +17,6 @@ from qsme.linalg import HERMITICITY_TOL, random_density, random_hermitian, rando
 from qsme.master import SMEParams, linear_sme_step, run_linear_sme, run_nonlinear_sme
 from qsme.meanfield import MeanFieldConfig, mckean_vlasov_solve
 from qsme.noise import sample_wiener_batch
-from qsme.pure import run_linear
 from qsme.scenario import ScenarioError, apply_overrides, validate_scenario
 
 from oracles import random_ket
@@ -105,16 +104,16 @@ class TestValidateConfig:
         # checkpointed every 10 steps at d = 2: a float64 mean and stderr per
         # checkpoint, 2 (K+1) n_obs values, kept.  Working set per kind, in
         # states per trajectory, (M, d, d) arrays for the final mean and
-        # blocks of scratch: densities 2n + 5 = 7 and four; kets 2 (a
-        # checkpoint reduces its frame a block at a time) and two, with two
-        # blocks of (1 + n) d = 4 complex images per ket; an
-        # ensemble 2 and one, with the larger of two blocks of its kets'
-        # images and three of its densities.  Besides, one 21-row CSV chunk
-        # and 6 (1 + 3) + 2 d^2 (3 + n + n_obs) = 64 JSON floats
+        # blocks of scratch: densities 2n + 5 = 7 and four; weighted kets
+        # (rank one for a pure engine) 2 and one, with the larger of two
+        # blocks of their (1 + n) d = 4 complex images per ket and three of
+        # their densities.  Besides, one 21-row CSV chunk and
+        # 6 (1 + 3) + 2 d^2 (3 + n + n_obs) = 64 JSON floats
         for engine, extra, per_state, states, finals, scratch in (
             ("sme_nonlinear", {}, 4, 7, 4, 0),
             ("sme_linear", {}, 4, 7, 4, 0),
-            ("pure_linear", {"rho0": {"pure": {"basis": 0}}}, 2, 2, 2, 2 * 20 * 4 * 16),
+            ("pure_linear", {"rho0": {"pure": {"basis": 0}}}, 2, 2, 1,  # rank 1 kets
+             max(2 * 20 * 1 * 4 * 16, 3 * 20 * 4 * 16)),
             ("ensemble", {"rho0": {"diag": [0.7, 0.3]}}, 2 * 2, 2, 1,  # rank 2 kets
              max(2 * 20 * 2 * 4 * 16, 3 * 20 * 4 * 16)),
         ):
@@ -656,6 +655,13 @@ class TestSimulate:
         data = minimal_scenario(outputs=self.big_output(1e308))
         self.assert_statistics_abort(tmp_path, capsys, data, "non-finite mean or stderr of output 'big'", 10)
 
+    def assert_final_mean_abort(self, tmp_path, capsys, data, step):
+        path = write_scenario(tmp_path, data)
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 3
+        report = json.loads(capsys.readouterr().err)
+        assert report == {"abort": True, "reason": "ensemble weighted norm vanished", "step": step, "trajectory": 0}
+        assert os.listdir(tmp_path / "out") == []
+
     def test_non_finite_final_state_mean_exits_3_and_writes_nothing(self, tmp_path, capsys):
         # the vanishing pure_linear run above without outputs: no observable
         # value is checked, the final kets are 0 and their normalized mean is
@@ -671,7 +677,23 @@ class TestSimulate:
             engine="pure_linear",
             outputs=[],
         )
-        self.assert_statistics_abort(tmp_path, capsys, data, "non-finite final-state mean", 1000)
+        self.assert_final_mean_abort(tmp_path, capsys, data, 1000)
+
+    def test_ensemble_norm_vanishing_in_last_step_names_the_step(self, tmp_path, capsys):
+        # trajectory 0's weighted norm vanishes in step 79 (a horizon of 0.080
+        # aborts in that step); with a horizon of 0.079 the final-state mean
+        # met it, and once aborted with no step
+        data = minimal_scenario(
+            hamiltonian={"scaled": {"op": "pauli_x", "factor": 0.5}},
+            channels=[{"scaled": {"op": "pauli_z", "factor": 300.0}}],
+            rho0={"pure": [[0.6, 0.0], [0.8, 0.0]]},
+            horizon=0.079,
+            trajectories=5,
+            seed=1,
+            engine="ensemble",
+            outputs=[],
+        )
+        self.assert_final_mean_abort(tmp_path, capsys, data, 79)
 
     def test_run_beyond_physical_memory_exits_2_before_drawing_noise(self, tmp_path, capsys, monkeypatch):
         def no_noise(*args, **kwargs):
@@ -744,17 +766,6 @@ class TestReducers:
     """The per-checkpoint reducers against the whole-buffer formulas they replaced."""
 
     @staticmethod
-    def old_ket_values(states, op):
-        num = np.einsum("kmi,ij,kmj->km", np.conj(states), op, states).real
-        return num / np.sum(np.abs(states) ** 2, axis=-1)
-
-    @staticmethod
-    def old_ket_final(states):
-        last = states[-1]
-        nrm = np.sum(np.abs(last) ** 2, axis=-1)
-        return (np.einsum("mi,mj->mij", last, np.conj(last)) / nrm[:, None, None]).mean(axis=0)
-
-    @staticmethod
     def old_density_values(states, op):
         return np.einsum("ij,kmji->km", op, states).real
 
@@ -775,11 +786,8 @@ class TestReducers:
         ops = [random_hermitian(d, rng), np.diag(np.arange(d)).astype(complex), np.eye(d)]
         strides = (1, 2, 3)  # one per observable, on the gcd grid of every step
         incr = sample_wiener_batch(2, 12, p.dt, seed=d, n_traj=7)
-        chi0 = random_ket(d, rng)
         rho0 = random_density(d, rng)
         cases = (
-            ("ket", lambda **kw: run_linear(chi0, p, incr, **kw),
-             self.old_ket_values, self.old_ket_final),
             ("density", lambda **kw: run_nonlinear_sme(rho0, p, incr, **kw),
              self.old_density_values, lambda states: states[-1].mean(axis=0)),
             ("unnormalized", lambda **kw: run_linear_sme(rho0, p, incr, **kw),
@@ -791,26 +799,7 @@ class TestReducers:
             vals = run(reduce=lambda frame, k: values(frame, ops))  # (K+1, n_obs, M)
             for i, (op, stride) in enumerate(zip(ops, strides)):
                 assert np.array_equal(vals[::stride, i], old_values(states[::stride], op)), kind
-            assert np.array_equal(final(states[-1]), old_final(states)), kind
-
-    @pytest.mark.parametrize("d", [2, 4])
-    def test_ket_values_run_over_row_blocks(self, d):
-        # kets over three whole row blocks and a remainder give the bits of
-        # the whole-array formula, and a checkpoint holds the conjugates and
-        # squared moduli of one block, not of the whole state (1.75 states)
-        rng = np.random.default_rng(80 + d)
-        m = 3 * pure.row_blocks((10**9,), 16 * d)[0].stop + 5
-        kets = rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))
-        ops = [random_hermitian(d, rng), np.eye(d)]
-        values = cli.REDUCERS["ket"][0]
-        assert np.array_equal(values(kets, ops), np.stack([self.old_ket_values(kets[None], op)[0] for op in ops]))
-        tracemalloc.start()
-        try:
-            values(kets, ops)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= len(ops) * m * 8 + 3 * pure.BLOCK_BYTES < 1.75 * kets.nbytes, (peak, kets.nbytes)
+            assert np.array_equal(final(states[-1], 12), old_final(states)), kind
 
     @pytest.mark.parametrize("kind", ["density", "unnormalized"])
     @pytest.mark.parametrize("d", [2, 5, 16])
@@ -930,7 +919,7 @@ def gcd_grid_run(sc):
             "stderr": (vals.std(axis=1, ddof=1) / np.sqrt(vals.shape[1])).tolist(),
         }
     body = "".join(csv_chunks(sc.outputs, times, per_traj, means))
-    return body, observables, final(last[0])
+    return body, observables, final(last[0], sc.steps)
 
 
 class TestPerOutputStorage:
@@ -1015,6 +1004,7 @@ class TestPerOutputStorage:
 
         def reduce(frame, k):
             states = frame[0] if kind == "ensemble" else frame
+            states = states if states.base is None else states.base  # the kets behind a rank-one view
             if k == 0:
                 refs.append(weakref.ref(states))
             else:
@@ -1339,11 +1329,12 @@ class TestTrajectoryIndependence:
     ])
     def test_rows_do_not_depend_on_the_batch(self, tmp_path, engine, d, picture):
         m, rank, n = 7, d, 2
-        # trajectories per block of the ket step (a ket engine's trajectory is
-        # one row, an ensemble's rank rows) and of the ensemble's reductions
+        # trajectories per block of the ket step (a pure engine's trajectory
+        # is one row, an ensemble's rank rows) and of the weighted-ket
+        # reductions every ket engine shares
         step = pure.row_blocks((10**9,) if engine.startswith("pure") else (10**9, rank), (1 + n) * d * 16)[0]
         reductions = pure.row_blocks((10**9,), 16 * d * d)[0]
-        per_block = step.stop if engine != "ensemble" else max(step.stop, reductions.stop)
+        per_block = step.stop if engine.startswith("sme") else max(step.stop, reductions.stop)
         big = 2 * per_block + 3
         small = self.rows(self.scenario(engine, d, picture, m), tmp_path / "small", m)
         assert len(small) == m * (3 + 1 + 2)  # number at 4 checkpoints, identity at 2

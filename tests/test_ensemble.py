@@ -350,15 +350,17 @@ class TestBlocks:
     def test_reductions_hold_no_ket_sized_array(self):
         # weighted_expectations takes each block's images under one operator
         # at a time, so no (M, rank, d) array is formed; the densities are
-        # built in their own (M, d, d) array
-        d, rank = 4, 4
-        m = 16 * BLOCK_BYTES // (16 * rank * d)
-        _, weights, kets, _ = self.ensemble(d, rank, m)
-        ops = np.stack([random_hermitian(d, np.random.default_rng(42)) for _ in range(3)])
-        vals, peak = traced_peak(lambda: weighted_expectations(kets, weights, ops))
-        assert peak <= 2 * BLOCK_BYTES + 4 * vals.nbytes < kets.nbytes
-        rho, peak = traced_peak(lambda: weighted_density(kets, weights))
-        assert peak <= rho.nbytes + 3 * BLOCK_BYTES + 2 * m * 8
+        # built in their own (M, d, d) array.  Rank one is a pure engine's
+        # kets; at d = 8 they outweigh the bound's four copies of three
+        # float64 values per trajectory
+        for d, rank in ((4, 4), (8, 1)):
+            m = 16 * BLOCK_BYTES // (16 * rank * d)
+            _, weights, kets, _ = self.ensemble(d, rank, m)
+            ops = np.stack([random_hermitian(d, np.random.default_rng(42)) for _ in range(3)])
+            vals, peak = traced_peak(lambda: weighted_expectations(kets, weights, ops))
+            assert peak <= 2 * BLOCK_BYTES + 4 * vals.nbytes < kets.nbytes, (d, rank)
+            rho, peak = traced_peak(lambda: weighted_density(kets, weights))
+            assert peak <= rho.nbytes + 3 * BLOCK_BYTES + 2 * m * 8, (d, rank)
 
 
 class TestValidation:
