@@ -9,6 +9,12 @@ The sink formats the rows in the run's process, or, for a run of at least
 ``WRITER_MIN_VALUES`` trajectory values in a single-threaded process that
 may use two CPUs, in a forked writer process that formats them on the other
 CPU while the run integrates (``_CsvWriter``); both write the same bytes.
+Every value is written as ``.17g``, the bytes of ``'%.17g' % value``.  A
+chunk of ``CSV_NUMPY_ROWS`` trajectories or more is formatted in numpy, in
+row blocks bounded by ``pure.BLOCK_BYTES``: its zeros and fixed-point values
+(1e-4 <= |v| < 1e16) exactly, with Dekker's two-product, and the rest
+(scientific notation, inf, nan) by Python, value by value
+(``_g17_fields``).  A shorter chunk is formatted by Python alone.
 
 Exit codes: 0 ok, 1 validation-suite failure, 2 config error (including a
 duplicate output label or one that would break CSV rows, a run whose
@@ -17,17 +23,19 @@ estimated noise, checkpoint and working memory exceeds physical memory, and
 3 runtime abort (trace collapse, a nonpositive sme_linear or linear-mode
 meanfield trace, a normalized density whose trace leaves 1 or whose purity
 tr rho^2 exceeds 2 as a diverging sme_nonlinear or meanfield run blows up, a
-vanished ensemble norm, or pure engine norm at the final-state mean, a
-non-finite observable value of any engine, a non-finite mean, stderr or
-final-state mean, Picard non-convergence; nothing is written then), 4 I/O
-failure.
+vanished weighted ket norm (an ensemble's, or a pure engine's at the
+final-state mean: "weighted ket norm vanished"), a non-finite observable
+value of any engine, a non-finite mean, stderr or final-state mean, Picard
+non-convergence; nothing is written then), 4 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -36,6 +44,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -44,7 +53,7 @@ from .errors import TrajectoryAbort
 from .master import SMEParams, run_linear_sme, run_nonlinear_sme
 from .meanfield import MeanFieldConfig, mckean_vlasov_solve
 from .noise import sample_wiener_batch
-from .pure import block_bytes, run_linear, run_nonlinear
+from .pure import block_bytes, row_blocks, run_linear, run_nonlinear
 from .scenario import Scenario, ScenarioError, apply_overrides, load_scenario, read_scenario, validate_scenario
 from . import suites
 
@@ -79,11 +88,23 @@ def _csv_values(sc: Scenario) -> int:
 
 
 # Upper bounds on what one value costs while run_scenario writes it, measured
-# with tracemalloc: a CSV row of one checkpoint's chunk (its template piece,
-# Python float, text and encoded copy), besides its label, and one float of
-# indented JSON text (its Python objects, the encoder's chunks and the text).
-CSV_ROW_BYTES = 320
+# with tracemalloc: a CSV row of a chunk being formatted, besides its label,
+# and one float of indented JSON text (its Python objects, the encoder's
+# chunks and the text).  Besides a 30-character label, a row formatted in
+# numpy peaks at 155-180 B, fixed-point or scientific alike (its digits,
+# masks, int64 and float64 temporaries, its padded bytes and their copy
+# without padding); one formatted by Python at 150-200 B in chunks of 10 to
+# 399 rows, and 254 B in a chunk of one.  Numpy formats a chunk in row
+# blocks of at most ``pure.BLOCK_BYTES`` at this many bytes a row and its
+# label.
+CSV_ROW_BYTES = 256
 JSON_FLOAT_BYTES = 400
+# Trajectories of a chunk from which its rows are formatted in numpy.  In a
+# run, between integration steps, a numpy block costs about 120 us besides
+# 0.2 us a row, and Python 0.5 us a row: equal at 300-400 rows (seed-1
+# ensemble_csv scaled in M, formatting inline, the time in _CsvBody.add;
+# x86-64, 2-CPU VM).  Back to back on one chunk the numpy block costs 65 us.
+CSV_NUMPY_ROWS = 400
 # Bytes read at a time when a later output's CSV chunks are copied back from
 # their temporary file into the digest and the CSV.
 COPY_BLOCK = 1 << 16
@@ -92,9 +113,13 @@ COPY_BLOCK = 1 << 16
 # formats its CSV in a forked writer process, on another CPU while it
 # integrates.  Below it, the fork, the copy-on-write faults the run takes
 # while the writer lives and the wait for the writer's exit cost about what
-# the formatting moved off the run saves (0.3-0.5 us a value): in fresh
-# processes on a 2-CPU x86-64 VM, 6 ms more at 2,640 values and even at
-# about 15,000, 8-11 ms less at 30,000 and 25 ms less at 61,000.
+# the formatting, hashing and writing moved off the run save.  Seed-1
+# ensemble_csv, each run in a fresh process, 10-12 alternating samples a
+# side on a 2-CPU x86-64 VM, gain of the writer (min over samples): at
+# M = 10^4 (numpy formatting, 0.26 us a value in a run) 1.5 ms at 50,000
+# values, 11 ms at 80,000 and 26 ms at 170,000; at M = 100-300 (Python
+# formatting, 0.5 us a value) 1.5 ms at 15,200, 8 ms at 30,400 and 19 ms
+# at 45,600.
 WRITER_MIN_VALUES = 50_000
 # Bytes the writer's pipe is asked to hold: a checkpoint's messages (8 M
 # bytes per due output) queue there while the run steps on.
@@ -129,16 +154,17 @@ def memory_estimate(sc: Scenario) -> dict[str, int]:
       the final-state densities.
 
     The CSV is formatted one checkpoint of one observable (M + 1 rows) at a
-    time, and with more than one output the later outputs' chunks are copied
-    back ``COPY_BLOCK`` bytes at a time after the run.  A run of at least
-    ``WRITER_MIN_VALUES`` trajectory values may format them in a forked
-    writer process instead (``_writer_pays``): then the messages queued in
-    its pipe (``WRITER_PIPE_BYTES``) and one (M,) float64 message on either
-    side of it are counted too.  After the run the final-state mean forms
-    (M, d, d) arrays: up to four for densities and one for kets.  The config
-    hash and the summary are JSON text: the scenario's matrices, the
-    final-state mean, every checkpoint's mean and stderr, and for a
-    mean-field run its mean path.
+    time, in row blocks of at most ``pure.BLOCK_BYTES`` at ``CSV_ROW_BYTES``
+    a row besides its label, and with more than one output the later
+    outputs' chunks are copied back ``COPY_BLOCK`` bytes at a time after the
+    run.  A run of at least ``WRITER_MIN_VALUES`` trajectory values may
+    format them in a forked writer process instead (``_writer_pays``): then
+    the messages queued in its pipe (``WRITER_PIPE_BYTES``) and one (M,)
+    float64 message on either side of it are counted too.  After the run
+    the final-state mean forms (M, d, d) arrays: up to four for densities
+    and one for kets.  The config hash and the summary are JSON text: the
+    scenario's matrices, the final-state mean, every checkpoint's mean and
+    stderr, and for a mean-field run its mean path.
     """
     m, d, n, n_obs = sc.trajectories, sc.dim, sc.ls.shape[0], len(sc.outputs)
     noise = m * sc.steps * n * 8
@@ -157,7 +183,7 @@ def memory_estimate(sc: Scenario) -> dict[str, int]:
     else:
         checkpoints = 2 * sum(sc.steps // stride + 1 for _, _, stride in sc.outputs) * 8
         label = max((len(lab) for lab, _, _ in sc.outputs), default=0)
-        output = finals * m * d**2 * 16 + (m + 1) * (CSV_ROW_BYTES + 4 * label)
+        output = finals * m * d**2 * 16 + block_bytes((m + 1,), CSV_ROW_BYTES + 4 * label)
     output += COPY_BLOCK if n_obs > 1 else 0
     output += WRITER_PIPE_BYTES + 2 * 8 * m if _csv_values(sc) >= WRITER_MIN_VALUES else 0
     working = states * m * per_state * 16 + scratch + output + json_floats * JSON_FLOAT_BYTES
@@ -298,25 +324,208 @@ ENGINES = {
 }
 
 
-def _csv_rows(label: str, n_traj: int):
-    """The formatter of one observable's CSV rows at one checkpoint: ``rows(t, values, mean) -> str``.
+# Decimal exponents E whose ``.17g`` text is fixed-point and is built in
+# numpy: 1e-4 <= |v| < 1e16 (``%g`` writes fixed-point up to 1e17)
+_G17_EXP = (-4, 15)
+_G17_KEYS = 2 * (_G17_EXP[1] - _G17_EXP[0] + 1) * 17
+_SPACE_TO_PAD = bytes.maketrans(b" ", b"\xff")
 
-    Rows are ``t,traj_id,observable,value`` with t and value as ``.17g``: one
-    per trajectory, then the mean.  They come from one ``%`` template, built
-    once (a ``%`` in the label escaped as ``%%``), and each call is a single
-    format call whose arguments alternate the t string with the values: the
-    ``n_traj`` trajectories' (a list of floats), then the mean.
+
+def _g17_key(neg, e, keep):
+    """The mask row of a value's sign, exponent E and digits kept (1..17)."""
+    return (neg * (_G17_EXP[1] - _G17_EXP[0] + 1) + e - _G17_EXP[0]) * 17 + keep - 1
+
+
+@functools.cache
+def _g17_tables() -> SimpleNamespace:
+    """The tables of ``_g17_fields``, built on first use so that importing the CLI stays cheap.
+
+    * ``pow10``: (3, 23), 10**s for s = 0..22, all exact doubles, and their
+      Veltkamp halves;
+    * ``digits``: one uint64 per 4-digit group g < 10**4, its 8 bytes
+      ``0 d 0 d 0 d 0 d`` (the ASCII digits of g behind zero bytes), then
+      ``0 0 0 0 0 0 0 d`` for a leading digit d = 0..9 at 10**4 + d;
+    * ``ascii4``: one uint32 per group, its four ASCII digits;
+    * ``masks``: one (5,) uint64 row, 40 bytes, per ``_g17_key`` and a last
+      row of 0xFF only.  ORed onto the 40 bytes of a value's five digit
+      groups it gives the value's text padded with 0xFF: the sign and the
+      ``0.000`` of E < 0 in bytes 0..5, then before each of the 17 digits a
+      separator, which holds the point after digit E or 0xFF, and 0xFF over
+      the digits not kept.
     """
-    name = label.replace("%", "%%")
-    tmpl = "".join([f"%s,{m},{name},%.17g\n" for m in range(n_traj)] + [f"%s,mean,{name},%.17g\n"])
-    args = [None] * (2 * n_traj + 2)
+    g = np.arange(10_000)
+    ascii4 = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1).astype(np.uint8) + ord("0")
+    digits = np.zeros((10_010, 8), np.uint8)
+    digits[:10_000, 1::2] = ascii4
+    digits[10_000:, 7] = ord("0") + np.arange(10)
+    masks = np.full((_G17_KEYS + 1, 40), 0xFF, np.uint8)
+    for neg, e, keep in itertools.product((0, 1), range(_G17_EXP[0], _G17_EXP[1] + 1), range(1, 18)):
+        m = masks[_g17_key(neg, e, keep)]
+        if neg:
+            m[0] = ord("-")
+        if e < 0:
+            m[1 : 2 - e] = np.frombuffer(b"0." + b"0" * (-e - 1), np.uint8)
+        m[7 : 7 + 2 * keep : 2] = 0  # the digits kept
+        if 0 <= e < keep - 1:
+            m[8 + 2 * e] = ord(".")
+    pow10 = 10.0 ** np.arange(23)
+    return SimpleNamespace(
+        pow10=np.stack([pow10, *_veltkamp(pow10)]), digits=digits.view(np.uint64).ravel(),
+        ascii4=np.ascontiguousarray(ascii4).view(np.uint32).ravel(), masks=masks.view(np.uint64),
+    )
 
-    def rows(t: float, vals: list, mean: float) -> str:
-        args[0::2] = [f"{t:.17g}"] * (n_traj + 1)
-        args[1::2] = vals + [mean]
-        return tmpl % tuple(args)
+
+def _veltkamp(x):
+    """Split doubles into high and low halves of 26 bits each: x = hi + lo exactly."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _g17_scaled(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """round-half-even(a * 10**s) as int64, exact wherever the result is at least 2**53 (0 <= s <= 22).
+
+    Dekker's two-product gives a * 10**s = p + lo exactly; p >= 2**53 is
+    an even integer, so rounding p + lo to even is p + rint(lo).
+    """
+    b, bh, bl = _g17_tables().pow10.take(s, axis=1)
+    p = a * b
+    ah, al = _veltkamp(a)
+    lo = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _g17_exponent(a: np.ndarray) -> np.ndarray:
+    """floor(log10 a) as float64, one too high or low at most (near powers of ten); -inf for 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.floor(np.log10(a))
+
+
+def _g17_round(v: np.ndarray):
+    """(E, q, the rows left to Python): q = round-half-even(|v| 10**(16 - E)) in [1e16, 1e17), exactly.
+
+    E starts as ``_g17_exponent(|v|)`` and is corrected by one, with q
+    recomputed from v, where q falls outside [1e16, 1e17), a carry to 1e17
+    included.  Zeros get E = 0 and q = 0; a value whose E is outside
+    ``_G17_EXP``, or is not finite, is left to Python.
+    """
+    a = np.abs(v)
+    e = _g17_exponent(a)
+    ok = (e >= _G17_EXP[0] - 1) & (e <= _G17_EXP[1] + 1)
+    e = np.where(ok, e, 0.0).astype(np.int64)
+    a = np.where(ok, a, 0.0)  # q = 0 where not ok
+    q = _g17_scaled(a, 16 - e)
+    fix = np.flatnonzero(ok & ((q - 10**16).view(np.uint64) >= 9 * 10**16))
+    if fix.size:
+        e[fix] = np.clip(e[fix] + np.where(q[fix] < 10**16, -1, 1), _G17_EXP[0] - 1, _G17_EXP[1] + 1)
+        q[fix] = _g17_scaled(a[fix], 16 - e[fix])
+    outside = ((q - 10**16).view(np.uint64) >= 9 * 10**16) | (
+        (e - _G17_EXP[0]).view(np.uint64) > _G17_EXP[1] - _G17_EXP[0]
+    )
+    return e, q, np.flatnonzero(outside & (v != 0))
+
+
+def _g17_digits(q: np.ndarray) -> np.ndarray:
+    """(len(q), 5) uint64: the ``_g17_tables`` digit groups of q < 1e17, its leading digit and four of 4 digits."""
+    top = q // 10**8
+    low = q - top * 10**8
+    lead = top // 10**8
+    top -= lead * 10**8
+    groups = np.empty((len(q), 5), np.int64)
+    groups[:, 0] = lead + 10_000
+    groups[:, 1] = top // 10**4
+    groups[:, 2] = top - groups[:, 1] * 10**4
+    groups[:, 3] = low // 10**4
+    groups[:, 4] = low - groups[:, 3] * 10**4
+    return _g17_tables().digits.take(groups)
+
+
+def _g17_fields(v: np.ndarray) -> np.ndarray:
+    """(len(v), 40) uint8: each value's ``.17g`` text with 0xFF bytes anywhere in it, which are dropped.
+
+    Zeros and fixed-point values (exponent in ``_G17_EXP``) are converted
+    in numpy, exactly (``_g17_round``): q's 17 digits come from the group
+    table, and the mask of (sign, E, digits kept) places the sign, the
+    point and the padding.  Any other value (scientific notation, inf,
+    nan) is formatted by Python.
+    """
+    e, q, python = _g17_round(v)
+    text = _g17_digits(q)
+    nonzero = text.view(np.uint8)[:, 39:6:-2] != ord("0")  # digits 16 .. 0
+    nonzero[:, -1] = True  # a zero keeps its one digit
+    keep = np.maximum(17 - nonzero.argmax(axis=1), e + 1)  # no trailing zeros, but every integer digit
+    key = _g17_key(np.signbit(v), e, keep)
+    key[python] = _G17_KEYS
+    text |= _g17_tables().masks.take(key, axis=0)
+    out = text.view(np.uint8)
+    if python.size:  # at most 24 characters, as in -1.2345678901234567e-308, padded with spaces
+        chars = ("%-24.17g" * python.size % tuple(v[python].tolist())).encode().translate(_SPACE_TO_PAD)
+        out[python, :24] = np.frombuffer(chars, np.uint8).reshape(-1, 24)
+    return out
+
+
+def _csv_ids(start: int, stop: int, width: int) -> np.ndarray:
+    """(stop - start, width) uint8: the decimal trajectory indices start..stop-1, leading zeros as 0xFF."""
+    ids = np.arange(start, stop)
+    n = -(-width // 4)
+    groups = np.stack([ids // 10 ** (4 * i) % 10_000 for i in range(n - 1, -1, -1)], axis=1)  # of 4 digits
+    out = _g17_tables().ascii4.take(groups).view(np.uint8)[:, 4 * n - width :]
+    for k in range(len(str(start)), width):  # indices below 10**k have width - k leading zeros
+        out[: min(10**k - start, stop - start), : width - k] = 0xFF
+    return out
+
+
+def _csv_rows(label: str, n_traj: int):
+    """The formatter of one observable's CSV rows at one checkpoint: ``rows(t, values, mean, write)``.
+
+    Rows are ``t,traj_id,observable,value`` in UTF-8 with t and value as
+    ``.17g``: one per trajectory, from the (n_traj,) float64 ``values``,
+    then the mean; ``write`` is handed their bytes in order, a piece at a
+    time.  A chunk of fewer than ``CSV_NUMPY_ROWS`` trajectories is
+    formatted by Python, value by value, in one piece.  A longer one is
+    built in row blocks of at most ``pure.BLOCK_BYTES`` of scratch, a piece
+    each: a byte matrix whose rows are the t text, ``,``, the index,
+    ``,label,``, the value's ``_g17_fields`` and a line feed, padded with
+    0xFF, which UTF-8 never holds; deleting every 0xFF leaves the rows, and
+    any label passes through untouched.
+    """
+    tail = f",mean,{label},"
+    if n_traj < CSV_NUMPY_ROWS:
+        name = label.replace("%", "%%")
+
+        def rows(t: float, vals: np.ndarray, mean: float, write) -> None:
+            ts = f"{t:.17g}"
+            args = [None] * (2 * len(vals))
+            args[0::2], args[1::2] = range(len(vals)), vals.tolist()
+            write(((f"{ts},%d,{name},%.17g\n" * len(vals)) % tuple(args) + f"{ts}{tail}{mean:.17g}\n").encode())
+
+        return rows
+
+    name = label.encode()
+    width = len(str(n_traj - 1))
+    blocks = row_blocks((n_traj,), CSV_ROW_BYTES + len(name))
+
+    def rows(t: float, vals: np.ndarray, mean: float, write) -> None:
+        ts = f"{t:.17g}"
+        head = f"{ts},".encode()
+        row = np.frombuffer(b"%s%s,%s,%s\n" % (head, b"\xff" * width, name, b"\xff" * 40), np.uint8)
+        for b in blocks:
+            write(_csv_block(row, len(head), width, b, vals[b]))
+        write(f"{ts}{tail}{mean:.17g}\n".encode())
 
     return rows
+
+
+def _csv_block(row: np.ndarray, at: int, width: int, b: slice, vals: np.ndarray) -> bytearray:
+    """Trajectories b's rows: copies of the padded ``row`` with their index at ``at`` and their value's text."""
+    fields, ids = _g17_fields(vals), _csv_ids(b.start, b.stop, width)
+    text = bytearray(len(vals) * row.size)
+    block = np.frombuffer(text, np.uint8).reshape(len(vals), row.size)
+    block[:] = row
+    block[:, at : at + width] = ids
+    block[:, -41:-1] = fields
+    del block, fields, ids  # before the copy without padding
+    return text.translate(None, b"\xff")
 
 
 class _CsvBody:
@@ -354,7 +563,7 @@ class _CsvBody:
 
     def add(self, i: int, j: int, vals: np.ndarray, mean: float) -> None:
         """Add output ``i``'s rows at checkpoint ``j``: (M,) float64 ``vals`` (empty for mean rows), then ``mean``."""
-        self.write(i, self.rows[i](self.times[i][j], vals.tolist(), mean).encode())
+        self.rows[i](self.times[i][j], vals, mean, functools.partial(self.write, i))
 
     def write(self, i: int, data: bytes) -> None:
         """Add one chunk of output ``i``."""

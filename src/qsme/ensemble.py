@@ -124,7 +124,7 @@ def _weighted_forms(kets: np.ndarray, weights: np.ndarray, ops: np.ndarray) -> n
 def _weighted_mass(kets: np.ndarray, weights: np.ndarray, step: int | None = None) -> np.ndarray:
     """sum_k p_k ||e_k||^2 per trajectory, shape (...); aborts where it is not positive."""
     den = _mass(kets, weights)
-    TrajectoryAbort.unless(den > 0.0, "ensemble weighted norm vanished", step)
+    TrajectoryAbort.unless(den > 0.0, "weighted ket norm vanished", step)
     return den
 
 

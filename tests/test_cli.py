@@ -659,7 +659,7 @@ class TestSimulate:
         path = write_scenario(tmp_path, data)
         assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 3
         report = json.loads(capsys.readouterr().err)
-        assert report == {"abort": True, "reason": "ensemble weighted norm vanished", "step": step, "trajectory": 0}
+        assert report == {"abort": True, "reason": "weighted ket norm vanished", "step": step, "trajectory": 0}
         assert os.listdir(tmp_path / "out") == []
 
     def test_non_finite_final_state_mean_exits_3_and_writes_nothing(self, tmp_path, capsys):
@@ -877,15 +877,18 @@ def csv_chunks(outputs, out_times: dict, per_traj: dict, means: dict):
 
     ``per_traj`` maps a label to its (checkpoints, M) values, or lacks it
     for mean rows only.  Each chunk is what ``run_scenario`` writes at that
-    checkpoint, through the same ``cli._csv_rows`` formatter.
+    checkpoint, through the same ``cli._csv_rows`` formatter, which is
+    handed each checkpoint's (M,) float64 array, decoded.
     """
     if outputs:
         yield cli.CSV_HEADER
     for label, _, _ in outputs:
-        traj_vals = per_traj.get(label)
-        rows = cli._csv_rows(label, 0 if traj_vals is None else traj_vals.shape[1])
+        traj_vals = per_traj.get(label, np.empty((len(out_times[label]), 0)))
+        rows = cli._csv_rows(label, traj_vals.shape[1])
         for k, (t, mean) in enumerate(zip(out_times[label].tolist(), means[label].tolist())):
-            yield rows(t, [] if traj_vals is None else traj_vals[k].tolist(), mean)
+            parts = []
+            rows(t, traj_vals[k], mean, parts.append)
+            yield b"".join(parts).decode()
 
 
 def gcd_grid_run(sc):
@@ -1186,6 +1189,21 @@ class TestCsvWriter:
             assert runs[True, fmt] == runs[False, fmt], fmt
         assert runs[False, "both"]["qubit-smoke.csv"] == runs[False, "both"]["digest"]
 
+    @pytest.mark.parametrize("engine", ["pure_linear", "sme_nonlinear", "ensemble"])
+    def test_numpy_formatted_chunks_match_on_both_paths(self, tmp_path, capsys, writer_path, monkeypatch, engine):
+        # chunks of CSV_NUMPY_ROWS + 3 trajectories are formatted in numpy, in
+        # the run's process and in the writer alike, and Python formatting
+        # every chunk writes the same artifacts
+        path = write_scenario(tmp_path, strided_scenario(engine, (4, 6), trajectories=cli.CSV_NUMPY_ROWS + 3))
+        runs = []
+        for writer, crossover in ((True, cli.CSV_NUMPY_ROWS), (False, cli.CSV_NUMPY_ROWS), (False, sys.maxsize)):
+            forks = writer_path(writer)
+            monkeypatch.setattr(cli, "CSV_NUMPY_ROWS", crossover)
+            runs.append(self.artifacts(path, tmp_path / f"{writer}-{crossover}", "both"))
+            capsys.readouterr()
+            assert len(forks) == writer
+        assert runs[0] == runs[1] == runs[2]
+
     def test_meanfield_and_no_outputs_stay_inline(self, tmp_path, capsys, writer_path):
         # a mean-field run writes mean rows only, and a run without outputs no CSV
         forks = writer_path(True)
@@ -1345,14 +1363,14 @@ class TestCsvChunks:
     @staticmethod
     def row_by_row(outputs, out_times, per_traj, means):
         """The CSV body formatted one row at a time from numpy scalars."""
-        body = "t,traj_id,observable,value\n" if outputs else ""
+        rows = ["t,traj_id,observable,value\n"] if outputs else []
         for label, _, _ in outputs:
             for k, t in enumerate(out_times[label]):
                 vals = per_traj[label][k] if label in per_traj else ()
                 for m, v in enumerate(vals):
-                    body += f"{t:.17g},{m},{label},{v:.17g}\n"
-                body += f"{t:.17g},mean,{label},{means[label][k]:.17g}\n"
-        return body
+                    rows.append(f"{t:.17g},{m},{label},{v:.17g}\n")
+                rows.append(f"{t:.17g},mean,{label},{means[label][k]:.17g}\n")
+        return "".join(rows)
 
     def test_bytes_match_row_by_row_formatting(self):
         special = [-0.0, 1e-300, np.nan, np.inf, -np.inf, 5e-324, 0.1, 1.0 / 3.0, -2.5e17]
@@ -1376,6 +1394,155 @@ class TestCsvChunks:
             body = "".join(csv_chunks(outputs, out_times, traj, means))
             assert body == self.row_by_row(outputs, out_times, traj, means)
             assert {row.split(",")[2] for row in body.splitlines()[1:]} == {"pop%", "%s", "100%%"}
+
+    @staticmethod
+    def template_rows(label, n_traj):
+        """The chunk formatter CSV bodies were once written with: one ``%`` template of all M + 1 rows."""
+        name = label.replace("%", "%%")
+        tmpl = "".join([f"%s,{m},{name},%.17g\n" for m in range(n_traj)] + [f"%s,mean,{name},%.17g\n"])
+        args = [None] * (2 * n_traj + 2)
+
+        def rows(t, vals, mean):
+            args[0::2] = [f"{t:.17g}"] * (n_traj + 1)
+            args[1::2] = vals.tolist() + [mean]
+            return tmpl % tuple(args)
+
+        return rows
+
+    # a label of a % conversion, non-ASCII letters (U+00FF is C3 BF in UTF-8,
+    # not the 0xFF padding byte), a 4-byte character and quotes
+    LABELS = ["pop%", "%s", "été ÿ\U0001f600", "x'y\"", "100%%"]
+
+    @staticmethod
+    def three_blocks(label):
+        """A trajectory count whose numpy-formatted chunks span three row blocks."""
+        per_block = pure.row_blocks((10**5,), cli.CSV_ROW_BYTES + len(label.encode()))[0].stop
+        return 2 * per_block + 5
+
+    @pytest.mark.parametrize("n", [0, 1, 2, cli.CSV_NUMPY_ROWS - 1, cli.CSV_NUMPY_ROWS, "three blocks"])
+    def test_chunks_match_row_by_row(self, n):
+        rng = np.random.default_rng(17)
+        for label in self.LABELS:
+            m = self.three_blocks(label) if n == "three blocks" else n
+            if n == "three blocks":
+                assert len(pure.row_blocks((m,), cli.CSV_ROW_BYTES + len(label.encode()))) == 3
+            # fixed-point and scientific values, zeros, non-finite ones
+            vals = rng.normal(size=(3, m)) * 10.0 ** rng.integers(-8, 18, size=(3, m))
+            special = vals.reshape(-1)[::7]
+            special[:] = np.resize([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-4], special.size)
+            out_times = {label: np.array([0.0, 1e-300, 0.030000000000000002])}
+            means = {label: np.array([0.25, np.nan, -1e-5])}
+            body = "".join(csv_chunks([(label, None, 1)], out_times, {label: vals}, means))
+            assert body == self.row_by_row([(label, None, 1)], out_times, {label: vals}, means)
+            old = self.template_rows(label, m)
+            assert body == cli.CSV_HEADER + "".join(old(t, v, mu) for t, v, mu in zip(out_times[label], vals, means[label]))
+
+    def test_numpy_and_python_rows_agree(self, monkeypatch):
+        # the same chunks, once with every chunk formatted by Python
+        rng = np.random.default_rng(3)
+        m = cli.CSV_NUMPY_ROWS + 50
+        vals = rng.normal(size=(2, m)) * 10.0 ** rng.integers(-6, 17, size=(2, m))
+        outputs, out_times, means = [("n", None, 1)], {"n": np.array([0.0, 0.5])}, {"n": vals.mean(axis=1)}
+        bodies = []
+        for crossover in (cli.CSV_NUMPY_ROWS, m + 1):
+            monkeypatch.setattr(cli, "CSV_NUMPY_ROWS", crossover)
+            bodies.append("".join(csv_chunks(outputs, out_times, {"n": vals}, means)))
+        assert bodies[0] == bodies[1]
+
+
+def g17(vals) -> list:
+    """``cli._g17_fields``' text of each value."""
+    return [row.tobytes().translate(None, b"\xff").decode() for row in cli._g17_fields(np.asarray(vals, float))]
+
+
+def assert_g17(vals):
+    vals = np.asarray(vals, float)
+    for x, text in zip(vals.tolist(), g17(vals)):
+        assert text == "%.17g" % x, x
+
+
+class TestG17Text:
+    """The numpy ``.17g`` text of a value is CPython's ``'%.17g' % value``, exactly."""
+
+    def test_every_decade_both_signs(self):
+        rng = np.random.default_rng(5)
+        with np.errstate(over="ignore"):
+            vals = np.concatenate([
+                np.concatenate([[1.0, 1.5, 2.5, 9.99], rng.uniform(1.0, 10.0, 40)]) * 10.0**k for k in range(-320, 309)
+            ])
+        vals = vals[np.isfinite(vals)]
+        assert_g17(vals)
+        assert_g17(-vals)
+
+    def test_zeros_subnormals_and_non_finite(self):
+        rng = np.random.default_rng(6)
+        subnormal = rng.integers(1, 2**52, size=2000, dtype=np.uint64).view(np.float64)
+        special = [0.0, -0.0, 5e-324, -5e-324, np.nextafter(2.0**-1022, 0), 2.0**-1022, np.nan, -np.nan, np.inf, -np.inf]
+        assert_g17(np.concatenate([special, subnormal, -subnormal]))
+        assert g17([0.0, -0.0]) == ["0", "-0"]
+
+    def test_both_neighbours_of_every_power_of_ten(self):
+        powers = np.array([10.0**k for k in range(-323, 309)])
+        assert_g17(np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), -powers]))
+
+    def test_exact_ties_round_half_even(self):
+        # v = m / 2**(17 - E) with m odd: v 10**(16 - E) = m 5**(16 - E) / 2 is
+        # a tie between two 17-digit integers, for every fixed-point exponent
+        from fractions import Fraction
+
+        rng = np.random.default_rng(7)
+        ties = []
+        for e in range(-4, 16):
+            lo, hi = 10**e * Fraction(2) ** (17 - e), min(10 ** (e + 1) * Fraction(2) ** (17 - e), Fraction(2**53))
+            ms = {int(lo) + 1, int(hi) - 1, *(int(lo + (hi - lo) * f) for f in rng.uniform(size=50))}
+            for m in ms:
+                m |= 1
+                v = m / 2.0 ** (17 - e)
+                assert Fraction(v) * Fraction(10) ** (16 - e) % 1 == Fraction(1, 2)
+                ties.append(v)
+        ties = np.array(ties)
+        assert cli._g17_round(ties)[2].size == 0  # all formatted in numpy
+        assert_g17(np.concatenate([ties, -ties]))
+
+    def test_values_rounding_up_to_the_next_power(self):
+        # doubles below 10**k whose 17 digits round up to 1.0000000000000000e+k
+        from fractions import Fraction
+        import math
+
+        carries = []
+        for k in range(-323, 309):
+            x = float(Fraction(10) ** k)
+            for _ in range(3):
+                if Fraction(x) < Fraction(10) ** k and ("%.16e" % x).startswith("1.0000000000000000e"):
+                    carries.append(x)
+                x = math.nextafter(x, 0)
+        assert len(carries) >= 10
+        assert_g17(carries)
+
+    def test_fixed_point_values_are_formatted_in_numpy(self):
+        rng = np.random.default_rng(8)
+        vals = np.concatenate([rng.uniform(1.0, 10.0, 100) * 10.0**k for k in range(-4, 16)] + [[1e-4, 0.0, -0.0]])
+        vals *= rng.choice([-1.0, 1.0], size=vals.size)
+        assert cli._g17_round(vals)[2].size == 0
+        assert_g17(vals)
+        python = cli._g17_round(np.array([9.9999999999999991e-5, 1e16, 1e-300, np.nan, np.inf]))[2]
+        assert python.tolist() == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_exponent_estimate_off_by_one_is_corrected(self, monkeypatch, shift):
+        # a floor(log10) one too low takes q to [1e17, 1e18), one too high to
+        # [1e15, 1e16): both are recomputed from v with the corrected E
+        rng = np.random.default_rng(9)
+        vals = np.concatenate([rng.uniform(1.0, 10.0, 200) * 10.0**k for k in range(-3, 15)])
+        vals = np.concatenate([vals, np.nextafter(vals, 0), [1e-3, 0.1, 1.0, 1e14]])
+        estimate = cli._g17_exponent
+        monkeypatch.setattr(cli, "_g17_exponent", lambda a: estimate(a) + shift)
+        assert cli._g17_round(vals)[2].size == 0
+        assert_g17(np.concatenate([vals, -vals]))
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(10)
+        assert_g17(rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(np.float64))
 
 
 class TestCheck:

@@ -217,7 +217,7 @@ class TestAborts:
     def test_vanished_norm_names_step_and_trajectory(self):
         incr = np.zeros((3, 2, 1))
         incr[1, 0, 0] = -1.75
-        with pytest.raises(TrajectoryAbort, match="weighted norm vanished") as err:
+        with pytest.raises(TrajectoryAbort, match="weighted ket norm vanished") as err:
             run_ensemble(self.ENS, self.P, incr)
         assert (err.value.step, err.value.trajectory) == (1, 1)
 
@@ -233,7 +233,7 @@ class TestAborts:
         # in the way, the feedback of step 7 finds them and the run locates it
         incr = np.zeros((5, 9, 1))
         incr[[2, 4], 6, 0] = -1.75
-        with pytest.raises(TrajectoryAbort, match="weighted norm vanished") as err:
+        with pytest.raises(TrajectoryAbort, match="weighted ket norm vanished") as err:
             run_ensemble(self.ENS, self.P, incr, reduce=lambda kets, k: kets)
         assert (err.value.step, err.value.trajectory) == (7, 2)
 
