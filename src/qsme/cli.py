@@ -203,9 +203,8 @@ def _check_memory(sc: Scenario) -> None:
 
 
 def _density_values(frame: np.ndarray, ops: list) -> np.ndarray:
-    # einsum sums in memory order: reduce a C-ordered frame, so the values
-    # depend on the states alone and not on how a step laid them out
-    frame = np.ascontiguousarray(frame)
+    # einsum sums in memory order, so the values would depend on how a frame
+    # is laid out: every engine hands its reducer C-ordered frames
     out = np.empty((len(ops), frame.shape[0]))
     for i, op in enumerate(ops):
         out[i] = np.einsum("ij,mji->m", op, frame).real
@@ -218,7 +217,6 @@ def _traces(states: np.ndarray) -> np.ndarray:
 
 
 def _unnormalized_values(frame: np.ndarray, ops: list) -> np.ndarray:
-    frame = np.ascontiguousarray(frame)
     return _density_values(frame, ops) / _traces(frame)
 
 

@@ -6,11 +6,14 @@ deterministic; the statistical tolerances are 3 standard errors throughout.
 the acceptance gate.  Each experiment is a helper that runs it and returns
 its ``CheckOutcome``s; a suite calls its helpers at pinned budgets.
 
-Conventions: theorem checks are one-sided bound tests at 3 standard errors of
-the Monte Carlo mean; continuity experiments couple the compared simulations
-through a common driver (the variance of the difference is otherwise hopeless
-at desk scale); convergence is measured against the finest level of a family
-of step sizes coupled by Brownian refinement.
+Conventions: a check of one value against one bound passes at ``observed <=
+bound`` (``>=`` for a lower bound), with margin ``bound - observed`` (mirrored),
+so a margin >= 0 passes; theorem checks are one-sided bound tests at 3
+standard errors of the Monte Carlo mean, their margins counted in standard
+errors; continuity experiments couple the compared simulations through a
+common driver (the variance of the difference is otherwise hopeless at desk
+scale); convergence is measured against the finest level of a family of step
+sizes coupled by Brownian refinement.
 """
 
 from __future__ import annotations
@@ -94,6 +97,16 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _outcome(name: str, observed, bound, seed: int, config: dict, details=None, at_least=False) -> CheckOutcome:
+    """One value against one bound: pass at ``observed <= bound``, margin ``bound - observed``.
+
+    ``at_least`` mirrors both.  A NaN observed value fails either way.
+    """
+    passed = observed >= bound if at_least else observed <= bound
+    margin = observed - bound if at_least else bound - observed
+    return CheckOutcome(name, bool(passed), observed, bound, margin, seed, config_digest(config), details or {})
+
+
 @dataclass
 class MonteCarloConfig:
     """Shared knobs of a Monte Carlo check: dynamics, initial state, budget."""
@@ -145,9 +158,7 @@ def _martingale(name: str, samples: np.ndarray, seed: int, config: dict) -> Chec
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(dev == 0.0, 0.0, dev / stderrs)
     worst = float(np.max(np.abs(z)))
-    return CheckOutcome(
-        name, worst <= 3.0, worst, 3.0, 3.0 - worst, seed, config_digest(config), {"zscores": z.tolist()}
-    )
+    return _outcome(name, worst, 3.0, seed, config, {"zscores": z.tolist()})
 
 
 def martingale_suite(fast: bool = False, sabotage: bool = False) -> list[CheckOutcome]:
@@ -280,18 +291,9 @@ def bounds_suite(fast: bool = False) -> list[CheckOutcome]:
     cfg = MonteCarloConfig(p, gamma0, 1.0, 64 if fast else 256, seed, checkpoint_stride=250)
     free = _moment_bound("gamma_squared_growth", cfg).details
     defect = float(np.max(np.abs(np.array(free["observed"]) - np.array(free["bound"]))))
-    out.append(
-        CheckOutcome(
-            "gamma_squared_equality_free",
-            defect <= 1e-10,
-            defect,
-            1e-10,
-            1e-10 - defect,
-            seed,
-            config_digest({"which": "gamma_squared_growth", "L": 0}),
-            {"observed": free["observed"], "bound": free["bound"]},
-        )
-    )
+    config = {"which": "gamma_squared_growth", "L": 0}
+    details = {"observed": free["observed"], "bound": free["bound"]}
+    out.append(_outcome("gamma_squared_equality_free", defect, 1e-10, seed, config, details))
     return out
 
 
@@ -438,26 +440,11 @@ def _continuity(h1: np.ndarray, h2: np.ndarray, cfg: MonteCarloConfig) -> list[C
             config_digest({"dH": dh_norm, "M": cfg.trajectories, "T": cfg.horizon}),
             {"sq_dev": sq_mean.tolist(), "sq_bound": sq_bound.tolist()},
         ),
-        CheckOutcome(
-            "hamiltonian_continuity_nonlinear_r2",
-            r_squared >= 0.95,
-            r_squared,
-            0.95,
-            r_squared - 0.95,
-            cfg.seed,
-            config_digest({"magnitudes": list(eps_arr)}),
-            {"devs": dev.tolist(), "slope": float(slope)},
+        _outcome(
+            "hamiltonian_continuity_nonlinear_r2", r_squared, 0.95, cfg.seed, {"magnitudes": list(eps_arr)},
+            {"devs": dev.tolist(), "slope": float(slope)}, at_least=True,
         ),
-        CheckOutcome(
-            "hamiltonian_continuity_scaling",
-            gap <= tol,
-            gap,
-            tol,
-            tol - gap,
-            cfg.seed,
-            config_digest({"magnitudes": list(eps_arr)}),
-            {},
-        ),
+        _outcome("hamiltonian_continuity_scaling", gap, tol, cfg.seed, {"magnitudes": list(eps_arr)}),
     ]
 
 
@@ -492,12 +479,25 @@ def _scaled_draw(rng, d: int, rank: int | None = None):
     return rho0, h, l
 
 
-def equivalence_suite(fast: bool = False) -> list[CheckOutcome]:
-    out = []
-    horizon = 1.0
-    fine_dt = 2.5e-3
-    fine_steps = round(horizon / fine_dt)
+def _halving(name: str, seed: int, config: dict, key: str, h, l, n_paths: int, error) -> CheckOutcome:
+    """``error(params, increments)`` shrinks by <= 0.75 per dt halving on noise coupled by Brownian refinement.
 
+    ``n_paths`` paths at dt = 2.5e-3 over a unit horizon, coarsened by 4, 2 and 1; the outcome
+    observes the larger of the two consecutive ratios and lists the errors under ``details[key]``.
+    Its config hash covers ``config`` with the step sizes and the path count.
+    """
+    fine_dt = 2.5e-3
+    fines = sample_wiener_batch(1, round(1.0 / fine_dt), fine_dt, seed, n_paths)
+    errors = []
+    for factor in (4, 2, 1):
+        incr = coarsen_increments(fines, factor) if factor > 1 else fines
+        errors.append(error(SMEParams(h, l[None], fine_dt * factor, "schroedinger"), incr))
+    worst = max(errors[i + 1] / errors[i] for i in range(2))
+    config = {**config, "dts": [1e-2, 5e-3, 2.5e-3], "paths": n_paths}
+    return _outcome(name, worst, 0.75, seed, config, {key: errors})
+
+
+def equivalence_suite(fast: bool = False) -> list[CheckOutcome]:
     # Round trip between linear and normalized descriptions of one path.
     seed = SEEDS["round_trip"]
     rng = np.random.default_rng(seed)
@@ -508,79 +508,37 @@ def equivalence_suite(fast: bool = False) -> list[CheckOutcome]:
     gammas = run_linear_sme(gamma0, p, incr)
     back, _ = reconstruct_path(*normalize_path(gammas, incr, p.ls, p.dt), p.ls, p.dt)
     rel = float(np.max(hs_norm(back - gammas)) / np.max(hs_norm(gammas)))
-    out.append(
-        CheckOutcome(
-            "linear_normalized_round_trip",
-            rel <= 1e-9,
-            rel,
-            1e-9,
-            1e-9 - rel,
-            seed,
-            config_digest({"d": d, "T": 0.5}),
-            {},
-        )
-    )
+    out = [_outcome("linear_normalized_round_trip", rel, 1e-9, seed, {"d": d, "T": 0.5})]
 
     # One-step residual of the normalized path against the nonlinear equation
     # shrinks by <= 0.75 per dt halving (coupled noise, max residual per path
     # averaged over a batch of paths).
     seed = SEEDS["normalized_residual"]
-    rng = np.random.default_rng(seed)
-    gamma0, h, l = _scaled_draw(rng, 2)
+    gamma0, h, l = _scaled_draw(np.random.default_rng(seed), 2)
     n_paths = 8 if fast else 64
-    fines = sample_wiener_batch(1, fine_steps, fine_dt, seed, n_paths)
-    residuals = []
-    for factor in (4, 2, 1):
-        dt = fine_dt * factor
-        incr = coarsen_increments(fines, factor) if factor > 1 else fines
-        pd = SMEParams(h, l[None], dt, "schroedinger")
-        rhos, db = normalize_path(run_linear_sme(gamma0, pd, incr), incr, pd.ls, dt)
-        residuals.append(float(_residual_max(rhos, db, pd).mean()))
-    ratios = [residuals[i + 1] / residuals[i] for i in range(2)]
-    out.append(
-        CheckOutcome(
-            "normalized_residual_halving",
-            max(ratios) <= 0.75,
-            max(ratios),
-            0.75,
-            0.75 - max(ratios),
-            seed,
-            config_digest({"dts": [1e-2, 5e-3, 2.5e-3], "paths": n_paths}),
-            {"residuals": residuals},
-        )
-    )
+
+    def residual(pd, incr):
+        rhos, db = normalize_path(run_linear_sme(gamma0, pd, incr), incr, pd.ls, pd.dt)
+        return float(_residual_max(rhos, db, pd).mean())
+
+    out.append(_halving("normalized_residual_halving", seed, {}, "residuals", h, l, n_paths, residual))
 
     # Ensemble unraveling reproduces the direct nonlinear path as dt -> 0.
     # The inter-scheme distance is strong-order 0.5 (ratio ~ 1/sqrt(2) per
     # halving), so the per-path max distance is averaged over a wide batch.
     seed = SEEDS["ensemble_equivalence"]
-    rng = np.random.default_rng(seed)
     d = 4
-    rho0, h, l = _scaled_draw(rng, d, rank=3)
+    rho0, h, l = _scaled_draw(np.random.default_rng(seed), d, rank=3)
     n_paths = 32 if fast else 256
-    fines = sample_wiener_batch(1, fine_steps, fine_dt, seed, n_paths)
-    dists = []
-    for factor in (4, 2, 1):
-        dt = fine_dt * factor
-        incr = coarsen_increments(fines, factor) if factor > 1 else fines
-        pd = SMEParams(h, l[None], dt, "schroedinger")
-        stride = round(1e-2 / dt)  # compare on the common coarse grid
+
+    def distance(pd, incr):
+        stride = round(1e-2 / pd.dt)  # compare on the common coarse grid
         direct = run_nonlinear_sme(rho0, pd, incr, checkpoint_stride=stride)
         ens = run_ensemble(decompose_state(rho0), pd, incr, checkpoint_stride=stride)
-        dists.append(float(np.max(hs_norm(direct - ens), axis=0).mean()))
-    ratios = [dists[i + 1] / dists[i] for i in range(2)]
-    out.append(
-        CheckOutcome(
-            "ensemble_equivalence_halving",
-            max(ratios) <= 0.75,
-            max(ratios),
-            0.75,
-            0.75 - max(ratios),
-            seed,
-            config_digest({"d": d, "rank": 3, "dts": [1e-2, 5e-3, 2.5e-3], "paths": n_paths}),
-            {"distances": dists},
-        )
-    )
+        return float(np.max(hs_norm(direct - ens), axis=0).mean())
+
+    config = {"d": d, "rank": 3}
+    out.append(_halving("ensemble_equivalence_halving", seed, config, "distances", h, l, n_paths, distance))
     return out
 
 
@@ -624,15 +582,8 @@ def _convergence(stepper: str, refinements: list[float], cfg: MonteCarloConfig) 
 
     order = float(np.polyfit(np.log(np.asarray(dts[1:])), np.log(errors), 1)[0])
     if stepper == "lindblad_ode":
-        return CheckOutcome(
-            "lindblad_ode_order",
-            order >= 3.5,
-            order,
-            3.5,
-            order - 3.5,
-            cfg.seed,
-            config_digest({"stepper": stepper}),
-            {"errors": errors.tolist()},
+        return _outcome(
+            "lindblad_ode_order", order, 3.5, cfg.seed, {"stepper": stepper}, {"errors": errors.tolist()}, at_least=True
         )
     return CheckOutcome(
         f"{stepper}_strong_order",

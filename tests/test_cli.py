@@ -803,21 +803,44 @@ class TestReducers:
 
     @pytest.mark.parametrize("kind", ["density", "unnormalized"])
     @pytest.mark.parametrize("d", [2, 5, 16])
-    def test_density_values_do_not_depend_on_memory_order(self, kind, d):
-        # equal states laid out in C and in transposed order give the same
-        # bits, and a C-ordered frame is reduced as it is, not copied
+    def test_c_ordered_frame_values_equal_whole_buffer_formula(self, kind, d):
         rng = np.random.default_rng(60 + d)
         states = np.stack([random_density(d, rng) for _ in range(40)])
         states[::3] *= 1.7  # unnormalized traces for the linear equation's reducer
-        transposed = np.ascontiguousarray(np.swapaxes(states, -1, -2)).swapaxes(-1, -2)
-        assert np.array_equal(transposed, states) and not transposed.flags.c_contiguous
         ops = [random_operator(d, rng), random_hermitian(d, rng), np.eye(d)]
         values = cli.REDUCERS[kind][0]
-        assert np.array_equal(values(transposed, ops), values(states, ops))
         old = np.stack([self.old_density_values(states[None], op)[0] for op in ops])
         if kind == "unnormalized":
             old = old / np.einsum("mii->m", states).real
         assert np.array_equal(values(states, ops), old)
+
+    @pytest.mark.parametrize("engine, picture", [
+        ("sme_linear", "schroedinger"),
+        ("sme_linear", "interaction"),
+        ("sme_nonlinear", "schroedinger"),
+        ("sme_nonlinear", "interaction"),
+        ("meanfield", "schroedinger"),
+    ])
+    def test_density_reducers_get_c_ordered_frames(self, tmp_path, monkeypatch, engine, picture):
+        # einsum sums in memory order and the density reducers copy nothing,
+        # so their bits rest on every engine handing them C-ordered frames:
+        # fresh step outputs, frame-map products, the replicated start state
+        # and rows of the mean-field path
+        kind = cli.ENGINES[engine][1]
+        values, final = cli.REDUCERS[kind]
+        seen = []
+
+        def spy_values(frame, ops):
+            seen.append(frame.flags.c_contiguous)
+            return values(frame, ops)
+
+        def spy_final(frame, k):
+            seen.append(frame.flags.c_contiguous)
+            return final(frame, k)
+
+        monkeypatch.setitem(cli.REDUCERS, kind, (spy_values, spy_final))
+        cli.run_scenario(validate_scenario(engine_scenario(engine, picture=picture)), str(tmp_path))
+        assert len(seen) == 7 and all(seen)
 
     def test_ensemble_run_keeps_no_checkpoint_states(self, tmp_path):
         # d = 4 rank-4 kets at M = 2000 over 500 steps with stride 1: the

@@ -16,8 +16,10 @@ from qsme.suites import (
     MonteCarloConfig,
     _continuity,
     _convergence,
+    _halving,
     _martingale,
     _moment_bound,
+    _outcome,
     _trace_inequalities,
 )
 
@@ -27,6 +29,61 @@ GAMMA0 = np.diag([0.7, 0.3]).astype(complex)
 def qubit_cfg(m=500, l=SIGMA_X, initial=GAMMA0, horizon=0.5, seed=1, stride=100, dt=1e-3):
     p = SMEParams(0.5 * SIGMA_Z, np.asarray(l, complex)[None], dt)
     return MonteCarloConfig(p, initial, horizon, m, seed, checkpoint_stride=stride)
+
+
+class TestOutcome:
+    def test_equality_passes_with_zero_margin(self):
+        res = _outcome("edge", 0.75, 0.75, 7, {"k": 1}, {"x": [1.0]})
+        assert res.passed and res.margin == 0.0
+        assert (res.observed, res.bound, res.seed, res.details) == (0.75, 0.75, 7, {"x": [1.0]})
+        assert res.config_hash == suites.config_digest({"k": 1})
+        assert _outcome("edge", 0.75, 0.75, 7, {}, at_least=True).passed
+
+    def test_upper_bound_rule(self):
+        res = _outcome("upper", 2.0, 3.0, 0, {})
+        assert res.passed and res.margin == 1.0 and res.details == {}
+        res = _outcome("upper", 4.0, 3.0, 0, {})
+        assert not res.passed and res.margin == -1.0
+
+    def test_at_least_mirrors_pass_and_margin(self):
+        res = _outcome("lower", 2.0, 3.0, 0, {}, at_least=True)
+        assert not res.passed and res.margin == -1.0
+        res = _outcome("lower", 4.0, 3.0, 0, {}, at_least=True)
+        assert res.passed and res.margin == 1.0
+
+    def test_nan_observed_fails_both_ways(self):
+        for at_least in (False, True):
+            res = _outcome("nan", float("nan"), 1.0, 0, {}, at_least=at_least)
+            assert not res.passed and np.isnan(res.margin)
+            assert res.to_json()["pass"] is False
+
+
+class TestHalving:
+    H = 0.5 * SIGMA_Z
+    L = SIGMA_X
+
+    def test_error_proportional_to_dt_halves(self):
+        seen = []
+
+        def error(params, incr):
+            seen.append((params.dt, params.picture, incr.shape))
+            return params.dt
+
+        res = _halving("halving", 3, {"d": 2}, "errs", self.H, self.L, 2, error)
+        assert res.passed and res.observed == 0.5 and res.bound == 0.75 and res.margin == 0.25
+        assert res.details == {"errs": [1e-2, 5e-3, 2.5e-3]}
+        assert seen == [
+            (1e-2, "schroedinger", (2, 100, 1)),
+            (5e-3, "schroedinger", (2, 200, 1)),
+            (2.5e-3, "schroedinger", (2, 400, 1)),
+        ]
+        config = {"d": 2, "dts": [1e-2, 5e-3, 2.5e-3], "paths": 2}
+        assert res.config_hash == suites.config_digest(config)
+
+    def test_constant_error_fails(self):
+        res = _halving("halving", 3, {}, "errs", self.H, self.L, 1, lambda params, incr: 0.125)
+        assert not res.passed and res.observed == 1.0 and res.margin == -0.25
+        assert res.details == {"errs": [0.125] * 3}
 
 
 class TestMartingaleTest:
